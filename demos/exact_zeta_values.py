@@ -12,7 +12,7 @@ from zetacomb import bernoulli_oracle, ladder_states, zeta_even
 
 print("Closed forms Q_k on (0, 2*pi), first six rungs:")
 for state in ladder_states(6):
-    print(f"  k={state.order}:  Q = {state.q}")
+    print(f"  k={state.order}:  Q = {state}")
 
 print()
 print("Even-order endpoint values, ladder vs Bernoulli oracle:")

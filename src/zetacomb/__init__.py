@@ -13,7 +13,7 @@ distributional actions converging to 2*pi*phi(0), Fourier partial sums
 against floor/ceiling closed forms, and the truncated sinc integral.
 """
 
-from .exactalg import PI, TWO_PI, PiNumber, PiPolynomial, Rational
+from .exactalg import PiNumber
 from .zeta_ladder import (
     LadderState,
     ZetaValue,
@@ -48,11 +48,7 @@ from .actions import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "PI",
-    "TWO_PI",
     "PiNumber",
-    "PiPolynomial",
-    "Rational",
     "LadderState",
     "ZetaValue",
     "bernoulli_number",

@@ -37,7 +37,10 @@ from .quad import QuadratureError, sinc_truncated
 from .testfn import TestFunction, bump_plateau, gaussian_bump
 from .zeta_ladder import bernoulli_oracle, zeta_even
 
-__all__ = ["build_parser", "run", "main"]
+__all__ = ["build_parser", "run", "main", "ZETA_MAX_K"]
+
+# Largest accepted --max-k: 2k = 400 takes about 2 s with --oracle.
+ZETA_MAX_K = 200
 
 
 class _NumericalFailure(Exception):
@@ -55,6 +58,13 @@ def _pos_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _max_k(text: str) -> int:
+    value = _pos_int(text)
+    if value > ZETA_MAX_K:
+        raise argparse.ArgumentTypeError(f"must be <= {ZETA_MAX_K}, got {value}")
     return value
 
 
@@ -101,8 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p = sub.add_parser("zeta", help="exact zeta(2k) as rational multiples of pi^2k")
-    p.add_argument("--max-k", type=_pos_int, required=True, metavar="K",
-                   help="emit rows for 2k = 2..2K")
+    p.add_argument("--max-k", type=_max_k, required=True, metavar="K",
+                   help=f"emit rows for 2k = 2..2K, K <= {ZETA_MAX_K}")
     p.add_argument("--oracle", action="store_true",
                    help="add the Bernoulli-formula column; values must match")
     common(p)

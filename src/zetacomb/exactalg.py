@@ -1,326 +1,89 @@
-"""Exact arithmetic for rational combinations of powers of pi.
+"""Exact numbers ``q * pi**j`` with rational ``q``: every value the ladder
+and the Bernoulli oracle produce is a rational multiple of one power of pi.
 
-The scalar type here is :class:`PiNumber`, a finite sum ``sum_j q_j * pi**j``
-with exact rational ``q_j`` (arbitrary precision).  On top of it sits
-:class:`PiPolynomial`, a polynomial in ``x`` whose coefficients are
-``PiNumber`` values.  Together they let the antiderivative ladder carry
-quantities like ``pi*x - pi**2/3`` around without ever touching a float;
-floats appear only at the output boundary via :meth:`PiNumber.to_float`.
-
-All values are immutable and all operations are pure, so everything in this
-module can be shared freely between threads.
+Floats appear only at the output boundary via :meth:`PiNumber.to_float`.
+Values are immutable, so they can be shared freely between threads.
 """
 
 from fractions import Fraction
 
-__all__ = [
-    "Rational",
-    "PiNumber",
-    "PiPolynomial",
-    "PI",
-    "TWO_PI",
-]
-
-# Exact rationals: Python's Fraction already stores gcd-normalized values
-# with a positive denominator over arbitrary-precision integers.
-Rational = Fraction
+__all__ = ["PiNumber"]
 
 # Stored literal, 39 significant digits.  Float projection goes through this
 # single constant so results do not depend on how the platform libm rounds.
 _PI_LITERAL = "3.14159265358979323846264338327950288420"
 _PI_RATIONAL = Fraction(_PI_LITERAL)
 
-_RationalLike = (int, Fraction)
-
-
-def _as_rational(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
-
 
 class PiNumber:
-    """A finite exact sum ``sum_j q_j * pi**j`` with rational ``q_j``, j >= 0.
+    """The exact value ``q * pi**j``: rational ``q``, integer grade ``j >= 0``.
 
-    Zero coefficients are never stored; two equal values always compare and
-    hash identically.  Division is exact and defined when the divisor is a
-    plain rational or a single-term PiNumber whose pi-power does not exceed
-    any pi-power of the dividend (enough for mean values over (0, 2*pi)).
+    Zero compares and hashes equal at every grade.  Addition and subtraction
+    are defined within one grade, and with zero of any grade; adding two
+    nonzero values of different grades raises ``ValueError``.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_j", "_q")
 
-    def __init__(self, coefficients=None):
-        terms = {}
-        if coefficients:
-            for j, q in dict(coefficients).items():
-                if not isinstance(j, int) or j < 0:
-                    raise ValueError(f"pi-exponent must be a non-negative integer, got {j!r}")
-                q = _as_rational(q)
-                if q != 0:
-                    terms[j] = q
-        self._terms = tuple(sorted(terms.items()))
-
-    # -- constructors ------------------------------------------------------
+    def __init__(self, j: int = 0, q=0):
+        if not isinstance(j, int) or j < 0:
+            raise ValueError(f"pi-exponent must be a non-negative integer, got {j!r}")
+        if not isinstance(q, (int, Fraction)):
+            raise TypeError(f"expected an exact rational, got {type(q).__name__}")
+        self._j = j
+        self._q = Fraction(q)
 
     @classmethod
     def zero(cls) -> "PiNumber":
         return cls()
 
     @classmethod
-    def from_rational(cls, q) -> "PiNumber":
-        return cls({0: _as_rational(q)})
-
-    @classmethod
     def pi_power(cls, j: int, coeff=1) -> "PiNumber":
-        return cls({j: _as_rational(coeff)})
-
-    # -- inspection --------------------------------------------------------
-
-    @property
-    def terms(self) -> tuple:
-        """Sorted ``(pi_exponent, coefficient)`` pairs, zero terms omitted."""
-        return self._terms
+        """``coeff * pi**j``."""
+        return cls(j, coeff)
 
     def coefficient(self, j: int) -> Fraction:
-        for exp, q in self._terms:
-            if exp == j:
-                return q
-        return Fraction(0)
-
-    def is_single_term(self) -> bool:
-        return len(self._terms) == 1
+        """The rational multiplying ``pi**j``; zero unless ``j`` is the grade."""
+        return self._q if j == self._j else Fraction(0)
 
     def to_float(self) -> float:
         """Round to the nearest double, using the stored high-precision pi."""
-        acc = Fraction(0)
-        for j, q in self._terms:
-            acc += q * _PI_RATIONAL**j
-        return float(acc)
-
-    # -- arithmetic --------------------------------------------------------
-
-    @staticmethod
-    def _coerce(value):
-        if isinstance(value, PiNumber):
-            return value
-        if isinstance(value, _RationalLike):
-            return PiNumber.from_rational(value)
-        return None
+        return float(self._q * _PI_RATIONAL**self._j)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, PiNumber):
             return NotImplemented
-        terms = dict(self._terms)
-        for j, q in other._terms:
-            terms[j] = terms.get(j, Fraction(0)) + q
-        return PiNumber(terms)
-
-    __radd__ = __add__
+        if not other._q:
+            return self
+        if not self._q:
+            return other
+        if self._j != other._j:
+            raise ValueError(f"cannot add a pi^{self._j} value to a pi^{other._j} value")
+        return PiNumber(self._j, self._q + other._q)
 
     def __neg__(self):
-        return PiNumber({j: -q for j, q in self._terms})
+        return PiNumber(self._j, -self._q)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, PiNumber):
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        terms = {}
-        for j1, q1 in self._terms:
-            for j2, q2 in other._terms:
-                j = j1 + j2
-                terms[j] = terms.get(j, Fraction(0)) + q1 * q2
-        return PiNumber(terms)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, _RationalLike):
-            q = _as_rational(other)
-            if q == 0:
-                raise ZeroDivisionError("division of PiNumber by zero")
-            return PiNumber({j: c / q for j, c in self._terms})
-        if isinstance(other, PiNumber):
-            if not other._terms:
-                raise ZeroDivisionError("division of PiNumber by zero")
-            if len(other._terms) != 1:
-                raise ValueError("PiNumber division requires a single-term divisor")
-            jd, qd = other._terms[0]
-            if any(j < jd for j, _ in self._terms):
-                raise ValueError(
-                    f"division by pi^{jd} term would need a negative pi-exponent"
-                )
-            return PiNumber({j - jd: q / qd for j, q in self._terms})
-        return NotImplemented
-
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, PiNumber):
             return NotImplemented
-        return self._terms == other._terms
+        return self._q == other._q and (self._j == other._j or not self._q)
 
     def __hash__(self):
-        return hash(self._terms)
-
-    def __bool__(self):
-        return bool(self._terms)
+        return hash((self._j, self._q)) if self._q else hash(0)
 
     def __str__(self):
-        if not self._terms:
+        if not self._q:
             return "0"
-        parts = []
-        for j, q in self._terms:
-            if j == 0:
-                parts.append(str(q))
-            else:
-                power = "π" if j == 1 else f"π^{j}"
-                parts.append(f"{q} {power}")
-        out = parts[0]
-        for part in parts[1:]:
-            out += " - " + part[1:] if part.startswith("-") else " + " + part
-        return out
+        if self._j == 0:
+            return str(self._q)
+        power = "π" if self._j == 1 else f"π^{self._j}"
+        return f"{self._q} {power}"
 
     def __repr__(self):
-        return f"PiNumber({dict(self._terms)!r})"
-
-
-PI = PiNumber.pi_power(1)
-TWO_PI = PiNumber.pi_power(1, 2)
-
-
-def _as_pinumber(value) -> PiNumber:
-    coerced = PiNumber._coerce(value)
-    if coerced is None:
-        raise TypeError(f"expected PiNumber or exact rational, got {type(value).__name__}")
-    return coerced
-
-
-class PiPolynomial:
-    """Polynomial in ``x`` with :class:`PiNumber` coefficients.
-
-    Coefficients are indexed by power of ``x``; the zero polynomial is the
-    empty coefficient sequence and trailing zero coefficients are stripped,
-    so the leading stored coefficient is always nonzero.
-    """
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs=()):
-        coeffs = [_as_pinumber(c) for c in coeffs]
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        self._coeffs = tuple(coeffs)
-
-    @classmethod
-    def monomial(cls, power: int, coeff=1) -> "PiPolynomial":
-        if power < 0:
-            raise ValueError("power must be non-negative")
-        return cls([PiNumber.zero()] * power + [_as_pinumber(coeff)])
-
-    @property
-    def coeffs(self) -> tuple:
-        return self._coeffs
-
-    @property
-    def degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self._coeffs) - 1
-
-    def __call__(self, x) -> PiNumber:
-        """Exact Horner evaluation at a PiNumber (or rational) argument."""
-        x = _as_pinumber(x)
-        acc = PiNumber.zero()
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
-
-    def antiderivative(self) -> "PiPolynomial":
-        """Antiderivative with zero constant term; raises the degree by one."""
-        if not self._coeffs:
-            return PiPolynomial()
-        new = [PiNumber.zero()]
-        for i, c in enumerate(self._coeffs):
-            new.append(c / (i + 1))
-        return PiPolynomial(new)
-
-    def derivative(self) -> "PiPolynomial":
-        return PiPolynomial([c * i for i, c in enumerate(self._coeffs)][1:])
-
-    def mean(self, a, b) -> PiNumber:
-        """Exact average ``1/(b-a) * integral_a^b p(x) dx``.
-
-        Raises ``ValueError`` on a degenerate interval (``a == b``).
-        """
-        a = _as_pinumber(a)
-        b = _as_pinumber(b)
-        width = b - a
-        if not width:
-            raise ValueError("mean over a degenerate interval (a == b)")
-        primitive = self.antiderivative()
-        return (primitive(b) - primitive(a)) / width
-
-    def __add__(self, other):
-        if isinstance(other, PiPolynomial):
-            n = max(len(self._coeffs), len(other._coeffs))
-            mine = list(self._coeffs) + [PiNumber.zero()] * (n - len(self._coeffs))
-            theirs = list(other._coeffs) + [PiNumber.zero()] * (n - len(other._coeffs))
-            return PiPolynomial([c1 + c2 for c1, c2 in zip(mine, theirs)])
-        constant = PiNumber._coerce(other)
-        if constant is None:
-            return NotImplemented
-        if not self._coeffs:
-            return PiPolynomial([constant])
-        coeffs = list(self._coeffs)
-        coeffs[0] = coeffs[0] + constant
-        return PiPolynomial(coeffs)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, PiPolynomial):
-            return self + PiPolynomial([-c for c in other._coeffs])
-        constant = PiNumber._coerce(other)
-        if constant is None:
-            return NotImplemented
-        return self + (-constant)
-
-    def __eq__(self, other):
-        if not isinstance(other, PiPolynomial):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self):
-        return hash(self._coeffs)
-
-    def __str__(self):
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self._coeffs):
-            if not c:
-                continue
-            if i == 0:
-                parts.append(f"({c})")
-            elif i == 1:
-                parts.append(f"({c})·x")
-            else:
-                parts.append(f"({c})·x^{i}")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"PiPolynomial({list(self._coeffs)!r})"
+        return f"PiNumber.pi_power({self._j}, {self._q!r})"

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 
@@ -38,6 +39,13 @@ class TestZeta:
         for row in rows:
             assert row[1] == row[2]
         assert rows[0] == ["2", "1/6 π^2", "1/6 π^2"]
+
+    def test_golden_max_k_100_oracle_csv(self, capsys):
+        code, out, _ = run_text(capsys, ["zeta", "--max-k", "100", "--oracle", "--format", "csv"])
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "d1ed35cfaa72ce3ab7ea9ffd4664910058c26199b3a3f2afc447d468e7908ef5"
+        )
 
     def test_csv_is_utf8_with_lf(self, tmp_path):
         out = tmp_path / "zeta.csv"
@@ -171,6 +179,7 @@ class TestUsageErrors:
             ["sinc"],
             ["sinc", "--n-max", "2", "--tol", "0"],
             ["nonsense"],
+            ["zeta", "--max-k", "201"],  # above ZETA_MAX_K
         ],
     )
     def test_exit_code_two_with_usage(self, capsys, argv):

@@ -4,172 +4,81 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from zetacomb.exactalg import PI, TWO_PI, PiNumber, PiPolynomial
+from zetacomb.exactalg import PiNumber
+
+PI = PiNumber.pi_power(1)
+TWO_PI = PiNumber.pi_power(1, 2)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=200)
-pinumbers = st.dictionaries(st.integers(0, 4), rationals, max_size=4).map(PiNumber)
+
+
+def same_grade(j):
+    return rationals.map(lambda q: PiNumber.pi_power(j, q))
 
 
 class TestPiNumber:
     def test_zero_coefficients_are_dropped(self):
-        assert PiNumber({2: Fraction(0), 1: Fraction(3)}).terms == ((1, Fraction(3)),)
-        assert not PiNumber.zero()
-        assert PiNumber.zero().terms == ()
+        # a zero coefficient leaves no grade behind: zero of any grade is zero
+        assert PiNumber.pi_power(3, 0) == PiNumber.zero()
+        assert PiNumber.pi_power(3, 0) == PiNumber.pi_power(5, Fraction(0))
+        assert PiNumber.pi_power(2, 1) != PiNumber.pi_power(3, 1)
+        assert PI - PI == PiNumber.zero()
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
-            PiNumber({-1: Fraction(1)})
+            PiNumber.pi_power(-1)
 
     def test_float_coefficient_rejected(self):
         with pytest.raises(TypeError):
-            PiNumber({0: 0.5})
+            PiNumber.pi_power(0, 0.5)
 
     def test_constructors(self):
-        assert PiNumber.from_rational(Fraction(2, 3)).coefficient(0) == Fraction(2, 3)
-        assert PI.terms == ((1, Fraction(1)),)
-        assert TWO_PI.terms == ((1, Fraction(2)),)
+        assert PiNumber.pi_power(0, Fraction(2, 3)).coefficient(0) == Fraction(2, 3)
+        assert PiNumber.pi_power(4).coefficient(4) == 1
+        assert PiNumber.zero().coefficient(0) == 0
 
     def test_coefficient_lookup(self):
-        v = PiNumber({0: Fraction(1, 2), 3: Fraction(-7)})
-        assert v.coefficient(0) == Fraction(1, 2)
+        v = PiNumber.pi_power(3, Fraction(-7))
         assert v.coefficient(3) == Fraction(-7)
         assert v.coefficient(1) == 0
+        assert v.coefficient(0) == 0
 
     def test_arithmetic_examples(self):
         third_pi2 = PiNumber.pi_power(2, Fraction(1, 3))
         assert PI + PI == TWO_PI
         assert TWO_PI - PI == PI
-        assert PI * PI == PiNumber.pi_power(2)
-        assert third_pi2 * 3 == PiNumber.pi_power(2)
-        assert 2 * PI == TWO_PI
-        assert 1 - PiNumber.from_rational(Fraction(1, 2)) == PiNumber.from_rational(Fraction(1, 2))
+        assert third_pi2 + third_pi2 + third_pi2 == PiNumber.pi_power(2)
+        assert -PI == PiNumber.pi_power(1, -1)
+        assert PiNumber.zero() - third_pi2 == PiNumber.pi_power(2, Fraction(-1, 3))
 
-    def test_division_by_rational(self):
-        assert TWO_PI / 2 == PI
-        assert PI / Fraction(1, 2) == TWO_PI
-        with pytest.raises(ZeroDivisionError):
-            PI / 0
-
-    def test_division_by_single_term(self):
-        # (2pi^3 + pi^2) / pi = 2pi^2 + pi
-        v = PiNumber({3: Fraction(2), 2: Fraction(1)})
-        assert v / PI == PiNumber({2: Fraction(2), 1: Fraction(1)})
-        assert (PI * TWO_PI) / TWO_PI == PI
-
-    def test_division_validity_limits(self):
-        with pytest.raises(ZeroDivisionError):
-            PI / PiNumber.zero()
+    def test_mixed_grade_addition_rejected(self):
         with pytest.raises(ValueError):
-            PI / (PI + 1)  # multi-term divisor
+            PI + PiNumber.pi_power(2)
         with pytest.raises(ValueError):
-            # would need pi^-1
-            PiNumber.from_rational(1) / PI
+            PiNumber.pi_power(0, 1) - PI
 
     def test_to_float_projection(self):
         assert PI.to_float() == math.pi
         assert TWO_PI.to_float() == 2 * math.pi
+        assert PiNumber.zero().to_float() == 0.0
         zeta2 = PiNumber.pi_power(2, Fraction(1, 6))
         assert math.isclose(zeta2.to_float(), math.pi**2 / 6, rel_tol=1e-15)
-        mixed = PiNumber({0: Fraction(1), 2: Fraction(-1, 3)})
-        assert math.isclose(mixed.to_float(), 1 - math.pi**2 / 3, rel_tol=1e-14)
 
     def test_str_rendering(self):
         assert str(PiNumber.zero()) == "0"
+        assert str(PiNumber.pi_power(5, 0)) == "0"
         assert str(PiNumber.pi_power(2, Fraction(1, 6))) == "1/6 π^2"
         assert str(PI) == "1 π"
-        assert str(PiNumber({0: Fraction(1), 2: Fraction(-1, 3)})) == "1 - 1/3 π^2"
+        assert str(PiNumber.pi_power(0, Fraction(-1, 3))) == "-1/3"
 
     def test_hash_consistency(self):
         assert hash(PI + PI) == hash(TWO_PI)
         assert len({PI, TWO_PI, PI + PI}) == 2
+        assert hash(PiNumber.pi_power(7, 0)) == hash(PiNumber.zero())
 
-    @given(pinumbers, pinumbers)
-    def test_add_sub_round_trip(self, a, b):
+    @given(st.integers(0, 6).flatmap(lambda j: st.tuples(same_grade(j), same_grade(j))))
+    def test_add_sub_round_trip(self, pair):
+        a, b = pair
         assert (a + b) - b == a
-
-    @given(pinumbers)
-    def test_multiplicative_identities(self, a):
-        assert a * 1 == a
-        assert a * 0 == PiNumber.zero()
         assert a + PiNumber.zero() == a
-
-    @given(pinumbers, pinumbers, pinumbers)
-    def test_distributivity(self, a, b, c):
-        assert a * (b + c) == a * b + a * c
-
-    @given(pinumbers, rationals.filter(lambda q: q != 0))
-    def test_rational_division_round_trip(self, a, q):
-        assert (a * q) / q == a
-
-    @given(pinumbers)
-    def test_pi_division_round_trip(self, a):
-        assert (a * PI) / PI == a
-
-
-class TestPiPolynomial:
-    def test_trailing_zeros_stripped(self):
-        p = PiPolynomial([PI, PiNumber.zero(), PiNumber.zero()])
-        assert p.degree == 0
-        assert PiPolynomial().degree == -1
-        assert PiPolynomial([PiNumber.zero()]).degree == -1
-
-    def test_monomial(self):
-        x2 = PiPolynomial.monomial(2)
-        assert x2.degree == 2
-        assert x2(TWO_PI) == PiNumber.pi_power(2, 4)
-        with pytest.raises(ValueError):
-            PiPolynomial.monomial(-1)
-
-    def test_evaluation_is_exact(self):
-        # pi*x - pi^2/3 at x = 2pi is 2pi^2 - pi^2/3 = 5pi^2/3
-        p = PiPolynomial([PiNumber.pi_power(2, Fraction(-1, 3)), PI])
-        assert p(TWO_PI) == PiNumber.pi_power(2, Fraction(5, 3))
-        assert p(0) == PiNumber.pi_power(2, Fraction(-1, 3))
-
-    def test_antiderivative_and_derivative(self):
-        p = PiPolynomial([PiNumber.from_rational(3), PI])
-        primitive = p.antiderivative()
-        assert primitive.coeffs[0] == PiNumber.zero()
-        assert primitive.derivative() == p
-        assert PiPolynomial().antiderivative() == PiPolynomial()
-
-    def test_mean_examples(self):
-        x = PiPolynomial.monomial(1)
-        assert x.mean(0, TWO_PI) == PI
-        # mean of x^2 over (0, 2pi) is (2pi)^2/3
-        assert PiPolynomial.monomial(2).mean(0, TWO_PI) == PiNumber.pi_power(2, Fraction(4, 3))
-        const = PiPolynomial([PI])
-        assert const.mean(0, TWO_PI) == PI
-
-    def test_mean_rejects_degenerate_interval(self):
-        with pytest.raises(ValueError):
-            PiPolynomial.monomial(1).mean(PI, PI)
-
-    def test_add_sub(self):
-        x = PiPolynomial.monomial(1)
-        p = x + PI
-        assert p.coeffs[0] == PI
-        assert p - PI == x
-        assert (p - p).degree == -1
-        assert x + PiPolynomial.monomial(1) == PiPolynomial.monomial(1, 2)
-
-    def test_equality_and_hash(self):
-        a = PiPolynomial([PI, PiNumber.from_rational(1)])
-        b = PiPolynomial([PI, PiNumber.from_rational(1), PiNumber.zero()])
-        assert a == b
-        assert hash(a) == hash(b)
-
-    @given(st.lists(pinumbers, max_size=5), pinumbers)
-    def test_evaluation_matches_term_sum(self, coeffs, x):
-        p = PiPolynomial(coeffs)
-        expected = PiNumber.zero()
-        power = PiNumber.from_rational(1)
-        for c in coeffs:
-            expected = expected + c * power
-            power = power * x
-        assert p(x) == expected
-
-    @given(st.lists(pinumbers, max_size=5))
-    def test_derivative_of_antiderivative(self, coeffs):
-        p = PiPolynomial(coeffs)
-        assert p.antiderivative().derivative() == p
+        assert PiNumber.zero() + a == a

@@ -1,10 +1,13 @@
 import math
+import sys
 import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from zetacomb.exactalg import PI, TWO_PI, PiNumber, PiPolynomial
+from zetacomb import zeta_ladder
+from zetacomb.exactalg import PiNumber
 from zetacomb.zeta_ladder import (
     LadderState,
     ZetaValue,
@@ -17,26 +20,45 @@ from zetacomb.zeta_ladder import (
 )
 
 ZERO = PiNumber.zero()
+TWO_PI = PiNumber.pi_power(1, 2)
 
 
 class TestLadder:
     def test_init_state(self):
         s = ladder_init()
         assert s.order == 1
-        assert s.q == PiPolynomial([PI])
-        assert s.p == PiPolynomial.monomial(1)
+        assert s.coeffs == (1,)
+        assert s.q(TWO_PI) == PiNumber.pi_power(1)  # Q_1 is the constant pi
+        assert s.p(TWO_PI) == TWO_PI
 
     def test_first_step_gives_pi_x_minus_pi2_over_3(self):
         s = ladder_step(ladder_init())
         assert s.order == 2
-        expected = PiPolynomial([PiNumber.pi_power(2, Fraction(-1, 3)), PI])
-        assert s.q == expected
-        assert s.p == PiPolynomial.monomial(2, Fraction(1, 2))
+        assert s.coeffs == (Fraction(-1, 3), 1)
+        assert str(s) == "(-1/3 π^2) + (1 π)·x"
+
+    def test_evaluation_is_exact(self):
+        # pi*x - pi^2/3 at x = 2pi is 5pi^2/3; x^2/2 there is 2pi^2
+        s = ladder_states(2)[-1]
+        assert s.q(TWO_PI) == PiNumber.pi_power(2, Fraction(5, 3))
+        assert s.q(ZERO) == PiNumber.pi_power(2, Fraction(-1, 3))
+        assert s.p(TWO_PI) == PiNumber.pi_power(2, 2)
+
+    @given(st.integers(1, 12), st.fractions(min_value=-4, max_value=4, max_denominator=50))
+    def test_evaluation_matches_term_sum(self, order, t):
+        # Q_k(t*pi) = sum_i c_i pi^(k-i) (t*pi)^i = pi^k * sum_i c_i t^i
+        s = ladder_states(order)[-1]
+        expected = sum(c * t**i for i, c in enumerate(s.coeffs))
+        assert s.q(PiNumber.pi_power(1, t)) == PiNumber.pi_power(order, expected)
+        assert s.p(PiNumber.pi_power(1, t)) == PiNumber.pi_power(order, t**order / math.factorial(order))
 
     def test_mean_matching_at_every_order(self):
-        # the defining property of each constant: mean(Q_k) = mean(P_k)
+        # the defining property of each constant: mean(Q_k) = mean(P_k) over
+        # (0, 2pi), i.e. mean(q_k) = mean(t^k / k!) over t in (0, 2)
         for s in ladder_states(12):
-            assert s.q.mean(0, TWO_PI) == s.p.mean(0, TWO_PI)
+            mean_q = sum(c * Fraction(2**i, i + 1) for i, c in enumerate(s.coeffs))
+            mean_p = Fraction(2**s.order, (s.order + 1) * math.factorial(s.order))
+            assert mean_q == mean_p
 
     def test_states_are_cached_and_prefix_stable(self):
         long = ladder_states(8)
@@ -60,6 +82,13 @@ class TestLadder:
         for t in threads:
             t.join()
         assert all(r == results[0] for r in results)
+
+    def test_evaluation_rejects_other_grades(self):
+        s = ladder_states(3)[-1]
+        with pytest.raises(ValueError):
+            s.q(PiNumber.pi_power(0, 1))
+        with pytest.raises(ValueError):
+            s.p(PiNumber.pi_power(2, 1))
 
     def test_state_is_immutable(self):
         s = ladder_init()
@@ -119,7 +148,7 @@ class TestZetaEven:
         with pytest.raises(ValueError):
             ZetaValue(2, PiNumber.pi_power(2, Fraction(-1, 6)))  # negative
         with pytest.raises(ValueError):
-            ZetaValue(2, PiNumber.pi_power(2) + 1)  # not a single term
+            ZetaValue(2, PiNumber.zero())
 
 
 class TestBernoulliOracle:
@@ -143,5 +172,36 @@ class TestBernoulliOracle:
                 bernoulli_oracle(bad)
 
     def test_ladder_matches_oracle_bit_identically(self):
-        for two_k in range(2, 32, 2):
+        for two_k in range(2, 202, 2):
             assert zeta_even(two_k).value == bernoulli_oracle(two_k).value
+
+    def test_concurrent_table_growth_is_consistent(self):
+        # Akiyama-Tanigawa, an independent route to the same numbers; it
+        # yields B_1 = +1/2, the recurrence -1/2
+        def reference(m):
+            a = [Fraction(1, j + 1) for j in range(m + 1)]
+            for top in range(m, 0, -1):
+                for j in range(top):
+                    a[j] = (j + 1) * (a[j] - a[j + 1])
+            return -a[0] if m == 1 else a[0]
+
+        zeta_ladder._reset_cache()
+        targets = [60, 7, 45, 1, 60, 23, 38, 12]
+        results = [None] * len(targets)
+
+        def worker(i):
+            results[i] = bernoulli_number(targets[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(targets))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [reference(m) for m in targets]
+        assert [bernoulli_number(m) for m in range(61)] == [reference(m) for m in range(61)]
