@@ -1,6 +1,8 @@
 """Compare the two routes for pairing a test function with the Dirac comb.
 
-Route one truncates the cosine expansion and integrates mode by mode.
+Route one truncates the cosine expansion at N modes; it sums them as one
+periodic trapezoid sum of the 2*pi-periodized function against the
+order-N kernel.
 Route two goes straight to the lattice: 2*pi times the sum of the
 damped test function over multiples of 2*pi.  The truncated route
 converges to the lattice value as the mode count grows.

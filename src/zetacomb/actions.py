@@ -1,11 +1,19 @@
 """Distributional actions and Fourier partial sums.
 
 The comb functional acts on a test function phi two ways that must agree:
-the analytic route sums mode integrals c_0 + 2*sum Re(c_n) truncated at
-order N, and the lattice route evaluates 2*pi*sum phi(2*pi*n) over the
-finitely many lattice points inside the support.  Their agreement, and
-the convergence of the windowed-kernel action to 2*pi*phi(0), are the two
+the mode route sums the integrals c_0 + 2*sum Re(c_n) truncated at order
+N, and the lattice route evaluates 2*pi*sum phi(2*pi*n) over the finitely
+many lattice points inside the support.  Their agreement, and the
+convergence of the windowed-kernel action to 2*pi*phi(0), are the two
 numerical limit statements this module carries.
+
+Every c_n is a Fourier coefficient of the 2*pi-periodization phi_per of
+phi, so the truncated mode sum is the integral of phi_per times the
+periodic order-N kernel over one period.  The mode route evaluates that
+integral with one trapezoid sum, which converges exponentially for a
+smooth periodic integrand, doubling its node count until successive sums
+agree.  It never runs on M = 2N+1 nodes, where the sum would reduce to the
+lattice sum, so the two routes stay independent.
 
 The first and second antiderivative partial sums are compared against
 floor/ceiling closed forms.  The order-1 series converges only pointwise
@@ -16,21 +24,22 @@ tail below 2/N, so it is compared everywhere.
 Long sums are evaluated in fixed-size chunks with exact (fsum) reduction
 in a fixed order, so results are deterministic and effectively free of
 accumulation error; odd sums are computed on |x| and sign-flipped so
-antisymmetry holds bit-for-bit.
+antisymmetry holds bit-for-bit.  numpy is imported only by the partial
+sums, so the other routes and the command line start without it.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .kernels import _windowed_compact
-from .quad import integrate_adaptive
+from .quad import QuadratureError, integrate_adaptive
 from .testfn import TestFunction
 
 __all__ = [
     "ConvergenceRow",
     "FOURIER_N_CAP",
+    "MODE_SAMPLE_CAP",
     "delta0_partial_action",
     "delta0_comb_action",
     "deltaN_action",
@@ -45,6 +54,16 @@ _CHUNK = 1 << 19
 
 # Runtime guard for the partial sums; far beyond every stated comparison.
 FOURIER_N_CAP = 10_000_000
+
+# Most samples of phi one mode-route sum may take (about 2.5 s of Python):
+# M nodes times the number of periods the support spans, at least one.  The
+# sum starts at M >= 4N+4, so orders N >= 2**18 fail at once, and lower
+# orders too when the support spans more than one period.
+MODE_SAMPLE_CAP = 1 << 20
+# The first comparison S_M vs S_{M/2} is trusted only if the coarse grid
+# puts at least this many nodes inside a support narrower than 2*pi.
+_MIN_SUPPORT_NODES = 8
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -68,32 +87,102 @@ class ConvergenceRow:
         return cls(N=N, value=value, reference=reference, abs_error=abs(value - reference))
 
 
-def _cosine_mode(phi: TestFunction, n: int, tol: float) -> float:
-    """Re(c_n) = integral of cos(n*x)*phi(x) over the support of phi."""
+def _dirichlet_periodic(N: int, m: int, M: int) -> float:
+    """The order-N kernel at x = 2*pi*m/M, |m| <= M/2, M a power of two.
+
+    The periodic kernel sin((N+1/2)*x)/sin(x/2), with the numerator angle
+    pi*((2N+1)*m mod 2M)/M reduced in integers, so large N costs no digits.
+    Evaluated on |m|, so it is even bit-for-bit; at x = pi it is (-1)**N.
+    """
+    a = abs(m)
+    if a == 0:
+        return 2.0 * N + 1.0
+    r = (2 * N + 1) * a % (2 * M)
+    sign = 1.0
+    if r >= M:
+        r -= M
+        sign = -1.0
+    if 2 * r > M:
+        r = M - r
+    return sign * math.sin(math.pi * r / M) / math.sin(math.pi * a / M)
+
+
+def _trapezoid_terms(phi: TestFunction, N: int, M: int, odd_only: bool) -> list:
+    """Nonzero phi_per(x)*D_N(x) over the nodes x = 2*pi*m/M, -M/2 <= m < M/2.
+
+    phi_per(x) is the sum of phi(x + 2*pi*k) over k; it is gathered by
+    walking the grid 2*pi*i/M across the support of phi and folding each i
+    onto its node m = i mod M, so no evaluation falls outside the support.
+    With odd_only, only the nodes that are new since M/2 are visited.
+    """
     lo, hi = phi.support
-    if n == 0:
-        return integrate_adaptive(phi.evaluator, lo, hi, tol).value
     f = phi.evaluator
-    return integrate_adaptive(
-        lambda x: math.cos(n * x) * f(x), lo, hi, tol, osc_freq=float(n)
-    ).value
+    scale = M / _TWO_PI
+    step = 2 if odd_only else 1
+    first = math.floor(lo * scale)
+    if odd_only and first % 2 == 0:
+        first += 1
+    half = M // 2
+    per = {}
+    for i in range(first, math.ceil(hi * scale) + 1, step):
+        v = f(_TWO_PI * i / M)
+        if v != 0.0:
+            m = (i + half) % M - half
+            per[m] = per.get(m, 0.0) + v
+    return [v * _dirichlet_periodic(N, m, M) for m, v in per.items()]
+
+
+def _mode_trapezoid(phi: TestFunction, N: int, tol: float) -> tuple[float, float, int]:
+    """(value, error estimate, node count M) of the periodic trapezoid sum.
+
+    S_M = (2*pi/M) * sum_j phi_per(x_j)*D_N(x_j) integrates phi_per*D_N
+    over one period, which is the mode sum c_0 + 2*sum_{n<=N} Re(c_n).
+    M starts at a power of two >= 4N+4 (at M = 2N+1 the sum would collapse
+    onto the lattice points) that also puts several nodes of M/2 inside a
+    narrow support, and doubles, reusing the old nodes, until the estimate
+    max(|S_M - S_{M/2}|, 50*eps*(2*pi/M)*sum|terms|) is within tol.
+    Raises QuadratureError at once when the roundoff floor exceeds tol or
+    the samples of phi would pass MODE_SAMPLE_CAP.
+    """
+    periods = (phi.support[1] - phi.support[0]) / _TWO_PI
+    # Samples of phi at M nodes: one per node and period the support spans.
+    samples_per_node = max(periods, 1.0)
+    M = 2 * _MIN_SUPPORT_NODES
+    while M * samples_per_node <= MODE_SAMPLE_CAP and (
+        M < 4 * N + 4 or M * periods < 2 * _MIN_SUPPORT_NODES
+    ):
+        M *= 2
+    if M * samples_per_node > MODE_SAMPLE_CAP:
+        raise QuadratureError(math.nan, math.inf, 0)
+    terms = _trapezoid_terms(phi, N, M // 2, odd_only=False)
+    coarse = _TWO_PI / (M // 2) * math.fsum(terms)
+    while True:
+        terms += _trapezoid_terms(phi, N, M, odd_only=True)
+        h = _TWO_PI / M
+        value = h * math.fsum(terms)
+        floor = 50.0 * _EPS * h * math.fsum(abs(t) for t in terms)
+        estimate = max(abs(value - coarse), floor)
+        if estimate <= tol:
+            return value, estimate, M
+        if floor > tol or 2 * M * samples_per_node > MODE_SAMPLE_CAP:
+            raise QuadratureError(value, estimate, M)
+        M *= 2
+        coarse = value
 
 
 def delta0_partial_action(phi: TestFunction, N: int, tol: float) -> float:
     """Symmetric partial action: c_0 + 2*sum_{n=1}^{N} Re(c_n).
 
-    Each mode integral runs at tol/(2N+1) so the stacked quadrature error
-    stays below tol; mode contributions are reduced with an exact sum.
+    One periodic trapezoid sum of phi_per*D_N (see _mode_trapezoid), which
+    converges exponentially in the node count for smooth phi.  Raises
+    QuadratureError when tol is below the roundoff floor or the samples of
+    phi would pass MODE_SAMPLE_CAP.
     """
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    mode_tol = tol / (2 * N + 1)
-    parts = [_cosine_mode(phi, 0, mode_tol)]
-    for n in range(1, N + 1):
-        parts.append(2.0 * _cosine_mode(phi, n, mode_tol))
-    return math.fsum(parts)
+    return _mode_trapezoid(phi, N, tol)[0]
 
 
 def delta0_comb_action(phi: TestFunction) -> float:
@@ -155,6 +244,8 @@ def fourier_partial_delta1(N: int, x: float) -> float:
         return 0.0
     r = abs(x)
 
+    import numpy as np
+
     def chunk(n0: int, n1: int):
         n = np.arange(n0, n1 + 1, dtype=np.float64)
         return 2.0 * np.sin(n * r) / n
@@ -167,6 +258,8 @@ def fourier_partial_delta2(N: int, x: float) -> float:
     """x**2/2 - 2*sum_{n=1}^{N} cos(n*x)/n**2, even in x bit-for-bit."""
     _validate_fourier_n(N)
     r = abs(x)
+
+    import numpy as np
 
     def chunk(n0: int, n1: int):
         n = np.arange(n0, n1 + 1, dtype=np.float64)

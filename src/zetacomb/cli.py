@@ -23,6 +23,7 @@ import math
 import sys
 
 from .actions import (
+    FOURIER_N_CAP,
     ConvergenceRow,
     delta0_comb_action,
     delta0_partial_action,
@@ -47,15 +48,22 @@ class _NumericalFailure(Exception):
     pass
 
 
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+
+
 def _nonneg_int(text: str) -> int:
-    value = int(text)
+    value = _int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
 
 def _pos_int(text: str) -> int:
-    value = int(text)
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
@@ -69,14 +77,24 @@ def _max_k(text: str) -> int:
 
 
 def _samples_count(text: str) -> int:
-    value = int(text)
+    value = _int(text)
     if value < 2:
         raise argparse.ArgumentTypeError(f"need at least 2 samples, got {value}")
     return value
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return value
+
+
 def _pos_float(text: str) -> float:
-    value = float(text)
+    value = _finite_float(text)
     if not value > 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
     return value
@@ -120,14 +138,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kernel", help="sample the order-N kernel in both forms")
     p.add_argument("--n", type=_nonneg_int, required=True, metavar="N")
     p.add_argument("--samples", type=_samples_count, default=2001, metavar="M")
-    p.add_argument("--xmin", type=float, default=-math.pi)
-    p.add_argument("--xmax", type=float, default=math.pi)
+    p.add_argument("--xmin", type=_finite_float, default=-math.pi)
+    p.add_argument("--xmax", type=_finite_float, default=math.pi)
     common(p)
 
     def phi_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--phi", choices=("plateau", "gauss"), default="plateau",
                        help="test function family (default: plateau)")
-        p.add_argument("--center", type=float, default=None,
+        p.add_argument("--center", type=_finite_float, default=None,
                        help="gauss only: bump center (default 0)")
         p.add_argument("--radius", type=_pos_float, default=None,
                        help="gauss only: bump radius (default 1)")
@@ -146,8 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, choices=(1, 2), required=True)
     p.add_argument("--n", type=_pos_int, required=True, metavar="N")
     p.add_argument("--samples", type=_samples_count, required=True, metavar="M")
-    p.add_argument("--xmin", type=float, required=True)
-    p.add_argument("--xmax", type=float, required=True)
+    p.add_argument("--xmin", type=_finite_float, required=True)
+    p.add_argument("--xmax", type=_finite_float, required=True)
     common(p)
 
     p = sub.add_parser("sinc", help="truncated sinc integral for N = 0..n_max")
@@ -164,7 +182,10 @@ def _build_phi(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Tes
         return bump_plateau(math.pi, 1.5 * math.pi)
     center = 0.0 if args.center is None else args.center
     radius = 1.0 if args.radius is None else args.radius
-    return gaussian_bump(center, radius)
+    try:
+        return gaussian_bump(center, radius)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _phi_params(args: argparse.Namespace) -> dict:
@@ -228,6 +249,8 @@ def _cmd_comb(parser, args):
 def _cmd_fourier(parser, args):
     if not args.xmin < args.xmax:
         parser.error(f"need --xmin < --xmax, got [{args.xmin}, {args.xmax}]")
+    if args.n > FOURIER_N_CAP:
+        parser.error(f"--n must be <= {FOURIER_N_CAP}, got {args.n}")
     partial = fourier_partial_delta1 if args.order == 1 else fourier_partial_delta2
     closed = delta1_closed if args.order == 1 else delta2_closed
     step = (args.xmax - args.xmin) / (args.samples - 1)

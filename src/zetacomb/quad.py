@@ -83,14 +83,19 @@ class QuadratureError(RuntimeError):
     """Tolerance not reached within the panel budget.
 
     Carries the best value obtained so that callers can inspect how far
-    off the run ended, rather than losing the work.
+    off the run ended, rather than losing the work.  panels_used == 0 means
+    the run was refused up front because it would need more than the budget.
     """
 
     def __init__(self, value: float, error_estimate: float, panels_used: int):
-        super().__init__(
-            f"quadrature tolerance not reached: estimate {error_estimate:.3e} "
-            f"after {panels_used} panels"
-        )
+        if panels_used == 0:
+            message = "quadrature not attempted: it would need more panels than the budget"
+        else:
+            message = (
+                f"quadrature tolerance not reached: estimate {error_estimate:.3e} "
+                f"after {panels_used} panels"
+            )
+        super().__init__(message)
         self.value = value
         self.error_estimate = error_estimate
         self.panels_used = panels_used

@@ -1,11 +1,19 @@
 import math
 import random
+import sys
+import time
 
 import pytest
 
+import zetacomb.actions as actions
+import zetacomb.quad as quad
 from zetacomb.actions import (
     ConvergenceRow,
     FOURIER_N_CAP,
+    MODE_SAMPLE_CAP,
+    _dirichlet_periodic,
+    _mode_trapezoid,
+    _trapezoid_terms,
     delta0_comb_action,
     delta0_partial_action,
     delta1_closed,
@@ -14,7 +22,8 @@ from zetacomb.actions import (
     fourier_partial_delta1,
     fourier_partial_delta2,
 )
-from zetacomb.quad import integrate_adaptive
+from zetacomb.kernels import dirichlet_sum
+from zetacomb.quad import QuadratureError, integrate_adaptive
 from zetacomb.testfn import bump_plateau, gaussian_bump
 
 TWO_PI = 2 * math.pi
@@ -73,6 +82,98 @@ class TestPartialAction:
             delta0_partial_action(g, -1, 1e-10)
         with pytest.raises(ValueError):
             delta0_partial_action(g, 5, 0.0)
+
+
+def adaptive_mode_sum(phi, N):
+    """Oracle for the mode route: c_0 + 2*sum Re(c_n), one adaptive
+    quadrature per mode, each at a tolerance just above its roundoff floor."""
+    lo, hi = phi.support
+    f = phi.evaluator
+    mode_tol = 100 * sys.float_info.epsilon * (hi - lo)
+    parts = [integrate_adaptive(f, lo, hi, mode_tol).value]
+    for n in range(1, N + 1):
+        parts.append(2.0 * integrate_adaptive(
+            lambda x, n=n: math.cos(n * x) * f(x), lo, hi, mode_tol, osc_freq=float(n)
+        ).value)
+    return math.fsum(parts)
+
+
+MODE_PHIS = {
+    "gauss(0.3,0.5)": gaussian_bump(0.3, 0.5),
+    "gauss(-0.7,1.2)": gaussian_bump(-0.7, 1.2),
+    "gauss(0.9,3)": gaussian_bump(0.9, 3.0),
+    "gauss(-0.4,7)": gaussian_bump(-0.4, 7.0),
+    "plateau": plateau(),
+}
+
+
+class TestModeTrapezoid:
+    @pytest.mark.parametrize("N", [0, 1, 37, 239])
+    @pytest.mark.parametrize("name", list(MODE_PHIS))
+    def test_matches_per_mode_oracle(self, name, N):
+        phi = MODE_PHIS[name]
+        tol = 1e-12
+        value, estimate, M = _mode_trapezoid(phi, N, tol)
+        oracle = adaptive_mode_sum(phi, N)
+        assert abs(value - oracle) <= tol
+        assert estimate <= tol
+        # The real error is measured against the same sum on 16 times the
+        # nodes, itself checked against the oracle: at N = 239 on the wide
+        # supports the oracle's own error (node rounding, amplified by n)
+        # reaches a few 1e-13, above some of the estimates it would test.
+        fine_M = 16 * M
+        fine = 2 * math.pi / fine_M * math.fsum(
+            _trapezoid_terms(phi, N, fine_M, odd_only=False)
+        )
+        assert abs(fine - oracle) <= tol
+        assert estimate >= abs(value - fine)
+
+    def test_never_uses_adaptive_quadrature(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("adaptive quadrature called")
+
+        monkeypatch.setattr(actions, "integrate_adaptive", forbidden)
+        monkeypatch.setattr(quad, "integrate_adaptive", forbidden)
+        v = delta0_partial_action(gaussian_bump(0.0, 1.0), 200, 1e-10)
+        assert abs(v - TWO_PI_OVER_E) < 1e-6
+
+    def test_starts_above_the_lattice_node_count(self):
+        # on 2N+1 nodes the kernel vanishes except at x = 0, which would
+        # turn the sum into the lattice route
+        for N in (0, 5, 100):
+            _, _, M = _mode_trapezoid(gaussian_bump(0.0, 1.0), N, 1e-10)
+            assert M >= 4 * N + 4
+
+    def test_narrow_support_is_resolved(self):
+        # this bump falls between the nodes of the 8- and 16-node grids,
+        # where both sums and their difference would read 0
+        v = delta0_partial_action(gaussian_bump(2.16, 0.15), 0, 1e-10)
+        assert abs(v - 0.15 * MOLLIFIER_INTEGRAL) <= 1e-9
+
+    def test_periodic_kernel_at_nodes(self):
+        M = 64
+        for N in (0, 1, 7, 40):
+            assert _dirichlet_periodic(N, 0, M) == 2 * N + 1
+            assert _dirichlet_periodic(N, -M // 2, M) == (-1) ** N
+            for m in range(1, M // 2):
+                value = _dirichlet_periodic(N, m, M)
+                assert value == _dirichlet_periodic(N, -m, M)
+                x = 2 * math.pi * m / M
+                assert abs(value - dirichlet_sum(N, x)) <= 1e-12 * (2 * N + 1)
+
+    def test_unreachable_tolerance_fails_fast(self):
+        start = time.perf_counter()
+        with pytest.raises(QuadratureError) as info:
+            delta0_partial_action(gaussian_bump(0.0, 1.0), 5, 1e-300)
+        assert time.perf_counter() - start < 1.0
+        assert info.value.error_estimate > 1e-300
+
+    def test_sample_cap_fails_fast(self):
+        start = time.perf_counter()
+        with pytest.raises(QuadratureError) as info:
+            delta0_partial_action(gaussian_bump(0.0, 1.0), MODE_SAMPLE_CAP // 4, 1e-10)
+        assert time.perf_counter() - start < 1.0
+        assert info.value.panels_used == 0
 
 
 class TestCoefficientDecay:

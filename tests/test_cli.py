@@ -2,11 +2,17 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import zetacomb
 import zetacomb.cli as cli
-from zetacomb.actions import delta2_closed
+from zetacomb.actions import MODE_SAMPLE_CAP, delta2_closed
 from zetacomb.quad import QuadratureError, sinc_truncated
 
 
@@ -180,6 +186,13 @@ class TestUsageErrors:
             ["sinc", "--n-max", "2", "--tol", "0"],
             ["nonsense"],
             ["zeta", "--max-k", "201"],  # above ZETA_MAX_K
+            ["action", "--phi", "gauss", "--center", "nan", "--n-list", "5"],
+            ["comb", "--phi", "gauss", "--radius", "inf", "--n", "5"],
+            ["fourier", "--order", "1", "--n", "10", "--samples", "3", "--xmin", "0", "--xmax", "inf"],
+            ["kernel", "--n", "5", "--xmin", "-inf"],
+            ["sinc", "--n-max", "2", "--tol", "inf"],
+            ["comb", "--phi", "gauss", "--center", "1e17", "--n", "5"],  # support rounds to a point
+            ["fourier", "--order", "1", "--n", "10000001", "--samples", "3", "--xmin", "0", "--xmax", "1"],
         ],
     )
     def test_exit_code_two_with_usage(self, capsys, argv):
@@ -188,8 +201,41 @@ class TestUsageErrors:
         assert out == ""
         assert "usage" in err.lower()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["zeta", "--max-k", "abc"],
+            ["kernel", "--n", "abc"],
+            ["kernel", "--n", "5", "--samples", "abc"],
+            ["fourier", "--order", "1", "--n", "abc", "--samples", "3", "--xmin", "0", "--xmax", "1"],
+        ],
+    )
+    def test_non_integer_message_names_no_private_function(self, capsys, argv):
+        code, out, err = run_text(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "not an integer: 'abc'" in err
+        assert "invalid" not in err
+        for name in ("_int", "_pos_int", "_nonneg_int", "_samples_count", "_max_k"):
+            assert name not in err
+
 
 class TestNumericalFailure:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["comb", "--n", "5", "--tol", "1e-300"],  # below the roundoff floor
+            ["comb", "--n", str(MODE_SAMPLE_CAP // 4)],  # past the sample cap
+        ],
+    )
+    def test_comb_fails_fast(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run_text(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert "numerical failure" in err
+
     def test_exit_code_three(self, capsys, monkeypatch):
         def exploding(N, tol):
             raise QuadratureError(3.0, 1.0, 10**6)
@@ -211,3 +257,13 @@ class TestNumericalFailure:
         code, _, err = run_text(capsys, ["zeta", "--max-k", "1", "--oracle"])
         assert code == 3
         assert "disagree" in err
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    src = str(Path(zetacomb.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, zetacomb.cli; print('numpy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
