@@ -33,7 +33,7 @@ from .kernels import (
     kernel_samples,
 )
 from .testfn import TestFunction, bump_plateau, gaussian_bump, phi_tilde, sigma_eval
-from .quad import QuadResult, QuadratureError, integrate_adaptive, sinc_truncated
+from .quad import QuadResult, QuadratureError, integrate_adaptive, sinc_table, sinc_truncated
 from .actions import (
     ConvergenceRow,
     delta0_comb_action,
@@ -71,6 +71,7 @@ __all__ = [
     "QuadResult",
     "QuadratureError",
     "integrate_adaptive",
+    "sinc_table",
     "sinc_truncated",
     "ConvergenceRow",
     "delta0_comb_action",

@@ -32,7 +32,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .kernels import _windowed_compact
+from .kernels import _validate_order, _windowed_compact
 from .quad import QuadratureError, integrate_adaptive
 from .testfn import TestFunction
 
@@ -178,8 +178,7 @@ def delta0_partial_action(phi: TestFunction, N: int, tol: float) -> float:
     QuadratureError when tol is below the roundoff floor or the samples of
     phi would pass MODE_SAMPLE_CAP.
     """
-    if N < 0:
-        raise ValueError(f"N must be >= 0, got {N}")
+    _validate_order(N)
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
     return _mode_trapezoid(phi, N, tol)[0]
@@ -201,8 +200,7 @@ def deltaN_action(phi: TestFunction, N: int, tol: float) -> float:
     Integrates over [-pi, pi] clipped to the support, with the oscillation
     hint N + 1/2; converges to 2*pi*phi(0) as N grows.
     """
-    if N < 0:
-        raise ValueError(f"N must be >= 0, got {N}")
+    _validate_order(N)
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
     lo = max(-math.pi, phi.support[0])
@@ -216,7 +214,7 @@ def deltaN_action(phi: TestFunction, N: int, tol: float) -> float:
 
 
 def _validate_fourier_n(N: int) -> None:
-    if not isinstance(N, int) or N < 1:
+    if isinstance(N, bool) or not isinstance(N, int) or N < 1:
         raise ValueError(f"N must be a positive integer, got {N!r}")
     if N > FOURIER_N_CAP:
         raise ValueError(f"N={N} exceeds the cap {FOURIER_N_CAP}")

@@ -12,7 +12,8 @@ with LF endings, and JSON is one object {command, params, columns, rows}
 with rows as arrays.
 
 Exit codes: 0 success, 2 usage error (argparse's own convention), 3
-numerical failure (quadrature budget exhausted or an oracle mismatch).
+numerical failure (a quadrature that cannot meet its tolerance, or an
+oracle mismatch).
 """
 
 import argparse
@@ -34,7 +35,7 @@ from .actions import (
     fourier_partial_delta2,
 )
 from .kernels import kernel_samples
-from .quad import QuadratureError, sinc_truncated
+from .quad import QuadratureError, sinc_table
 from .testfn import TestFunction, bump_plateau, gaussian_bump
 from .zeta_ladder import bernoulli_oracle, zeta_even
 
@@ -268,10 +269,10 @@ def _cmd_fourier(parser, args):
 
 
 def _cmd_sinc(parser, args):
-    rows = []
-    for N in range(args.n_max + 1):
-        result = sinc_truncated(N, args.tol)
-        rows.append([N, result.value, abs(result.value - math.pi)])
+    rows = [
+        [N, result.value, abs(result.value - math.pi)]
+        for N, result in enumerate(sinc_table(args.n_max, args.tol))
+    ]
     params = {"n_max": args.n_max, "tol": args.tol}
     return params, ["N", "value", "abs_error_vs_pi"], rows
 

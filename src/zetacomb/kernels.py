@@ -55,7 +55,7 @@ class SampleTable:
 
 
 def _validate_order(N: int) -> None:
-    if not isinstance(N, int) or N < 0:
+    if isinstance(N, bool) or not isinstance(N, int) or N < 0:
         raise ValueError(f"kernel order must be a non-negative integer, got {N!r}")
 
 

@@ -10,12 +10,20 @@ Refinement is globally adaptive: panels live in a priority queue keyed by
 error estimate, the worst panel is bisected until the summed estimate
 drops below the requested tolerance, and the final value is a fixed-order
 (left-to-right) exact sum of panel results.  Everything is sequential and
-order-fixed, so identical inputs give bit-identical outputs.
+order-fixed, so identical inputs give bit-identical outputs.  A run fails
+fast: when the seed grid alone would pass the panel budget, or when the
+rounding floors of the panels (50*eps times the integral of |f|) add up
+to more than the tolerance, it raises at once instead of bisecting on.
 
 Oscillatory integrands are handled by seeding: callers pass the highest
 angular frequency present and the initial panels are made no wider than
 one period of it, which keeps the per-panel rule inside its resolving
 power from the start instead of discovering the oscillation by bisection.
+
+The truncated sinc integrals for N = 0..n_max come from one such run
+(the breakpoint idea of QUADPACK's dqagp): the seed panels end at the
+half-periods (k+1/2)*pi, so every row is a prefix sum of the accepted
+panels and no row integrates again from 0.
 """
 
 import heapq
@@ -28,6 +36,7 @@ __all__ = [
     "QuadResult",
     "QuadratureError",
     "integrate_adaptive",
+    "sinc_table",
     "sinc_truncated",
 ]
 
@@ -80,7 +89,7 @@ class QuadResult:
 
 
 class QuadratureError(RuntimeError):
-    """Tolerance not reached within the panel budget.
+    """Tolerance not reached: panel budget spent, or tol below the rounding floor.
 
     Carries the best value obtained so that callers can inspect how far
     off the run ended, rather than losing the work.  panels_used == 0 means
@@ -102,7 +111,11 @@ class QuadratureError(RuntimeError):
 
 
 def _kronrod_panel(f: Callable[[float], float], a: float, b: float):
-    """One G7/K15 application on [a, b]; returns (value, error_estimate)."""
+    """One G7/K15 application on [a, b]; returns (value, error_estimate, floor).
+
+    floor is the rounding floor 50*eps*resabs that error_estimate never
+    goes below (0 when resabs is too small for it to apply).
+    """
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
     fc = f(centr)
@@ -142,9 +155,54 @@ def _kronrod_panel(f: Callable[[float], float], a: float, b: float):
     abserr = abs((resk - resg) * hlgth)
     if resasc != 0.0 and abserr != 0.0:
         abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)
+    floor = 0.0
     if resabs > _UFLOW / (50.0 * _EPMACH):
-        abserr = max(_EPMACH * 50.0 * resabs, abserr)
-    return result, abserr
+        floor = _EPMACH * 50.0 * resabs
+        abserr = max(floor, abserr)
+    return result, abserr, floor
+
+
+def _refine(f: Callable[[float], float], edges: list, tol: float, max_panels: int):
+    """Bisect the worst panel of the grid edges until the summed estimate is within tol.
+
+    Returns the accepted panels as (left, right, value, error) from left to
+    right, the summed estimate and the number of panels evaluated.  Raises
+    QuadratureError, carrying the best value, when the next bisection would
+    pass max_panels, or at once when the rounding floors of the panels alone
+    sum to more than tol, which no bisection can bring down.
+    """
+    # Heap entries: (-error, sequence number, a, b, value, floor).  The
+    # sequence number makes tie-breaking deterministic.
+    heap = []
+    total_err = 0.0
+    total_floor = 0.0
+    panels_used = 0
+    for left, right in zip(edges, edges[1:]):
+        value, err, floor = _kronrod_panel(f, left, right)
+        heapq.heappush(heap, (-err, panels_used, left, right, value, floor))
+        total_err += err
+        total_floor += floor
+        panels_used += 1
+
+    while total_err > tol:
+        if total_floor > tol or panels_used + 2 > max_panels:
+            accepted = sorted(heap, key=lambda e: e[2])
+            best = math.fsum(entry[4] for entry in accepted)
+            raise QuadratureError(best, total_err, panels_used)
+        neg_err, _, left, right, _, floor = heapq.heappop(heap)
+        total_err += neg_err  # neg_err = -err of the popped panel
+        total_floor -= floor
+        mid = 0.5 * (left + right)
+        for lo, hi in ((left, mid), (mid, right)):
+            value, err, floor = _kronrod_panel(f, lo, hi)
+            heapq.heappush(heap, (-err, panels_used, lo, hi, value, floor))
+            total_err += err
+            total_floor += floor
+            panels_used += 1
+
+    accepted = sorted(heap, key=lambda e: e[2])
+    panels = [(left, right, value, -neg_err) for neg_err, _, left, right, value, _ in accepted]
+    return panels, total_err, panels_used
 
 
 def integrate_adaptive(
@@ -160,7 +218,9 @@ def integrate_adaptive(
     osc_freq is a seeding hint, not a detector: pass the highest angular
     frequency in f (N + 1/2 for the order-N kernel) and the initial grid
     resolves it; pass 0 for smooth integrands.  Raises QuadratureError,
-    carrying the best value and estimate, if the panel budget runs out.
+    carrying the best value and estimate, if the panel budget runs out or
+    tol lies below the rounding floor of the estimate; with panels_used 0
+    when the seed grid alone would pass the budget.
     """
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
@@ -171,39 +231,12 @@ def integrate_adaptive(
 
     width = b - a
     seed_width = min(width, 2.0 * math.pi / max(osc_freq, 1.0))
+    if width / seed_width > max_panels:
+        raise QuadratureError(math.nan, math.inf, 0)
     n_seed = max(1, math.ceil(width / seed_width))
     edges = [a + width * (i / n_seed) for i in range(n_seed)] + [b]
-
-    # Heap entries: (-error, sequence number, a, b, value).  The counter
-    # makes tie-breaking deterministic.
-    heap = []
-    counter = 0
-    total_err = 0.0
-    panels_used = 0
-    for left, right in zip(edges, edges[1:]):
-        value, err = _kronrod_panel(f, left, right)
-        heapq.heappush(heap, (-err, counter, left, right, value))
-        counter += 1
-        total_err += err
-        panels_used += 1
-
-    while total_err > tol:
-        if panels_used + 2 > max_panels:
-            accepted = sorted(heap, key=lambda e: e[2])
-            best = math.fsum(entry[4] for entry in accepted)
-            raise QuadratureError(best, total_err, panels_used)
-        neg_err, _, left, right, _ = heapq.heappop(heap)
-        total_err += neg_err  # neg_err = -err of the popped panel
-        mid = 0.5 * (left + right)
-        for lo, hi in ((left, mid), (mid, right)):
-            value, err = _kronrod_panel(f, lo, hi)
-            heapq.heappush(heap, (-err, counter, lo, hi, value))
-            counter += 1
-            total_err += err
-            panels_used += 1
-
-    accepted = sorted(heap, key=lambda e: e[2])
-    value = math.fsum(entry[4] for entry in accepted)
+    panels, total_err, panels_used = _refine(f, edges, tol, max_panels)
+    value = math.fsum(panel[2] for panel in panels)
     return QuadResult(value=value, error_estimate=total_err, panels_used=panels_used)
 
 
@@ -213,22 +246,67 @@ def _sinc(x: float) -> float:
     return math.sin(x) / x
 
 
-def sinc_truncated(N: int, tol: float, max_panels: int = DEFAULT_PANEL_BUDGET) -> QuadResult:
-    """Integral of sin(x)/x over [-(N+1/2)pi, (N+1/2)pi].
+def _add_exact(partials: list, x: float) -> None:
+    """Add x to partials, nonoverlapping floats whose sum stays exact (Shewchuk)."""
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    partials[i:] = [x]
 
-    The integrand is even, so only [0, (N+1/2)pi] is integrated and the
-    result doubled; this keeps the x=0 removable point at a panel edge.
+
+def sinc_table(
+    n_max: int, tol: float, max_panels: int = DEFAULT_PANEL_BUDGET
+) -> list[QuadResult]:
+    """Integral of sin(x)/x over [-(N+1/2)pi, (N+1/2)pi] for N = 0..n_max.
+
+    The integrand is even, so [0, (n_max+1/2)pi] is integrated once and
+    doubled; this keeps the x=0 removable point at a panel edge.  The seed
+    grid has one panel per half-period, [0, pi/2] and then
+    [(k-1/2)pi, (k+1/2)pi], so every upper limit is a panel edge, and all
+    panels refine against one budget of tol/2 (an even split over the
+    half-periods would put the share of [0, pi/2] below its own rounding
+    floor at large n_max).  Row N is twice the exact
+    sum of the panels left of (N+1/2)pi, its estimate twice their summed
+    estimates (at most tol), and its panels_used the number of panels
+    evaluated inside [0, (N+1/2)pi].  Returns one QuadResult per N.
     """
-    if not isinstance(N, int) or N < 0:
-        raise ValueError(f"N must be a non-negative integer, got {N!r}")
+    if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 0:
+        raise ValueError(f"N must be a non-negative integer, got {n_max!r}")
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    upper = (N + 0.5) * math.pi
-    half = integrate_adaptive(
-        _sinc, 0.0, upper, 0.5 * tol, osc_freq=1.0, max_panels=max_panels
-    )
-    return QuadResult(
-        value=2.0 * half.value,
-        error_estimate=2.0 * half.error_estimate,
-        panels_used=half.panels_used,
-    )
+    if n_max + 1 > max_panels:
+        raise QuadratureError(math.nan, math.inf, 0)
+    edges = [0.0] + [(N + 0.5) * math.pi for N in range(n_max + 1)]
+    try:
+        panels, _, _ = _refine(_sinc, edges, 0.5 * tol, max_panels)
+    except QuadratureError as exc:
+        raise QuadratureError(
+            2.0 * exc.value, 2.0 * exc.error_estimate, exc.panels_used
+        ) from None
+    rows = []
+    partials = []
+    error = 0.0
+    for accepted, (_, right, value, err) in enumerate(panels, start=1):
+        _add_exact(partials, value)
+        error += err
+        if right == edges[len(rows) + 1]:
+            # Bisection trees over the N+1 seed panels with `accepted`
+            # leaves hold 2*accepted - (N+1) evaluated panels.
+            rows.append(QuadResult(
+                value=2.0 * math.fsum(partials),
+                error_estimate=2.0 * error,
+                panels_used=2 * accepted - (len(rows) + 1),
+            ))
+    return rows
+
+
+def sinc_truncated(N: int, tol: float, max_panels: int = DEFAULT_PANEL_BUDGET) -> QuadResult:
+    """Integral of sin(x)/x over [-(N+1/2)pi, (N+1/2)pi]: row N of sinc_table."""
+    return sinc_table(N, tol, max_panels)[N]

@@ -82,6 +82,8 @@ class TestPartialAction:
             delta0_partial_action(g, -1, 1e-10)
         with pytest.raises(ValueError):
             delta0_partial_action(g, 5, 0.0)
+        with pytest.raises(ValueError):
+            delta0_partial_action(g, True, 1e-10)
 
 
 def adaptive_mode_sum(phi, N):
@@ -229,6 +231,8 @@ class TestDeltaNAction:
             deltaN_action(g, -1, 1e-10)
         with pytest.raises(ValueError):
             deltaN_action(g, 5, -1e-10)
+        with pytest.raises(ValueError):
+            deltaN_action(g, True, 1e-10)
 
 
 class TestFourierDelta1:
@@ -256,6 +260,8 @@ class TestFourierDelta1:
             fourier_partial_delta1(0, 1.0)
         with pytest.raises(ValueError):
             fourier_partial_delta1(FOURIER_N_CAP + 1, 1.0)
+        with pytest.raises(ValueError):
+            fourier_partial_delta1(True, 1.0)
 
 
 class TestFourierDelta2:
@@ -296,6 +302,8 @@ class TestFourierDelta2:
             fourier_partial_delta2(0, 1.0)
         with pytest.raises(ValueError):
             fourier_partial_delta2(FOURIER_N_CAP + 1, 1.0)
+        with pytest.raises(ValueError):
+            fourier_partial_delta2(True, 1.0)
 
 
 class TestClosedForms:

@@ -13,7 +13,7 @@ import pytest
 import zetacomb
 import zetacomb.cli as cli
 from zetacomb.actions import MODE_SAMPLE_CAP, delta2_closed
-from zetacomb.quad import QuadratureError, sinc_truncated
+from zetacomb.quad import sinc_truncated
 
 
 def run_text(capsys, argv):
@@ -107,6 +107,19 @@ class TestActionCommand:
         parsed = [[int(r[0]), float(r[1]), float(r[2]), float(r[3])] for r in csv_rows]
         assert parsed == payload["rows"]
 
+    def test_golden_gauss_csv(self, capsys):
+        # Every order here bisects past its seed grid; sha256 measured before
+        # the refinement loop moved out of integrate_adaptive.
+        argv = [
+            "action", "--phi", "gauss", "--center", "0.3", "--radius", "1.2",
+            "--n-list", "0,1,37,500,12000", "--tol", "1e-12", "--format", "csv",
+        ]
+        code, out, _ = run_text(capsys, argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "e21a26682e5bceb311510942f1cb184ae8702966dec2cec95ebbb0a5c1bbeae1"
+        )
+
     def test_byte_determinism(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -127,6 +140,17 @@ class TestCombCommand:
         assert N == 50
         assert diff == abs(partial - comb)
         assert diff < 1e-2
+
+    def test_golden_gauss_csv(self, capsys):
+        argv = [
+            "comb", "--phi", "gauss", "--center", "-0.7", "--radius", "3",
+            "--n", "239", "--tol", "1e-12", "--format", "csv",
+        ]
+        code, out, _ = run_text(capsys, argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "311c837b2278ea21e1e4c0aee540de277dff7548a8dd4f3a283192d8e8428456"
+        )
 
     def test_plateau_comb_is_two_pi(self, capsys):
         code, out, _ = run_text(capsys, ["comb", "--n", "30", "--format", "json"])
@@ -236,12 +260,25 @@ class TestNumericalFailure:
         assert out == ""
         assert "numerical failure" in err
 
-    def test_exit_code_three(self, capsys, monkeypatch):
-        def exploding(N, tol):
-            raise QuadratureError(3.0, 1.0, 10**6)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sinc", "--n-max", "3", "--tol", "1e-300"],  # below the rounding floor
+            ["action", "--n-list", "10", "--tol", "1e-300"],
+            ["sinc", "--n-max", "100000000000"],  # seed grid past the panel budget
+            ["action", "--n-list", "100000000000"],
+        ],
+    )
+    def test_quadrature_fails_fast(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run_text(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert "numerical failure" in err
 
-        monkeypatch.setattr(cli, "sinc_truncated", exploding)
-        code, out, err = run_text(capsys, ["sinc", "--n-max", "0"])
+    def test_exit_code_three(self, capsys):
+        code, out, err = run_text(capsys, ["sinc", "--n-max", "0", "--tol", "1e-300"])
         assert code == 3
         assert out == ""
         assert "numerical failure" in err

@@ -53,7 +53,7 @@ class TestDirichletSum:
                 assert dirichlet_sum(N, x) == dirichlet_sum(N, -x)
 
     def test_order_validation(self):
-        for bad in (-1, 1.5, "3"):
+        for bad in (-1, 1.5, "3", True):
             with pytest.raises(ValueError):
                 dirichlet_sum(bad, 0.0)
 

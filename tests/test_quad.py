@@ -1,13 +1,20 @@
 import math
 import random
+import sys
+import time
 
+import numpy as np
 import pytest
 
+from zetacomb import quad
 from zetacomb.kernels import dirichlet_compact
 from zetacomb.quad import (
+    DEFAULT_PANEL_BUDGET,
     QuadResult,
     QuadratureError,
+    _add_exact,
     integrate_adaptive,
+    sinc_table,
     sinc_truncated,
 )
 from zetacomb.testfn import gaussian_bump
@@ -110,6 +117,27 @@ class TestIntegrateAdaptive:
         assert err.error_estimate > 1e-13
         assert 1 <= err.panels_used <= 9
 
+    def test_unreachable_tolerance_fails_fast(self):
+        # 50*eps*integral|f| is about 7e-14 here: no bisection gets below it
+        start = time.perf_counter()
+        with pytest.raises(QuadratureError) as info:
+            integrate_adaptive(lambda x: 1.0, -math.pi, math.pi, 1e-300)
+        assert time.perf_counter() - start < 1.0
+        assert info.value.panels_used == 1
+        assert abs(info.value.value - TWO_PI) <= 1e-12
+
+    def test_seed_grid_past_budget_is_not_attempted(self):
+        calls = []
+        for osc_freq, max_panels in ((1e11, DEFAULT_PANEL_BUDGET), (40.0, 39)):
+            with pytest.raises(QuadratureError) as info:
+                integrate_adaptive(
+                    lambda x: calls.append(x) or 0.0, 0.0, TWO_PI, 1e-10,
+                    osc_freq=osc_freq, max_panels=max_panels,
+                )
+            assert info.value.panels_used == 0
+            assert "not attempted" in str(info.value)
+        assert calls == []
+
     def test_preconditions(self):
         f = lambda x: x
         with pytest.raises(ValueError):
@@ -165,3 +193,79 @@ class TestSincTruncated:
             sinc_truncated(1.5, 1e-9)
         with pytest.raises(ValueError):
             sinc_truncated(3, -1e-9)
+        with pytest.raises(ValueError):
+            sinc_truncated(True, 1e-9)
+
+
+def sinc_references(n_max):
+    """2*integral of sin(x)/x over [0, (N+1/2)pi] for N = 0..n_max, from a
+    fixed 30-point Gauss-Legendre rule on each half-period."""
+    t, w = np.polynomial.legendre.leggauss(30)
+    edges = [0.0] + [(N + 0.5) * math.pi for N in range(n_max + 1)]
+    pieces = []
+    for a, b in zip(edges, edges[1:]):
+        x = 0.5 * (a + b) + 0.5 * (b - a) * t
+        pieces.append(0.5 * (b - a) * math.fsum((w * np.sin(x) / x).tolist()))
+    return [2.0 * math.fsum(pieces[: N + 1]) for N in range(n_max + 1)]
+
+
+class TestSincTable:
+    @pytest.mark.parametrize("tol", [1e-10, 1e-11, 1e-12, 2e-13])
+    def test_rows_within_their_estimates(self, tol):
+        rows = sinc_table(400, tol)
+        assert len(rows) == 401
+        for row, reference in zip(rows, sinc_references(400)):
+            assert abs(row.value - reference) <= row.error_estimate <= tol
+            # resabs >= |value| on every panel, so the doubled floors cover this
+            assert row.error_estimate >= 0.99 * 50 * sys.float_info.epsilon * row.value
+
+    def test_prefix_rows_after_bisection(self, monkeypatch):
+        # |sin x| has a kink inside every seed panel past the first, so those
+        # panels are bisected; the half-range integral to (N+1/2)pi is 1 + 2N.
+        calls = []
+
+        def kinked(x):
+            calls.append(x)
+            return abs(math.sin(x))
+
+        monkeypatch.setattr(quad, "_sinc", kinked)
+        rows = sinc_table(20, 1e-9)
+        assert 15 * rows[-1].panels_used == len(calls)
+        for N, row in enumerate(rows):
+            assert abs(row.value - (2 + 4 * N)) <= row.error_estimate <= 1e-9
+        used = [row.panels_used for row in rows]
+        assert all(b >= a + 3 for a, b in zip(used, used[1:]))
+
+    def test_rows_share_one_budget(self):
+        # All panels refine against tol/2.  The half-range rounding floor at
+        # n_max = 400 is about 6.2e-14, above 5e-14, so the last row could not
+        # keep its doubled estimate within 1e-13.
+        with pytest.raises(QuadratureError):
+            sinc_table(400, 1e-13)
+
+    def test_running_sum_is_exact(self):
+        rng = random.Random(5)
+        values = [rng.uniform(-1, 1) * 10.0 ** rng.randint(-20, 20) for _ in range(2000)]
+        partials = []
+        for i, v in enumerate(values, start=1):
+            _add_exact(partials, v)
+            assert math.fsum(partials) == math.fsum(values[:i])
+
+    def test_one_pass_panel_count(self):
+        rows = sinc_table(388, 1e-11)
+        assert rows[-1].panels_used <= 2 * 389
+        assert [row.panels_used for row in rows] == sorted(row.panels_used for row in rows)
+
+    def test_unreachable_tolerance_fails_fast(self):
+        start = time.perf_counter()
+        with pytest.raises(QuadratureError) as info:
+            sinc_table(3, 1e-300)
+        assert time.perf_counter() - start < 1.0
+        assert info.value.panels_used == 4
+        # the best value is the whole table's last row, doubled like the rows
+        assert abs(info.value.value - sinc_references(3)[3]) <= 1e-12
+
+    def test_seed_grid_past_budget_is_not_attempted(self):
+        with pytest.raises(QuadratureError) as info:
+            sinc_table(10**11, 1e-10)
+        assert info.value.panels_used == 0
