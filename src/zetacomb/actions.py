@@ -21,18 +21,24 @@ floor/ceiling closed forms.  The order-1 series converges only pointwise
 clear of lattice points; the order-2 series converges absolutely with
 tail below 2/N, so it is compared everywhere.
 
-Long sums are evaluated in fixed-size chunks with exact (fsum) reduction
-in a fixed order, so results are deterministic and effectively free of
-accumulation error; odd sums are computed on |x| and sign-flipped so
-antisymmetry holds bit-for-bit.  numpy is imported only by the partial
-sums, so the other routes and the command line start without it.
+The partial sums run over a whole x grid at once, in fixed-size chunks of
+orders n.  Each chunk is a block of grid rows by n, and each row is reduced
+exactly by error-free extraction (Rump, Ogita & Oishi, 2008): a few numpy
+passes split the terms into partials whose sums carry no rounding, and
+math.fsum of those partials is the correctly rounded chunk sum, the same
+float math.fsum of the terms would give.  The chunk sums are then added
+exactly in a fixed order, so results are deterministic and effectively
+free of accumulation error; odd sums are computed on |x| and sign-flipped
+so antisymmetry holds bit-for-bit.  numpy is imported only by the partial
+sums (and the kernel's sample table), so the other routes and the command
+line start without it.
 """
 
 import math
 import sys
 from dataclasses import dataclass
 
-from .kernels import _validate_order, _windowed_compact
+from .kernels import _oscillation, _validate_order, _windowed_compact
 from .quad import QuadratureError, integrate_adaptive
 from .testfn import TestFunction
 
@@ -209,7 +215,7 @@ def deltaN_action(phi: TestFunction, N: int, tol: float) -> float:
         return 0.0
     f = phi.evaluator
     return integrate_adaptive(
-        lambda x: _windowed_compact(N, x) * f(x), lo, hi, tol, osc_freq=N + 0.5
+        lambda x: _windowed_compact(N, x) * f(x), lo, hi, tol, osc_freq=_oscillation(N)
     ).value
 
 
@@ -220,15 +226,85 @@ def _validate_fourier_n(N: int) -> None:
         raise ValueError(f"N={N} exceeds the cap {FOURIER_N_CAP}")
 
 
-def _chunked_fsum(N: int, chunk_values) -> float:
-    """Exact sum of chunk_values(n0, n1) over n = 1..N, fixed chunk order."""
-    parts = []
-    n0 = 1
-    while n0 <= N:
-        n1 = min(N, n0 + _CHUNK - 1)
-        parts.append(math.fsum(chunk_values(n0, n1).tolist()))
-        n0 = n1 + 1
-    return math.fsum(parts)
+def _exact_row_sums(terms) -> list:
+    """Correctly rounded sum of each row of a 2-D float array, as math.fsum gives.
+
+    Error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
+    summation, Part I", SIAM J. Sci. Comput. 31(1), 2008): with
+    sigma = 2**k >= 2**M * max|row| and 2**M >= the row length, every
+    q = (sigma + t) - sigma is a multiple of ulp(sigma)/2 no larger than
+    sigma / 2**M, so the q of a row add up exactly in any order, and
+    t - q is exact.  Each pass moves the top bits of every term into one
+    exact partial; once the residue is all zero, math.fsum of the few
+    partials is the correctly rounded row sum.  terms is overwritten.
+    Rows that hold non-finite values, or whose sigma would overflow, are
+    left to math.fsum.
+    """
+    import numpy as np
+
+    lanes = 1 << max(1, (terms.shape[1] - 1).bit_length())  # a power of two >= cols, 2
+    q = np.empty_like(terms)
+    peak = np.abs(terms, out=q).max(axis=1)
+    # sigma <= 2 * lanes * peak, so a row at or past 2**1023 / lanes (or nan)
+    # goes to fsum.
+    direct = {
+        i: math.fsum(terms[i].tolist())
+        for i in np.flatnonzero(~(peak < 2.0**1023 / lanes)).tolist()
+    }
+    for i in direct:
+        terms[i] = 0.0
+        peak[i] = 0.0
+    partials = [[] for _ in peak]
+    while peak.any():
+        sigma = np.ldexp(float(lanes), np.frexp(peak)[1])[:, None]
+        np.add(terms, sigma, out=q)
+        q -= sigma
+        terms -= q
+        for row, part in zip(partials, q.sum(axis=1).tolist()):
+            row.append(part)
+        peak = np.abs(terms, out=q).max(axis=1)
+    return [direct[i] if i in direct else math.fsum(row) for i, row in enumerate(partials)]
+
+
+def _fourier_partial_sums(order: int, N: int, xs) -> list:
+    """The order-1 or order-2 partial sums at every x of xs, as floats.
+
+    The series terms 2*sin(n*|x|)/n or cos(n*|x|)/n**2 are summed in
+    chunks of _CHUNK orders n.  Each chunk is evaluated in blocks of grid
+    rows by n of at most _CHUNK elements and reduced exactly per row; the
+    rounded chunk sums are then added exactly in chunk order, so every row
+    is the same as summing its own chunks with math.fsum.
+    """
+    _validate_fourier_n(N)
+    import numpy as np
+
+    rs = [abs(x) for x in xs]
+    chunk_sums = [[] for _ in rs]
+    for n0 in range(1, N + 1, _CHUNK):
+        n = np.arange(n0, min(N, n0 + _CHUNK - 1) + 1, dtype=np.float64)
+        divisor = n if order == 1 else n * n
+        height = max(1, _CHUNK // n.size)
+        for i in range(0, len(rs), height):
+            terms = np.multiply.outer(rs[i:i + height], n)
+            if order == 1:
+                np.sin(terms, out=terms)
+                terms *= 2.0
+            else:
+                np.cos(terms, out=terms)
+            terms /= divisor
+            for row, value in zip(chunk_sums[i:i + height], _exact_row_sums(terms)):
+                row.append(value)
+    sums = []
+    for x, r, row in zip(xs, rs, chunk_sums):
+        series = math.fsum(row)
+        if order == 2:
+            sums.append(math.fsum((0.5 * r * r, -2.0 * series)))
+        elif x == 0.0:
+            sums.append(0.0)
+        else:
+            core = math.fsum((r, series))
+            sums.append(core if x > 0 else -core)
+    return sums
 
 
 def fourier_partial_delta1(N: int, x: float) -> float:
@@ -237,33 +313,12 @@ def fourier_partial_delta1(N: int, x: float) -> float:
     Odd in x by construction: the positive-axis value is computed and the
     sign flipped, so f(-x) == -f(x) to the last bit.
     """
-    _validate_fourier_n(N)
-    if x == 0.0:
-        return 0.0
-    r = abs(x)
-
-    import numpy as np
-
-    def chunk(n0: int, n1: int):
-        n = np.arange(n0, n1 + 1, dtype=np.float64)
-        return 2.0 * np.sin(n * r) / n
-
-    core = math.fsum((r, _chunked_fsum(N, chunk)))
-    return core if x > 0 else -core
+    return _fourier_partial_sums(1, N, [x])[0]
 
 
 def fourier_partial_delta2(N: int, x: float) -> float:
     """x**2/2 - 2*sum_{n=1}^{N} cos(n*x)/n**2, even in x bit-for-bit."""
-    _validate_fourier_n(N)
-    r = abs(x)
-
-    import numpy as np
-
-    def chunk(n0: int, n1: int):
-        n = np.arange(n0, n1 + 1, dtype=np.float64)
-        return np.cos(n * r) / (n * n)
-
-    return math.fsum((0.5 * r * r, -2.0 * _chunked_fsum(N, chunk)))
+    return _fourier_partial_sums(2, N, [x])[0]
 
 
 def delta1_closed(x: float) -> float:

@@ -31,8 +31,7 @@ from .actions import (
     deltaN_action,
     delta1_closed,
     delta2_closed,
-    fourier_partial_delta1,
-    fourier_partial_delta2,
+    _fourier_partial_sums,
 )
 from .kernels import kernel_samples
 from .quad import QuadratureError, sinc_table
@@ -252,13 +251,11 @@ def _cmd_fourier(parser, args):
         parser.error(f"need --xmin < --xmax, got [{args.xmin}, {args.xmax}]")
     if args.n > FOURIER_N_CAP:
         parser.error(f"--n must be <= {FOURIER_N_CAP}, got {args.n}")
-    partial = fourier_partial_delta1 if args.order == 1 else fourier_partial_delta2
     closed = delta1_closed if args.order == 1 else delta2_closed
     step = (args.xmax - args.xmin) / (args.samples - 1)
+    xs = [args.xmin + i * step for i in range(args.samples - 1)] + [args.xmax]
     rows = []
-    for i in range(args.samples):
-        x = args.xmax if i == args.samples - 1 else args.xmin + i * step
-        p = partial(args.n, x)
+    for x, p in zip(xs, _fourier_partial_sums(args.order, args.n, xs)):
         c = closed(x)
         rows.append([x, p, c, abs(p - c)])
     params = {

@@ -13,15 +13,22 @@ makes it even to the last bit, and Kahan compensation keeps the peak
 value 2N+1 exact even for N in the tens of thousands.  The compact form
 is the O(1) workhorse but loses digits to sin(x/2) cancellation near 0,
 where it falls back to the sum form below a fixed threshold.
+
+A sample table runs the sum form's loop once, on an ndarray of |x| with
+one Kahan lane per grid point.  numpy's float64 cos equals math.cos on
+every point tested, so each lane equals the scalar loop bit for bit; the
+tests assert this.  numpy is imported only there, so the scalar forms and
+the command line start without it.
 """
 
 import math
 from dataclasses import dataclass
 
-from .quad import integrate_adaptive
+from .quad import QuadratureError, integrate_adaptive
 
 __all__ = [
     "EPS_SING",
+    "KERNEL_WORK_CAP",
     "SampleTable",
     "dirichlet_sum",
     "dirichlet_compact",
@@ -32,6 +39,13 @@ __all__ = [
 # Below this, relative error of the compact form grows like (N*x)^2 * eps
 # while the sum form stays exact; above it, both carry full precision.
 EPS_SING = 1e-6
+
+# Most lane-steps one sample table may take (about 2 s): the order N times
+# the sample count, where a count below _MIN_LANES is charged as _MIN_LANES,
+# because each step of the batched sum costs a few numpy calls however few
+# lanes it has.
+KERNEL_WORK_CAP = 1 << 27
+_MIN_LANES = 256
 
 
 @dataclass(frozen=True)
@@ -59,6 +73,34 @@ def _validate_order(N: int) -> None:
         raise ValueError(f"kernel order must be a non-negative integer, got {N!r}")
 
 
+def _kahan_cos_sum(N: int, r, cos):
+    """1 + 2*sum_{n=1}^{N} cos(n*r), Kahan-compensated.
+
+    r is a float with cos = math.cos, or an ndarray with cos = numpy.cos,
+    which runs the same steps in every lane at once.
+    """
+    total = 1.0
+    comp = 0.0
+    for n in range(1, N + 1):
+        term = 2.0 * cos(n * r) - comp
+        t = total + term
+        comp = (t - total) - term
+        total = t
+    return total
+
+
+def _oscillation(N: int) -> float:
+    """N + 1/2, the kernel's top frequency, as a quadrature's oscillation hint.
+
+    An order past the float range raises QuadratureError with no panels
+    used: its seed grid alone would pass any panel budget.
+    """
+    try:
+        return N + 0.5
+    except OverflowError:
+        raise QuadratureError(math.nan, math.inf, 0) from None
+
+
 def dirichlet_sum(N: int, x: float) -> float:
     """1 + 2*sum_{n=1}^{N} cos(n*x) for |x| < pi, else 0 (window boundary).
 
@@ -68,14 +110,7 @@ def dirichlet_sum(N: int, x: float) -> float:
     r = abs(x)
     if r >= math.pi:
         return 0.0
-    total = 1.0
-    comp = 0.0
-    for n in range(1, N + 1):
-        term = 2.0 * math.cos(n * r) - comp
-        t = total + term
-        comp = (t - total) - term
-        total = t
-    return total
+    return _kahan_cos_sum(N, r, math.cos)
 
 
 def dirichlet_compact(N: int, x: float) -> float:
@@ -85,12 +120,9 @@ def dirichlet_compact(N: int, x: float) -> float:
     is returned instead of fighting the 0/0 cancellation.
     """
     _validate_order(N)
-    r = abs(x)
-    if r >= math.pi:
+    if abs(x) >= math.pi:
         raise ValueError(f"compact form is defined on |x| < pi, got x={x}")
-    if r < EPS_SING:
-        return dirichlet_sum(N, r)
-    return math.sin((N + 0.5) * r) / math.sin(0.5 * r)
+    return _windowed_compact(N, x)
 
 
 def _windowed_compact(N: int, x: float) -> float:
@@ -109,11 +141,18 @@ def kernel_samples(N: int, count: int, xmin: float = -math.pi, xmax: float = mat
     The range must sit inside [-pi, pi].  At |x| >= pi both columns carry
     the windowed value 0.  A symmetric range (xmax == -xmin) produces a
     grid that is antisymmetric to the last bit, so table symmetry can be
-    asserted exactly rather than approximately.
+    asserted exactly rather than approximately.  The sum form runs once
+    over the whole grid, one Kahan lane per point; N * max(count, 256)
+    may not pass KERNEL_WORK_CAP.
     """
     _validate_order(N)
     if count < 2:
         raise ValueError(f"need at least 2 sample points, got {count}")
+    if N * max(count, _MIN_LANES) > KERNEL_WORK_CAP:
+        raise ValueError(
+            f"order {N} at {count} samples is past the work cap: "
+            f"N * max(samples, {_MIN_LANES}) must be <= {KERNEL_WORK_CAP}"
+        )
     if not xmin < xmax:
         raise ValueError(f"need xmin < xmax, got [{xmin}, {xmax}]")
     if xmin < -math.pi or xmax > math.pi:
@@ -124,15 +163,16 @@ def kernel_samples(N: int, count: int, xmin: float = -math.pi, xmax: float = mat
     if xmax == -xmin:
         xs = [0.5 * (a - b) for a, b in zip(xs, reversed(xs))]
 
-    rows = []
-    for x in xs:
-        s = dirichlet_sum(N, x)
-        c = _windowed_compact(N, x)
-        rows.append((x, (s, c)))
-    return SampleTable(
-        column_names=("x", "sum_form", "compact_form"),
-        rows=tuple(rows),
+    import numpy as np
+
+    rs = np.abs(np.array(xs))
+    sums = np.where(rs < math.pi, _kahan_cos_sum(N, rs, np.cos), 0.0)
+    # Below EPS_SING the compact form is the sum form, already in its lane.
+    rows = tuple(
+        (x, (s, s if abs(x) < EPS_SING else _windowed_compact(N, x)))
+        for x, s in zip(xs, sums.tolist())
     )
+    return SampleTable(column_names=("x", "sum_form", "compact_form"), rows=rows)
 
 
 def kernel_normalization(N: int, tol: float, max_panels: int | None = None) -> float:
@@ -149,7 +189,7 @@ def kernel_normalization(N: int, tol: float, max_panels: int | None = None) -> f
         -math.pi,
         math.pi,
         tol,
-        osc_freq=N + 0.5,
+        osc_freq=_oscillation(N),
         **kwargs,
     )
     return result.value

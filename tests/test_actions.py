@@ -3,6 +3,7 @@ import random
 import sys
 import time
 
+import numpy as np
 import pytest
 
 import zetacomb.actions as actions
@@ -12,6 +13,8 @@ from zetacomb.actions import (
     FOURIER_N_CAP,
     MODE_SAMPLE_CAP,
     _dirichlet_periodic,
+    _exact_row_sums,
+    _fourier_partial_sums,
     _mode_trapezoid,
     _trapezoid_terms,
     delta0_comb_action,
@@ -234,6 +237,11 @@ class TestDeltaNAction:
         with pytest.raises(ValueError):
             deltaN_action(g, True, 1e-10)
 
+    def test_order_past_the_float_range_is_not_attempted(self):
+        with pytest.raises(QuadratureError) as info:
+            deltaN_action(gaussian_bump(0.0, 1.0), 10**320, 1e-10)
+        assert info.value.panels_used == 0
+
 
 class TestFourierDelta1:
     def test_zero_at_origin(self):
@@ -304,6 +312,108 @@ class TestFourierDelta2:
             fourier_partial_delta2(FOURIER_N_CAP + 1, 1.0)
         with pytest.raises(ValueError):
             fourier_partial_delta2(True, 1.0)
+
+
+def fsum_rows(terms):
+    return [math.fsum(row) for row in terms.tolist()]
+
+
+def series_terms(order, rs, n0, n1):
+    """The rows of terms the partial sums reduce, one per r, for n = n0..n1."""
+    n = np.arange(n0, n1 + 1, dtype=np.float64)
+    nr = np.multiply.outer(np.asarray(rs, dtype=np.float64), n)
+    return 2.0 * np.sin(nr) / n if order == 1 else np.cos(nr) / (n * n)
+
+
+def chunked_fsum_partial(order, N, x):
+    """The partial sum as chunks of actions._CHUNK terms, each rounded by math.fsum."""
+    r = abs(x)
+    parts = [
+        math.fsum(series_terms(order, [r], n0, min(N, n0 + actions._CHUNK - 1))[0].tolist())
+        for n0 in range(1, N + 1, actions._CHUNK)
+    ]
+    if order == 2:
+        return math.fsum((0.5 * r * r, -2.0 * math.fsum(parts)))
+    if x == 0.0:
+        return 0.0
+    core = math.fsum((r, math.fsum(parts)))
+    return core if x > 0 else -core
+
+
+class TestExactRowSums:
+    """The extraction sum equals math.fsum bit for bit, row by row."""
+
+    def check(self, terms):
+        expected = fsum_rows(terms)
+        got = _exact_row_sums(terms.copy())
+        assert [math.copysign(1.0, v) for v in got] == [math.copysign(1.0, v) for v in expected]
+        assert got == expected
+
+    def test_series_terms(self):
+        rng = np.random.default_rng(11)
+        rs = rng.uniform(0.0, 4 * math.pi, 40)
+        for order in (1, 2):
+            for n0, n1 in ((1, 1), (1, 2), (1, 1000), (77, 4096), (1000, 6000)):
+                self.check(series_terms(order, rs, n0, n1))
+
+    def test_exponents_spread_over_400_binades(self):
+        rng = np.random.default_rng(12)
+        for cols in (1, 2, 3, 1023, 1025):
+            terms = rng.uniform(-1.0, 1.0, (20, cols)) * 2.0 ** rng.integers(-200, 201, (20, cols))
+            self.check(terms)
+
+    def test_heavy_cancellation(self):
+        rng = np.random.default_rng(13)
+        big = rng.uniform(-1.0, 1.0, (10, 500)) * 2.0 ** rng.integers(0, 60, (10, 500))
+        small = rng.uniform(-1.0, 1.0, (10, 500)) * 2.0**-40
+        # Each row is big, small and -big shuffled: the sum is the small part alone.
+        terms = np.concatenate([big, small, -big], axis=1)
+        for row in terms:
+            rng.shuffle(row)
+        self.check(terms)
+        self.check(np.array([[1e16, 1.0, -1e16, 1.0, 1e-30], [2.0**53, 1.0, 1.0, -(2.0**53), 0.5]]))
+
+    def test_subnormals(self):
+        rng = np.random.default_rng(14)
+        tiny = rng.integers(-(2**20), 2**20, (8, 300)) * 5e-324
+        self.check(tiny)
+        mixed = np.concatenate([tiny, rng.uniform(-1e-300, 1e-300, (8, 300))], axis=1)
+        self.check(mixed)
+        self.check(np.array([[5e-324, 5e-324, -5e-324], [2.2250738585072014e-308, -5e-324, 0.0]]))
+
+    def test_all_zero_rows(self):
+        self.check(np.zeros((3, 17)))
+        self.check(np.array([[0.0, -0.0], [-0.0, -0.0], [1.0, -1.0]]))
+        # The order-1 row at x = 0: sin(0) = 0 in every term.
+        self.check(series_terms(1, [0.0, 1.0, 0.0], 1, 5000))
+
+    def test_rows_past_the_float_range_go_to_fsum(self):
+        terms = np.array([[1e308, -1e308, 5.0], [1.7e308, 1.0, 0.0], [math.nan, 1.0, 2.0], [1.0, 2.0, 3.5]])
+        got = _exact_row_sums(terms.copy())
+        assert got[:2] == [5.0, 1.7e308] and math.isnan(got[2]) and got[3] == 6.5
+        with pytest.raises(OverflowError):
+            _exact_row_sums(np.array([[1e308, 1e308, -1e308]]))
+
+
+class TestBatchedPartialSums:
+    def test_rows_equal_the_chunked_fsum_oracle(self):
+        xs = [-9.5, -math.pi, -1e-3, 0.0, 2.5e-7, 1.0, 3.0, 12.25]
+        for order in (1, 2):
+            for N in (1, 2, 999, 30000):
+                expected = [chunked_fsum_partial(order, N, x) for x in xs]
+                assert _fourier_partial_sums(order, N, xs) == expected
+
+    @pytest.mark.parametrize("N", [(1 << 19) - 1, 1 << 19, (1 << 19) + 1])
+    def test_chunk_boundary(self, N):
+        xs = [-2.0, 0.0, 0.7, 5.0]
+        for order in (1, 2):
+            expected = [chunked_fsum_partial(order, N, x) for x in xs]
+            assert _fourier_partial_sums(order, N, xs) == expected
+
+    def test_one_row_wrappers(self):
+        xs = [-4.0 + 0.37 * i for i in range(23)]
+        assert _fourier_partial_sums(1, 700, xs) == [fourier_partial_delta1(700, x) for x in xs]
+        assert _fourier_partial_sums(2, 700, xs) == [fourier_partial_delta2(700, x) for x in xs]
 
 
 class TestClosedForms:

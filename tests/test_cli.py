@@ -81,6 +81,14 @@ class TestKernel:
         for (x1, s1, c1), (x2, s2, c2) in zip(data, reversed(data)):
             assert x1 == -x2 and s1 == s2 and c1 == c2
 
+    def test_golden_csv(self, capsys):
+        # sha256 measured before the sum form ran over the grid in one pass.
+        code, out, _ = run_text(capsys, ["kernel", "--n", "1831", "--samples", "1330", "--format", "csv"])
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "b0326c9691f55ce680e37a4cb6fcff75a34cfa432c7829b4d0f9bd1f3a84ae40"
+        )
+
 
 class TestActionCommand:
     ARGS = ["action", "--phi", "gauss", "--n-list", "10,50", "--tol", "1e-9"]
@@ -177,6 +185,22 @@ class TestFourierCommand:
             assert abs_err == abs(partial - closed)
             assert abs_err <= 2.0 / 100
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            # N past one chunk of 2**19 terms, with x = 0 on the grid.
+            (["--order", "1", "--n", "600001", "--samples", "7", "--xmin", "-6", "--xmax", "12"],
+             "6880a981d3fc02f7e033369526bdd89e518dd50db899dff6b6083b580c6a0151"),
+            (["--order", "2", "--n", "1048577", "--samples", "5", "--xmin", "-13", "--xmax", "4"],
+             "5e23bc7adfbcb493472c4cd137fab6d842dfb7aaf9dcfdb84c5e687a4a7959a1"),
+        ],
+    )
+    def test_golden_csv(self, capsys, argv, digest):
+        # sha256 measured when every chunk was reduced by math.fsum, one x at a time.
+        code, out, _ = run_text(capsys, ["fourier", *argv, "--format", "csv"])
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
 
 class TestSincCommand:
     def test_rows_match_library(self, capsys):
@@ -217,6 +241,8 @@ class TestUsageErrors:
             ["sinc", "--n-max", "2", "--tol", "inf"],
             ["comb", "--phi", "gauss", "--center", "1e17", "--n", "5"],  # support rounds to a point
             ["fourier", "--order", "1", "--n", "10000001", "--samples", "3", "--xmin", "0", "--xmax", "1"],
+            ["kernel", "--n", "1" + "0" * 320, "--samples", "3"],  # past the work cap
+            ["kernel", "--n", "100000000", "--samples", "3"],
         ],
     )
     def test_exit_code_two_with_usage(self, capsys, argv):
@@ -267,6 +293,7 @@ class TestNumericalFailure:
             ["action", "--n-list", "10", "--tol", "1e-300"],
             ["sinc", "--n-max", "100000000000"],  # seed grid past the panel budget
             ["action", "--n-list", "100000000000"],
+            ["action", "--n-list", "1" + "0" * 320],  # N + 1/2 past the float range
         ],
     )
     def test_quadrature_fails_fast(self, capsys, argv):
@@ -296,11 +323,39 @@ class TestNumericalFailure:
         assert "disagree" in err
 
 
-def test_cli_import_leaves_numpy_unloaded():
+def numpy_loaded_after(probe, *args):
+    """Run probe in a fresh interpreter; its stdout, with 'numpy' in sys.modules appended."""
     src = str(Path(zetacomb.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = "import sys, zetacomb.cli; print('numpy' in sys.modules)"
+    code = f"import sys\n{probe}\nprint('numpy' in sys.modules)"
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == "False"
+    return result.stdout.split()
+
+
+# Runs the CLI on the probe's own argv, output discarded; prints the exit code.
+RUN_ARGV = "import os, zetacomb.cli as cli\nprint(cli.run(sys.argv[1:] + ['--out', os.devnull]))"
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    assert numpy_loaded_after("import zetacomb.cli") == ["False"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zeta", "--max-k", "3", "--oracle"],
+        ["action", "--phi", "gauss", "--n-list", "10", "--format", "json"],
+        ["comb", "--n", "5", "--format", "csv"],
+        ["sinc", "--n-max", "2"],
+    ],
+)
+def test_runs_without_series_leave_numpy_unloaded(argv):
+    # Only kernel and fourier need numpy; the exact and quadrature routes start without it.
+    assert numpy_loaded_after(RUN_ARGV, *argv) == ["0", "False"]
+
+
+def test_series_runs_load_numpy():
+    # The probe above can tell: a kernel table does load numpy.
+    assert numpy_loaded_after(RUN_ARGV, "kernel", "--n", "3", "--samples", "5") == ["0", "True"]

@@ -3,14 +3,17 @@ import random
 
 import pytest
 
+import zetacomb.kernels as kernels
 from zetacomb.kernels import (
     EPS_SING,
+    KERNEL_WORK_CAP,
     SampleTable,
     dirichlet_compact,
     dirichlet_sum,
     kernel_normalization,
     kernel_samples,
 )
+from zetacomb.quad import QuadratureError
 
 TWO_PI = 2 * math.pi
 
@@ -29,6 +32,21 @@ def simpson_normalization(N, points=20001):
         w = 1 if i in (0, points - 1) else (4 if i % 2 else 2)
         total += w * (1.0 + 2.0 * math.fsum(math.cos(n * x) for n in range(1, N + 1)))
     return total * h / 3
+
+
+def scalar_kahan_sum(N, x):
+    """The windowed sum form as one scalar Kahan loop on |x|."""
+    r = abs(x)
+    if r >= math.pi:
+        return 0.0
+    total = 1.0
+    comp = 0.0
+    for n in range(1, N + 1):
+        term = 2.0 * math.cos(n * r) - comp
+        t = total + term
+        comp = (t - total) - term
+        total = t
+    return total
 
 
 class TestDirichletSum:
@@ -120,6 +138,37 @@ class TestKernelSamples:
         assert table.rows[0][0] == -1.0
         assert table.rows[-1][0] == 0.5
 
+    @pytest.mark.parametrize("N", [0, 1, 50, 2000])
+    @pytest.mark.parametrize(
+        "count, xmin, xmax",
+        [(2001, -math.pi, math.pi), (400, -3.0, 3.0), (333, -math.pi, 0.7), (257, -1e-3, 2.5)],
+    )
+    def test_sum_lanes_equal_the_scalar_loop(self, N, count, xmin, xmax):
+        table = kernel_samples(N, count, xmin, xmax)
+        for x, (s, c) in table.rows:
+            assert s == scalar_kahan_sum(N, x)
+            if abs(x) < EPS_SING:
+                assert c == s
+
+    def test_compact_column_is_the_compact_form(self):
+        table = kernel_samples(37, 301)
+        for x, (_, c) in table.rows:
+            assert c == (0.0 if abs(x) >= math.pi else dirichlet_compact(37, x))
+
+    def test_work_cap(self, monkeypatch):
+        # N * max(count, 256) may reach the cap but not pass it.
+        monkeypatch.setattr(kernels, "KERNEL_WORK_CAP", 1000)
+        assert len(kernel_samples(3, 333).rows) == 333
+        assert len(kernel_samples(3, 2).rows) == 2
+        for N, count in ((3, 334), (4, 2), (4, 250)):
+            with pytest.raises(ValueError):
+                kernel_samples(N, count)
+
+    def test_work_cap_refuses_at_once(self):
+        for N, count in ((KERNEL_WORK_CAP // 256 + 1, 3), (KERNEL_WORK_CAP // 1000 + 1, 1000), (10**320, 3)):
+            with pytest.raises(ValueError, match="work cap"):
+                kernel_samples(N, count)
+
     def test_invalid_requests(self):
         with pytest.raises(ValueError):
             kernel_samples(5, 1)
@@ -156,3 +205,8 @@ class TestNormalization:
     def test_invalid_tolerance(self):
         with pytest.raises(ValueError):
             kernel_normalization(5, 0.0)
+
+    def test_order_past_the_float_range_is_not_attempted(self):
+        with pytest.raises(QuadratureError) as info:
+            kernel_normalization(10**320, 1e-10)
+        assert info.value.panels_used == 0
