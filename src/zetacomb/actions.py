@@ -45,6 +45,7 @@ from .testfn import TestFunction
 __all__ = [
     "ConvergenceRow",
     "FOURIER_N_CAP",
+    "FOURIER_WORK_CAP",
     "MODE_SAMPLE_CAP",
     "delta0_partial_action",
     "delta0_comb_action",
@@ -60,6 +61,9 @@ _CHUNK = 1 << 19
 
 # Runtime guard for the partial sums; far beyond every stated comparison.
 FOURIER_N_CAP = 10_000_000
+# Most series terms one grid of partial sums may take (about 2.5 s): the
+# order N times the number of grid points.
+FOURIER_WORK_CAP = 1 << 26
 
 # Most samples of phi one mode-route sum may take (about 2.5 s of Python):
 # M nodes times the number of periods the support spans, at least one.  The
@@ -159,7 +163,11 @@ def _mode_trapezoid(phi: TestFunction, N: int, tol: float) -> tuple[float, float
     ):
         M *= 2
     if M * samples_per_node > MODE_SAMPLE_CAP:
-        raise QuadratureError(math.nan, math.inf, 0)
+        raise QuadratureError(
+            math.nan, math.inf, 0,
+            f"mode sum not attempted: it would need more than "
+            f"MODE_SAMPLE_CAP = {MODE_SAMPLE_CAP} samples of phi",
+        )
     terms = _trapezoid_terms(phi, N, M // 2, odd_only=False)
     coarse = _TWO_PI / (M // 2) * math.fsum(terms)
     while True:
@@ -273,9 +281,15 @@ def _fourier_partial_sums(order: int, N: int, xs) -> list:
     chunks of _CHUNK orders n.  Each chunk is evaluated in blocks of grid
     rows by n of at most _CHUNK elements and reduced exactly per row; the
     rounded chunk sums are then added exactly in chunk order, so every row
-    is the same as summing its own chunks with math.fsum.
+    is the same as summing its own chunks with math.fsum.  N * len(xs) may
+    not pass FOURIER_WORK_CAP.
     """
     _validate_fourier_n(N)
+    if N * len(xs) > FOURIER_WORK_CAP:
+        raise ValueError(
+            f"order {N} at {len(xs)} points is past the work cap: "
+            f"N * points must be <= {FOURIER_WORK_CAP}"
+        )
     import numpy as np
 
     rs = [abs(x) for x in xs]

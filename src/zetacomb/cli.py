@@ -11,9 +11,10 @@ that identical invocations are byte-identical: floats print via repr
 with LF endings, and JSON is one object {command, params, columns, rows}
 with rows as arrays.
 
-Exit codes: 0 success, 2 usage error (argparse's own convention), 3
-numerical failure (a quadrature that cannot meet its tolerance, or an
-oracle mismatch).
+Exit codes: 0 success, 2 usage error (argparse's own convention; also an
+argument the library rejects with ValueError or OverflowError, and an --out
+path that cannot be written), 3 numerical failure (a quadrature that cannot
+meet its tolerance, or an oracle mismatch).
 """
 
 import argparse
@@ -24,7 +25,6 @@ import math
 import sys
 
 from .actions import (
-    FOURIER_N_CAP,
     ConvergenceRow,
     delta0_comb_action,
     delta0_partial_action,
@@ -38,10 +38,15 @@ from .quad import QuadratureError, sinc_table
 from .testfn import TestFunction, bump_plateau, gaussian_bump
 from .zeta_ladder import bernoulli_oracle, zeta_even
 
-__all__ = ["build_parser", "run", "main", "ZETA_MAX_K"]
+__all__ = ["build_parser", "run", "main", "SAMPLES_CAP", "ZETA_MAX_K"]
 
-# Largest accepted --max-k: 2k = 400 takes about 2 s with --oracle.
+# Largest accepted --max-k: 2k = 400 takes about 0.1 s with --oracle.
 ZETA_MAX_K = 200
+
+# Largest accepted --samples for kernel and fourier: each sample is a table
+# row of Python floats, and a kernel table at the cap takes about 1 s and
+# 100 MB.
+SAMPLES_CAP = 100_000
 
 
 class _NumericalFailure(Exception):
@@ -80,6 +85,8 @@ def _samples_count(text: str) -> int:
     value = _int(text)
     if value < 2:
         raise argparse.ArgumentTypeError(f"need at least 2 samples, got {value}")
+    if value > SAMPLES_CAP:
+        raise argparse.ArgumentTypeError(f"must be <= {SAMPLES_CAP}, got {value}")
     return value
 
 
@@ -175,17 +182,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_phi(parser: argparse.ArgumentParser, args: argparse.Namespace) -> TestFunction:
+def _build_phi(args: argparse.Namespace) -> TestFunction:
     if args.phi == "plateau":
         if args.center is not None or args.radius is not None:
-            parser.error("--center/--radius apply only to --phi gauss")
+            raise ValueError("--center/--radius apply only to --phi gauss")
         return bump_plateau(math.pi, 1.5 * math.pi)
     center = 0.0 if args.center is None else args.center
     radius = 1.0 if args.radius is None else args.radius
-    try:
-        return gaussian_bump(center, radius)
-    except ValueError as exc:
-        parser.error(str(exc))
+    return gaussian_bump(center, radius)
 
 
 def _phi_params(args: argparse.Namespace) -> dict:
@@ -196,7 +200,7 @@ def _phi_params(args: argparse.Namespace) -> dict:
     return params
 
 
-def _cmd_zeta(parser, args):
+def _cmd_zeta(args):
     columns = ["two_k", "zeta"]
     if args.oracle:
         columns.append("bernoulli")
@@ -216,18 +220,15 @@ def _cmd_zeta(parser, args):
     return {"max_k": args.max_k, "oracle": args.oracle}, columns, rows
 
 
-def _cmd_kernel(parser, args):
-    try:
-        table = kernel_samples(args.n, args.samples, args.xmin, args.xmax)
-    except ValueError as exc:
-        parser.error(str(exc))
+def _cmd_kernel(args):
+    table = kernel_samples(args.n, args.samples, args.xmin, args.xmax)
     rows = [[x, values[0], values[1]] for x, values in table.rows]
     params = {"n": args.n, "samples": args.samples, "xmin": args.xmin, "xmax": args.xmax}
     return params, list(table.column_names), rows
 
 
-def _cmd_action(parser, args):
-    phi = _build_phi(parser, args)
+def _cmd_action(args):
+    phi = _build_phi(args)
     reference = 2.0 * math.pi * phi(0.0)
     rows = []
     for N in args.n_list:
@@ -237,8 +238,8 @@ def _cmd_action(parser, args):
     return params, ["N", "value", "reference", "abs_error"], rows
 
 
-def _cmd_comb(parser, args):
-    phi = _build_phi(parser, args)
+def _cmd_comb(args):
+    phi = _build_phi(args)
     partial = delta0_partial_action(phi, args.n, args.tol)
     comb = delta0_comb_action(phi)
     rows = [[args.n, partial, comb, abs(partial - comb)]]
@@ -246,11 +247,11 @@ def _cmd_comb(parser, args):
     return params, ["N", "partial_action", "comb_action", "abs_diff"], rows
 
 
-def _cmd_fourier(parser, args):
+def _cmd_fourier(args):
     if not args.xmin < args.xmax:
-        parser.error(f"need --xmin < --xmax, got [{args.xmin}, {args.xmax}]")
-    if args.n > FOURIER_N_CAP:
-        parser.error(f"--n must be <= {FOURIER_N_CAP}, got {args.n}")
+        raise ValueError(f"need --xmin < --xmax, got [{args.xmin}, {args.xmax}]")
+    if not math.isfinite(args.xmax - args.xmin):
+        raise ValueError(f"the span of [{args.xmin}, {args.xmax}] is past the float range")
     closed = delta1_closed if args.order == 1 else delta2_closed
     step = (args.xmax - args.xmin) / (args.samples - 1)
     xs = [args.xmin + i * step for i in range(args.samples - 1)] + [args.xmax]
@@ -265,7 +266,7 @@ def _cmd_fourier(parser, args):
     return params, ["x", "partial_sum", "closed_form", "abs_error"], rows
 
 
-def _cmd_sinc(parser, args):
+def _cmd_sinc(args):
     rows = [
         [N, result.value, abs(result.value - math.pi)]
         for N, result in enumerate(sinc_table(args.n_max, args.tol))
@@ -310,24 +311,38 @@ def _render(command: str, params: dict, columns: list, rows: list, fmt: str) -> 
     return "\n".join(lines) + "\n"
 
 
+def _usage_error(parser: argparse.ArgumentParser, exc: Exception) -> int:
+    """Report exc the way argparse reports a bad argument; returns exit code 2."""
+    parser.print_usage(sys.stderr)
+    print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+    return 2
+
+
 def run(argv=None) -> int:
     """Parse argv, dispatch, write the table; returns the exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        params, columns, rows = _HANDLERS[args.subcommand](parser, args)
+        params, columns, rows = _HANDLERS[args.subcommand](args)
     except SystemExit as exc:
         # argparse has already printed the diagnostic and usage synopsis
         return exc.code if isinstance(exc.code, int) else 2
     except (QuadratureError, _NumericalFailure) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except (ValueError, OverflowError) as exc:
+        # an argument that parses but that the library rejects
+        return _usage_error(parser, exc)
     text = _render(args.subcommand, params, columns, rows, args.format)
     if args.out is None:
         sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        return 0
+    try:
+        handle = open(args.out, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        return _usage_error(parser, exc)
+    with handle:
+        handle.write(text)
     return 0
 
 

@@ -43,7 +43,8 @@ EPS_SING = 1e-6
 # Most lane-steps one sample table may take (about 2 s): the order N times
 # the sample count, where a count below _MIN_LANES is charged as _MIN_LANES,
 # because each step of the batched sum costs a few numpy calls however few
-# lanes it has.
+# lanes it has, and N = 0 is charged as 1, because the table itself costs
+# work per sample.
 KERNEL_WORK_CAP = 1 << 27
 _MIN_LANES = 256
 
@@ -142,16 +143,16 @@ def kernel_samples(N: int, count: int, xmin: float = -math.pi, xmax: float = mat
     the windowed value 0.  A symmetric range (xmax == -xmin) produces a
     grid that is antisymmetric to the last bit, so table symmetry can be
     asserted exactly rather than approximately.  The sum form runs once
-    over the whole grid, one Kahan lane per point; N * max(count, 256)
+    over the whole grid, one Kahan lane per point; max(N, 1) * max(count, 256)
     may not pass KERNEL_WORK_CAP.
     """
     _validate_order(N)
     if count < 2:
         raise ValueError(f"need at least 2 sample points, got {count}")
-    if N * max(count, _MIN_LANES) > KERNEL_WORK_CAP:
+    if max(N, 1) * max(count, _MIN_LANES) > KERNEL_WORK_CAP:
         raise ValueError(
             f"order {N} at {count} samples is past the work cap: "
-            f"N * max(samples, {_MIN_LANES}) must be <= {KERNEL_WORK_CAP}"
+            f"max(N, 1) * max(samples, {_MIN_LANES}) must be <= {KERNEL_WORK_CAP}"
         )
     if not xmin < xmax:
         raise ValueError(f"need xmin < xmax, got [{xmin}, {xmax}]")

@@ -94,12 +94,13 @@ class QuadratureError(RuntimeError):
     Carries the best value obtained so that callers can inspect how far
     off the run ended, rather than losing the work.  panels_used == 0 means
     the run was refused up front because it would need more than the budget.
+    A route whose limit is not a panel budget passes its own message.
     """
 
-    def __init__(self, value: float, error_estimate: float, panels_used: int):
-        if panels_used == 0:
+    def __init__(self, value: float, error_estimate: float, panels_used: int, message: str | None = None):
+        if message is None and panels_used == 0:
             message = "quadrature not attempted: it would need more panels than the budget"
-        else:
+        elif message is None:
             message = (
                 f"quadrature tolerance not reached: estimate {error_estimate:.3e} "
                 f"after {panels_used} panels"

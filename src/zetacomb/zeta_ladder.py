@@ -16,6 +16,9 @@ has exact zero mean over a full period.  The ladder starts from ``Q_1 = pi``
 
 Every rung is homogeneous: Q_k(x) = pi**k * q_k(x/pi) with q_k rational, so
 the ladder steps the coefficients of q_k(t) and matches means over (0, 2).
+It steps them in integers: coefficient i is h_i / (i! * 2**i * D) over one
+common denominator D, which turns antidifferentiation into a shift and
+leaves one gcd per rung.
 
 At even order 2k the oscillatory part is ``(-1)**k * 2 * sum cos(n*x)/n**2k``,
 continuous for 2k >= 2, so letting x -> 0 gives
@@ -23,7 +26,9 @@ continuous for 2k >= 2, so letting x -> 0 gives
     zeta(2k) = (-1)**k * (Q_2k(0) - P_2k(0)) / 2,       P_k(x) = x**k / k!
 
 exactly, as a single positive rational multiple of pi**2k.  The classical
-Bernoulli-number formula is provided as an independent cross-check oracle.
+Bernoulli-number formula is provided as an independent cross-check oracle;
+its Bernoulli numbers come from tangent numbers, not from the recurrence
+sum_j C(m+1, j) * B_j = 0, which is the ladder's mean matching in disguise.
 
 States are immutable; the ladder and Bernoulli caches are guarded by locks,
 so the module is safe for concurrent use and always deterministic.
@@ -124,6 +129,60 @@ def ladder_init() -> LadderState:
     return LadderState(order=1, coeffs=(Fraction(1),))
 
 
+class _Rung:
+    """q_n(t) = sum_i h[i] * t**i / (i! * 2**i * D) in integers h[i] and D.
+
+    In this basis antidifferentiation is a shift: the antiderivative of
+    t**i / (i! * 2**i) is 2 * t**(i+1) / ((i+1)! * 2**(i+1)).  The mean of a
+    basis term over (0, 2) is 1 / (i+1)!, so mean matching is an integer sum
+    over the common denominator D.  Coefficient i of q_n is the constant of
+    q_(n-i) over i!, so one rung holds every lower order's constant too.
+    """
+
+    __slots__ = ("h", "D")
+
+    def __init__(self, h: tuple[int, ...], D: int):
+        self.h = h
+        self.D = D
+
+    @classmethod
+    def from_coeffs(cls, coeffs) -> "_Rung":
+        weights = [math.factorial(i) << i for i in range(len(coeffs))]
+        D = math.lcm(*(Fraction(c * w).denominator for c, w in zip(coeffs, weights)))
+        return cls(tuple((c * w * D).numerator for c, w in zip(coeffs, weights)), D)
+
+    @property
+    def order(self) -> int:
+        return len(self.h)
+
+    def step(self) -> "_Rung":
+        """The next rung: antidifferentiate every term, then match the mean.
+
+        At order m the shifted terms h[i] = 2 * h_old[i-1] have mean
+        S / (m! * D) with S = sum_i h[i] * m! / (i+1)!, and mean(t**m / m!)
+        is 2**m / (m+1)!, so the new constant is
+        h[0] = (2**m * D - (m+1) * S) / (m+1)!.  When that is not an
+        integer, every h and D grow by the missing factor.
+        """
+        m = self.order + 1
+        half_s = 0
+        for j, c in enumerate(self.h, 2):  # S / 2 by Horner over the old terms
+            half_s = half_s * j + c
+        num = (self.D << m) - 2 * (m + 1) * half_s
+        den = math.factorial(m + 1)
+        g = math.gcd(num, den)
+        grow = den // g
+        return _Rung((num // g, *(c * 2 * grow for c in self.h)), self.D * grow)
+
+    def coeffs(self, n: int) -> tuple[Fraction, ...]:
+        """The coefficients of q_n, for 1 <= n <= order."""
+        top = self.order
+        return tuple(
+            Fraction(self.h[top - n + i], (math.factorial(i) << (top - n + i)) * self.D)
+            for i in range(n)
+        )
+
+
 def ladder_step(state: LadderState) -> LadderState:
     """Advance one order: antidifferentiate, then fix the constant by means.
 
@@ -132,33 +191,36 @@ def ladder_step(state: LadderState) -> LadderState:
     giving q_n that mean: antidifferentiation adds exactly one free constant.
     """
     n = state.order + 1
-    integral = [c / i for i, c in enumerate(state.coeffs, 1)]  # t**1 .. t**(n-1)
-    integral_mean = sum(c * 2**i / (i + 1) for i, c in enumerate(integral, 1))
-    target = Fraction(2**n, (n + 1) * math.factorial(n))
-    return LadderState(order=n, coeffs=(target - integral_mean, *integral))
+    return LadderState(order=n, coeffs=_Rung.from_coeffs(state.coeffs).step().coeffs(n))
 
 
-_cache: list[LadderState] = []
+_top = _Rung((1,), 1)  # q_1 = 1; replaced, never mutated, under _cache_lock
 _cache_lock = threading.Lock()
 
 
+def _top_rung(order: int) -> _Rung:
+    """A rung of at least the given order, stepping the shared one up to it."""
+    global _top
+    with _cache_lock:
+        while _top.order < order:
+            _top = _top.step()
+        return _top
+
+
 def ladder_states(order: int) -> tuple[LadderState, ...]:
-    """States of orders 1..order, computed incrementally and cached."""
+    """States of orders 1..order, built from the cached integer rung."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    with _cache_lock:
-        if not _cache:
-            _cache.append(ladder_init())
-        while len(_cache) < order:
-            _cache.append(ladder_step(_cache[-1]))
-        return tuple(_cache[:order])
+    rung = _top_rung(order)
+    return tuple(LadderState(order=n, coeffs=rung.coeffs(n)) for n in range(1, order + 1))
 
 
 def _reset_cache() -> None:
+    global _top
     with _cache_lock:
-        _cache.clear()
+        _top = _Rung((1,), 1)
     with _bernoulli_lock:
-        del _bernoulli[1:]
+        _tangent.clear()
 
 
 def _require_even(two_k: int) -> None:
@@ -167,31 +229,57 @@ def _require_even(two_k: int) -> None:
 
 
 def zeta_even(two_k: int) -> ZetaValue:
-    """Exact zeta(two_k) from the ladder: (-1)**k * (Q_2k(0) - P_2k(0)) / 2."""
+    """Exact zeta(two_k) from the ladder: (-1)**k * (Q_2k(0) - P_2k(0)) / 2.
+
+    P_2k(0) = 0, so this is (-1)**k * q_2k(0) / 2 times pi**2k.
+    """
     _require_even(two_k)
-    state = ladder_states(two_k)[-1]
-    endpoint = state.q(_ZERO) - state.p(_ZERO)
-    coeff = endpoint.coefficient(two_k) * Fraction((-1) ** (two_k // 2), 2)
+    rung = _top_rung(two_k)
+    i = rung.order - two_k
+    coeff = Fraction((-1) ** (two_k // 2) * rung.h[i], rung.D << (i + 1))
     return ZetaValue(two_k, PiNumber.pi_power(two_k, coeff))
 
 
-_bernoulli: list[Fraction] = [Fraction(1)]
+# T_1, T_2, ...: tan(x) = sum_k T_k * x**(2k-1) / (2k-1)!
+_tangent: list[int] = []
 _bernoulli_lock = threading.Lock()
 
 
-def bernoulli_number(m: int) -> Fraction:
-    """B_m from the recurrence sum_{j<=m} C(m+1, j) * B_j = 0, B_0 = 1.
+def _tangent_numbers(n: int) -> list[int]:
+    """T_1..T_n by the integer recurrence of Brent & Harvey.
 
-    This convention has B_1 = -1/2.  The table of B_0..B_m is kept and
-    extended on demand.
+    "Fast computation of Bernoulli, Tangent and Secant numbers" (2013,
+    arXiv:1108.0286), Algorithm TangentNumbers: O(n**2) small-integer
+    multiplications, in place, with no division.
+    """
+    T = [1]
+    for k in range(1, n):
+        T.append(k * T[-1])
+    for k in range(1, n):
+        for j in range(k, n):
+            T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
+    return T
+
+
+def bernoulli_number(m: int) -> Fraction:
+    """B_m, with B_1 = -1/2; B_2k = (-1)**(k-1) * 2k * T_k / (4**k * (4**k - 1)).
+
+    The tangent numbers T_k come from the derivatives of tan, a route that
+    shares no arithmetic with the ladder's mean matching.  Their table is
+    kept and, when too short, rebuilt at least twice as long.
     """
     if m < 0:
         raise ValueError(f"index must be >= 0, got {m}")
+    if m < 2:
+        return Fraction(1) if m == 0 else Fraction(-1, 2)
+    if m % 2:
+        return Fraction(0)
+    k = m // 2
     with _bernoulli_lock:
-        for n in range(len(_bernoulli), m + 1):
-            acc = sum(Fraction(math.comb(n + 1, j)) * _bernoulli[j] for j in range(n))
-            _bernoulli.append(-acc / (n + 1))
-        return _bernoulli[m]
+        if len(_tangent) < k:
+            _tangent[:] = _tangent_numbers(max(k, 2 * len(_tangent)))
+        t = _tangent[k - 1]
+    return Fraction((-1) ** (k - 1) * 2 * k * t, 4**k * (4**k - 1))
 
 
 def bernoulli_oracle(two_k: int) -> ZetaValue:

@@ -11,6 +11,7 @@ import zetacomb.quad as quad
 from zetacomb.actions import (
     ConvergenceRow,
     FOURIER_N_CAP,
+    FOURIER_WORK_CAP,
     MODE_SAMPLE_CAP,
     _dirichlet_periodic,
     _exact_row_sums,
@@ -179,6 +180,9 @@ class TestModeTrapezoid:
             delta0_partial_action(gaussian_bump(0.0, 1.0), MODE_SAMPLE_CAP // 4, 1e-10)
         assert time.perf_counter() - start < 1.0
         assert info.value.panels_used == 0
+        # The mode route has no panels; the message names its own limit.
+        assert "MODE_SAMPLE_CAP" in str(info.value)
+        assert "panels" not in str(info.value)
 
 
 class TestCoefficientDecay:
@@ -409,6 +413,21 @@ class TestBatchedPartialSums:
         for order in (1, 2):
             expected = [chunked_fsum_partial(order, N, x) for x in xs]
             assert _fourier_partial_sums(order, N, xs) == expected
+
+    def test_work_cap(self, monkeypatch):
+        # N times the number of points may reach the cap but not pass it.
+        monkeypatch.setattr(actions, "FOURIER_WORK_CAP", 1000)
+        xs = [-1.0, 0.0, 0.5, 2.0]
+        assert len(_fourier_partial_sums(1, 250, xs)) == 4
+        for order, N in ((1, 251), (2, 251)):
+            with pytest.raises(ValueError, match="work cap"):
+                _fourier_partial_sums(order, N, xs)
+
+    def test_work_cap_refuses_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="work cap"):
+            _fourier_partial_sums(1, FOURIER_N_CAP, [0.5 * i for i in range(FOURIER_WORK_CAP // FOURIER_N_CAP + 1)])
+        assert time.perf_counter() - start < 1.0
 
     def test_one_row_wrappers(self):
         xs = [-4.0 + 0.37 * i for i in range(23)]

@@ -53,6 +53,21 @@ class TestZeta:
             "d1ed35cfaa72ce3ab7ea9ffd4664910058c26199b3a3f2afc447d468e7908ef5"
         )
 
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [
+            # sha256 measured while the ladder stepped Fraction coefficients and
+            # the oracle summed the recurrence sum_j C(m+1, j) * B_j = 0.
+            ("csv", "0fc777927339c4d6fdf3ca40358f1e0fae4ed83909e934813e234ac82f94809a"),
+            ("text", "564c14e97d16a548133277d936fc1b7faa88bd66b1b4990a9ca0e99c564f252e"),
+            ("json", "f8e5bb15f493ea11fd24bc0da88d3b1158520d4b9f6376e1e4c1c3f6f753df2b"),
+        ],
+    )
+    def test_golden_max_k_200_oracle(self, capsys, fmt, digest):
+        code, out, _ = run_text(capsys, ["zeta", "--max-k", "200", "--oracle", "--format", fmt])
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
     def test_csv_is_utf8_with_lf(self, tmp_path):
         out = tmp_path / "zeta.csv"
         assert cli.run(["zeta", "--max-k", "2", "--format", "csv", "--out", str(out)]) == 0
@@ -252,6 +267,43 @@ class TestUsageErrors:
         assert "usage" in err.lower()
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fourier", "--order", "1", "--n", "3", "--samples", "3", "--xmin=-1.7e308", "--xmax", "1.7e308"],
+             "span"),  # xmax - xmin overflows to inf
+            # the closed form's floor times ceiling is past the float range
+            (["fourier", "--order", "2", "--n", "7", "--samples", "4", "--xmin=-1e300", "--xmax", "1e300"],
+             "error"),
+            (["kernel", "--n", "0", "--samples", "100000000"], "--samples"),  # order 0 still pays per sample
+            (["kernel", "--n", "0", "--samples", str(cli.SAMPLES_CAP + 1)], "--samples"),
+            (["fourier", "--order", "1", "--n", "10", "--samples", str(cli.SAMPLES_CAP + 1),
+              "--xmin", "0", "--xmax", "1"], "--samples"),
+            (["fourier", "--order", "1", "--n", "10000000", "--samples", "100000", "--xmin", "0", "--xmax", "1"],
+             "work cap"),
+            (["fourier", "--order", "2", "--n", "10000000", "--samples", "7", "--xmin", "0", "--xmax", "1"],
+             "work cap"),
+        ],
+    )
+    def test_range_and_work_errors_exit_two_at_once(self, capsys, argv, message):
+        start = time.perf_counter()
+        code, out, err = run_text(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert "usage" in err.lower()
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_unwritable_out_path_exits_two(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "zeta.csv"
+        code, out, err = run_text(capsys, ["zeta", "--max-k", "1", "--out", str(target)])
+        assert code == 2
+        assert out == ""
+        assert "usage" in err.lower()
+        assert str(target) in err
+        assert not target.parent.exists()
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["zeta", "--max-k", "abc"],
@@ -276,6 +328,7 @@ class TestNumericalFailure:
         [
             ["comb", "--n", "5", "--tol", "1e-300"],  # below the roundoff floor
             ["comb", "--n", str(MODE_SAMPLE_CAP // 4)],  # past the sample cap
+            ["comb", "--phi", "gauss", "--radius", "1e-300", "--n", "3"],  # support too narrow for the cap
         ],
     )
     def test_comb_fails_fast(self, capsys, argv):
@@ -285,6 +338,12 @@ class TestNumericalFailure:
         assert code == 3
         assert out == ""
         assert "numerical failure" in err
+
+    def test_mode_route_refusal_names_its_cap(self, capsys):
+        code, _, err = run_text(capsys, ["comb", "--phi", "gauss", "--radius", "1e-300", "--n", "3"])
+        assert code == 3
+        assert "MODE_SAMPLE_CAP" in err
+        assert "panels" not in err
 
     @pytest.mark.parametrize(
         "argv",

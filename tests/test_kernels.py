@@ -156,16 +156,23 @@ class TestKernelSamples:
             assert c == (0.0 if abs(x) >= math.pi else dirichlet_compact(37, x))
 
     def test_work_cap(self, monkeypatch):
-        # N * max(count, 256) may reach the cap but not pass it.
+        # max(N, 1) * max(count, 256) may reach the cap but not pass it.
         monkeypatch.setattr(kernels, "KERNEL_WORK_CAP", 1000)
         assert len(kernel_samples(3, 333).rows) == 333
         assert len(kernel_samples(3, 2).rows) == 2
-        for N, count in ((3, 334), (4, 2), (4, 250)):
+        assert len(kernel_samples(0, 1000).rows) == 1000
+        for N, count in ((3, 334), (4, 2), (4, 250), (0, 1001)):
             with pytest.raises(ValueError):
                 kernel_samples(N, count)
 
     def test_work_cap_refuses_at_once(self):
-        for N, count in ((KERNEL_WORK_CAP // 256 + 1, 3), (KERNEL_WORK_CAP // 1000 + 1, 1000), (10**320, 3)):
+        cases = (
+            (KERNEL_WORK_CAP // 256 + 1, 3),
+            (KERNEL_WORK_CAP // 1000 + 1, 1000),
+            (10**320, 3),
+            (0, KERNEL_WORK_CAP + 1),  # order 0 still pays for its samples
+        )
+        for N, count in cases:
             with pytest.raises(ValueError, match="work cap"):
                 kernel_samples(N, count)
 

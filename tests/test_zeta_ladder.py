@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 import threading
@@ -21,6 +22,29 @@ from zetacomb.zeta_ladder import (
 
 ZERO = PiNumber.zero()
 TWO_PI = PiNumber.pi_power(1, 2)
+
+
+def reference_step(state):
+    """One rung in plain Fraction arithmetic: the reference the integer rung must equal."""
+    n = state.order + 1
+    integral = [c / i for i, c in enumerate(state.coeffs, 1)]  # t**1 .. t**(n-1)
+    integral_mean = sum(c * 2**i / (i + 1) for i, c in enumerate(integral, 1))
+    target = Fraction(2**n, (n + 1) * math.factorial(n))
+    return LadderState(order=n, coeffs=(target - integral_mean, *integral))
+
+
+@functools.cache
+def akiyama_tanigawa(n):
+    """B_0..B_n by the Akiyama-Tanigawa algorithm, a route independent of both
+    the ladder and the tangent numbers; it yields B_1 = +1/2, flipped here."""
+    a, table = [], []
+    for m in range(n + 1):
+        a.append(Fraction(1, m + 1))
+        for j in range(m, 0, -1):
+            a[j - 1] = j * (a[j - 1] - a[j])
+        table.append(a[0])
+    table[1] = -table[1]
+    return table
 
 
 class TestLadder:
@@ -59,6 +83,18 @@ class TestLadder:
             mean_q = sum(c * Fraction(2**i, i + 1) for i, c in enumerate(s.coeffs))
             mean_p = Fraction(2**s.order, (s.order + 1) * math.factorial(s.order))
             assert mean_q == mean_p
+
+    def test_integer_rung_equals_fraction_reference(self):
+        zeta_ladder._reset_cache()
+        expected = ladder_init()
+        for s in ladder_states(200):
+            assert s == expected
+            expected = reference_step(expected)
+
+    @given(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=97), min_size=1, max_size=9))
+    def test_step_from_any_state_equals_fraction_reference(self, coeffs):
+        state = LadderState(order=len(coeffs), coeffs=tuple(coeffs))
+        assert ladder_step(state) == reference_step(state)
 
     def test_states_are_cached_and_prefix_stable(self):
         long = ladder_states(8)
@@ -128,6 +164,17 @@ class TestZetaEven:
             with pytest.raises(ValueError):
                 zeta_even(bad)
 
+    def test_values_below_the_top_rung(self):
+        # zeta(2k) is read from the shared rung wherever it stands, here at order 40.
+        zeta_ladder._reset_cache()
+        zeta_even(40)
+        state = ladder_init()
+        for order in range(2, 41):
+            state = reference_step(state)
+            if order % 2 == 0:
+                k = order // 2
+                assert zeta_even(order).coefficient == (-1) ** k * state.coeffs[0] / 2
+
     def test_coefficients_decrease(self):
         coeffs = [zeta_even(two_k).coefficient for two_k in range(2, 22, 2)]
         assert all(c > 0 for c in coeffs)
@@ -175,18 +222,43 @@ class TestBernoulliOracle:
         for two_k in range(2, 202, 2):
             assert zeta_even(two_k).value == bernoulli_oracle(two_k).value
 
-    def test_concurrent_table_growth_is_consistent(self):
-        # Akiyama-Tanigawa, an independent route to the same numbers; it
-        # yields B_1 = +1/2, the recurrence -1/2
-        def reference(m):
-            a = [Fraction(1, j + 1) for j in range(m + 1)]
-            for top in range(m, 0, -1):
-                for j in range(top):
-                    a[j] = (j + 1) * (a[j] - a[j + 1])
-            return -a[0] if m == 1 else a[0]
-
+    def test_bernoulli_numbers_equal_akiyama_tanigawa(self):
         zeta_ladder._reset_cache()
-        targets = [60, 7, 45, 1, 60, 23, 38, 12]
+        assert [bernoulli_number(m) for m in range(401)] == akiyama_tanigawa(400)
+        assert bernoulli_number(1) == Fraction(-1, 2)
+        assert all(bernoulli_number(m) == 0 for m in range(3, 401, 2))
+
+    def test_tangent_table_grows_by_doubling(self, monkeypatch):
+        # A run of rows rebuilds the table a logarithmic number of times.
+        zeta_ladder._reset_cache()
+        sizes = []
+        build = zeta_ladder._tangent_numbers
+
+        def counting(n):
+            sizes.append(n)
+            return build(n)
+
+        monkeypatch.setattr(zeta_ladder, "_tangent_numbers", counting)
+        for two_k in range(2, 402, 2):
+            bernoulli_oracle(two_k)
+        assert sizes == [1, 2, 4, 8, 16, 32, 64, 128, 256]
+        bernoulli_number(6)
+        assert len(sizes) == 9
+
+    def test_oracle_leaves_the_ladder_alone(self):
+        zeta_ladder._reset_cache()
+        bernoulli_oracle(120)
+        assert zeta_ladder._top.order == 1
+        zeta_even(10)
+        zeta_ladder._reset_cache()
+        assert zeta_ladder._top.order == 1
+        assert zeta_ladder._tangent == []
+
+    def test_concurrent_table_growth_is_consistent(self):
+        # Each thread that finds the table short rebuilds it under the lock;
+        # the targets span several doublings, so the threads race to grow it.
+        zeta_ladder._reset_cache()
+        targets = [400, 7, 45, 1, 260, 23, 138, 12, 66, 3]
         results = [None] * len(targets)
 
         def worker(i):
@@ -203,5 +275,5 @@ class TestBernoulliOracle:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert results == [reference(m) for m in targets]
-        assert [bernoulli_number(m) for m in range(61)] == [reference(m) for m in range(61)]
+        assert results == [akiyama_tanigawa(400)[m] for m in targets]
+        assert [bernoulli_number(m) for m in range(401)] == akiyama_tanigawa(400)
