@@ -38,8 +38,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .kernels import _oscillation, _validate_order, _windowed_compact
-from .quad import QuadratureError, integrate_adaptive
+from .kernels import _oscillation, _windowed_compact
+from .quad import QuadratureError, _validate_order, integrate_adaptive
 from .testfn import TestFunction
 
 __all__ = [
@@ -227,13 +227,6 @@ def deltaN_action(phi: TestFunction, N: int, tol: float) -> float:
     ).value
 
 
-def _validate_fourier_n(N: int) -> None:
-    if isinstance(N, bool) or not isinstance(N, int) or N < 1:
-        raise ValueError(f"N must be a positive integer, got {N!r}")
-    if N > FOURIER_N_CAP:
-        raise ValueError(f"N={N} exceeds the cap {FOURIER_N_CAP}")
-
-
 def _exact_row_sums(terms) -> list:
     """Correctly rounded sum of each row of a 2-D float array, as math.fsum gives.
 
@@ -284,7 +277,7 @@ def _fourier_partial_sums(order: int, N: int, xs) -> list:
     is the same as summing its own chunks with math.fsum.  N * len(xs) may
     not pass FOURIER_WORK_CAP.
     """
-    _validate_fourier_n(N)
+    _validate_order(N, least=1, cap=FOURIER_N_CAP)
     if N * len(xs) > FOURIER_WORK_CAP:
         raise ValueError(
             f"order {N} at {len(xs)} points is past the work cap: "

@@ -33,7 +33,7 @@ from .actions import (
     delta2_closed,
     _fourier_partial_sums,
 )
-from .kernels import kernel_samples
+from .kernels import SAMPLES_CAP, kernel_samples
 from .quad import QuadratureError, sinc_table
 from .testfn import TestFunction, bump_plateau, gaussian_bump
 from .zeta_ladder import bernoulli_oracle, zeta_even
@@ -42,11 +42,6 @@ __all__ = ["build_parser", "run", "main", "SAMPLES_CAP", "ZETA_MAX_K"]
 
 # Largest accepted --max-k: 2k = 400 takes about 0.1 s with --oracle.
 ZETA_MAX_K = 200
-
-# Largest accepted --samples for kernel and fourier: each sample is a table
-# row of Python floats, and a kernel table at the cap takes about 1 s and
-# 100 MB.
-SAMPLES_CAP = 100_000
 
 
 class _NumericalFailure(Exception):
@@ -182,22 +177,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_phi(args: argparse.Namespace) -> TestFunction:
+def _build_phi(args: argparse.Namespace) -> tuple[TestFunction, dict]:
+    """The test function that --phi, --center and --radius name, and its params."""
     if args.phi == "plateau":
         if args.center is not None or args.radius is not None:
             raise ValueError("--center/--radius apply only to --phi gauss")
-        return bump_plateau(math.pi, 1.5 * math.pi)
+        return bump_plateau(math.pi, 1.5 * math.pi), {"phi": "plateau"}
     center = 0.0 if args.center is None else args.center
     radius = 1.0 if args.radius is None else args.radius
-    return gaussian_bump(center, radius)
-
-
-def _phi_params(args: argparse.Namespace) -> dict:
-    params = {"phi": args.phi}
-    if args.phi == "gauss":
-        params["center"] = 0.0 if args.center is None else args.center
-        params["radius"] = 1.0 if args.radius is None else args.radius
-    return params
+    return gaussian_bump(center, radius), {"phi": "gauss", "center": center, "radius": radius}
 
 
 def _cmd_zeta(args):
@@ -228,22 +216,22 @@ def _cmd_kernel(args):
 
 
 def _cmd_action(args):
-    phi = _build_phi(args)
+    phi, phi_params = _build_phi(args)
     reference = 2.0 * math.pi * phi(0.0)
     rows = []
     for N in args.n_list:
         row = ConvergenceRow.make(N, deltaN_action(phi, N, args.tol), reference)
         rows.append([row.N, row.value, row.reference, row.abs_error])
-    params = {**_phi_params(args), "n_list": args.n_list, "tol": args.tol}
+    params = {**phi_params, "n_list": args.n_list, "tol": args.tol}
     return params, ["N", "value", "reference", "abs_error"], rows
 
 
 def _cmd_comb(args):
-    phi = _build_phi(args)
+    phi, phi_params = _build_phi(args)
     partial = delta0_partial_action(phi, args.n, args.tol)
     comb = delta0_comb_action(phi)
     rows = [[args.n, partial, comb, abs(partial - comb)]]
-    params = {**_phi_params(args), "n": args.n, "tol": args.tol}
+    params = {**phi_params, "n": args.n, "tol": args.tol}
     return params, ["N", "partial_action", "comb_action", "abs_diff"], rows
 
 
@@ -255,10 +243,17 @@ def _cmd_fourier(args):
     closed = delta1_closed if args.order == 1 else delta2_closed
     step = (args.xmax - args.xmin) / (args.samples - 1)
     xs = [args.xmin + i * step for i in range(args.samples - 1)] + [args.xmax]
-    rows = []
-    for x, p in zip(xs, _fourier_partial_sums(args.order, args.n, xs)):
-        c = closed(x)
-        rows.append([x, p, c, abs(p - c)])
+    # The closed forms come first: they are cheap, and the only ones that
+    # can leave the float range, so such a grid fails before the sums run.
+    try:
+        closed_forms = [closed(x) for x in xs]
+    except OverflowError:
+        raise ValueError(
+            f"--xmin/--xmax: the order-{args.order} closed form on "
+            f"[{args.xmin}, {args.xmax}] is past the float range"
+        ) from None
+    sums = _fourier_partial_sums(args.order, args.n, xs)
+    rows = [[x, p, c, abs(p - c)] for x, p, c in zip(xs, sums, closed_forms)]
     params = {
         "order": args.order, "n": args.n, "samples": args.samples,
         "xmin": args.xmin, "xmax": args.xmax,

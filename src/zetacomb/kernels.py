@@ -24,11 +24,12 @@ the command line start without it.
 import math
 from dataclasses import dataclass
 
-from .quad import QuadratureError, integrate_adaptive
+from .quad import QuadratureError, _validate_order, integrate_adaptive
 
 __all__ = [
     "EPS_SING",
     "KERNEL_WORK_CAP",
+    "SAMPLES_CAP",
     "SampleTable",
     "dirichlet_sum",
     "dirichlet_compact",
@@ -47,6 +48,10 @@ EPS_SING = 1e-6
 # work per sample.
 KERNEL_WORK_CAP = 1 << 27
 _MIN_LANES = 256
+
+# Most samples one table may hold: each is a row of Python floats, and a
+# kernel table at the cap takes about 1 s and 100 MB.
+SAMPLES_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -67,11 +72,6 @@ class SampleTable:
             if prev is not None and not x > prev:
                 raise ValueError(f"x grid not strictly increasing at {x}")
             prev = x
-
-
-def _validate_order(N: int) -> None:
-    if isinstance(N, bool) or not isinstance(N, int) or N < 0:
-        raise ValueError(f"kernel order must be a non-negative integer, got {N!r}")
 
 
 def _kahan_cos_sum(N: int, r, cos):
@@ -143,8 +143,8 @@ def kernel_samples(N: int, count: int, xmin: float = -math.pi, xmax: float = mat
     the windowed value 0.  A symmetric range (xmax == -xmin) produces a
     grid that is antisymmetric to the last bit, so table symmetry can be
     asserted exactly rather than approximately.  The sum form runs once
-    over the whole grid, one Kahan lane per point; max(N, 1) * max(count, 256)
-    may not pass KERNEL_WORK_CAP.
+    over the whole grid, one Kahan lane per point; count may not pass
+    SAMPLES_CAP, nor max(N, 1) * max(count, 256) KERNEL_WORK_CAP.
     """
     _validate_order(N)
     if count < 2:
@@ -154,6 +154,8 @@ def kernel_samples(N: int, count: int, xmin: float = -math.pi, xmax: float = mat
             f"order {N} at {count} samples is past the work cap: "
             f"max(N, 1) * max(samples, {_MIN_LANES}) must be <= {KERNEL_WORK_CAP}"
         )
+    if count > SAMPLES_CAP:
+        raise ValueError(f"need at most SAMPLES_CAP = {SAMPLES_CAP} sample points, got {count}")
     if not xmin < xmax:
         raise ValueError(f"need xmin < xmax, got [{xmin}, {xmax}]")
     if xmin < -math.pi or xmax > math.pi:

@@ -16,14 +16,17 @@ rounding floors of the panels (50*eps times the integral of |f|) add up
 to more than the tolerance, it raises at once instead of bisecting on.
 
 Oscillatory integrands are handled by seeding: callers pass the highest
-angular frequency present and the initial panels are made no wider than
-one period of it, which keeps the per-panel rule inside its resolving
-power from the start instead of discovering the oscillation by bisection.
+angular frequency w present, and the initial edges are the points of the
+period lattice k*2*pi/w anchored at 0 that fall inside the interval, so
+each seed panel spans one period.  For the order-N kernel,
+w = N + 1/2, these edges are every second zero of sin((N+1/2)*x) plus the
+peak at x = 0, so the rule meets the oscillation in phase from the start
+instead of discovering it by bisection.
 
 The truncated sinc integrals for N = 0..n_max come from one such run
-(the breakpoint idea of QUADPACK's dqagp): the seed panels end at the
-half-periods (k+1/2)*pi, so every row is a prefix sum of the accepted
-panels and no row integrates again from 0.
+(the breakpoint idea of QUADPACK's dqagp): the seed panels end on the
+lattice of half-periods (k+1/2)*pi, so every row is a prefix sum of the
+accepted panels and no row integrates again from 0.
 """
 
 import heapq
@@ -109,6 +112,15 @@ class QuadratureError(RuntimeError):
         self.value = value
         self.error_estimate = error_estimate
         self.panels_used = panels_used
+
+
+def _validate_order(N: int, least: int = 0, cap: int | None = None) -> None:
+    """Refuse an order N that is not an int (bool included), is below least, or passes cap."""
+    if isinstance(N, bool) or not isinstance(N, int) or N < least:
+        kind = "non-negative" if least == 0 else "positive"
+        raise ValueError(f"N must be a {kind} integer, got {N!r}")
+    if cap is not None and N > cap:
+        raise ValueError(f"N={N} exceeds the cap {cap}")
 
 
 def _kronrod_panel(f: Callable[[float], float], a: float, b: float):
@@ -206,6 +218,22 @@ def _refine(f: Callable[[float], float], edges: list, tol: float, max_panels: in
     return panels, total_err, panels_used
 
 
+def _lattice(a: float, b: float, period: float, shift: float = 0.0) -> range:
+    """The integers k with a < (k + shift) * period < b, for period > 0.
+
+    Seed edges go at (k + shift) * period, computed as written; the range
+    counts them before any list is built.  Its ends are trimmed against
+    those computed points, so rounding in a / period cannot add or drop one.
+    """
+    lo = math.floor(a / period - shift) - 1
+    hi = math.ceil(b / period - shift) + 1
+    while lo < hi and (lo + shift) * period <= a:
+        lo += 1
+    while hi >= lo and (hi + shift) * period >= b:
+        hi -= 1
+    return range(lo, hi + 1)
+
+
 def integrate_adaptive(
     f: Callable[[float], float],
     a: float,
@@ -217,25 +245,40 @@ def integrate_adaptive(
     """Integrate f over [a, b] to absolute tolerance tol.
 
     osc_freq is a seeding hint, not a detector: pass the highest angular
-    frequency in f (N + 1/2 for the order-N kernel) and the initial grid
-    resolves it; pass 0 for smooth integrands.  Raises QuadratureError,
-    carrying the best value and estimate, if the panel budget runs out or
-    tol lies below the rounding floor of the estimate; with panels_used 0
-    when the seed grid alone would pass the budget.
+    frequency w in f (N + 1/2 for the order-N kernel) and the seed edges
+    are a, the points k*2*pi/w of the period lattice anchored at 0 inside
+    (a, b), and b, one period per panel; for the kernel they are every
+    second zero of sin((N+1/2)*x) and its peak at 0.  Pass 0 for smooth
+    integrands, seeded on an even grid of panels at most 2*pi wide.
+    Raises QuadratureError, carrying the best value and estimate, if the
+    panel budget runs out or tol lies below the rounding floor of the
+    estimate; with panels_used 0 when the seed grid alone would pass the
+    budget.
     """
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    if osc_freq < 0:
+    if not osc_freq >= 0:
         raise ValueError(f"osc_freq must be >= 0, got {osc_freq}")
 
     width = b - a
-    seed_width = min(width, 2.0 * math.pi / max(osc_freq, 1.0))
-    if width / seed_width > max_panels:
-        raise QuadratureError(math.nan, math.inf, 0)
-    n_seed = max(1, math.ceil(width / seed_width))
-    edges = [a + width * (i / n_seed) for i in range(n_seed)] + [b]
+    if osc_freq == 0:
+        seed_width = min(width, 2.0 * math.pi)
+        if width / seed_width > max_panels:
+            raise QuadratureError(math.nan, math.inf, 0)
+        n_seed = math.ceil(width / seed_width)
+        edges = [a + width * (i / n_seed) for i in range(n_seed)] + [b]
+    else:
+        # width * w / 2pi periods need at least that many panels; checked
+        # first so that an infinite or huge count never reaches the lattice.
+        if not width * osc_freq / (2.0 * math.pi) <= max_panels:
+            raise QuadratureError(math.nan, math.inf, 0)
+        period = 2.0 * math.pi / osc_freq
+        ks = _lattice(a, b, period)
+        if len(ks) + 1 > max_panels:
+            raise QuadratureError(math.nan, math.inf, 0)
+        edges = [a] + [k * period for k in ks] + [b]
     panels, total_err, panels_used = _refine(f, edges, tol, max_panels)
     value = math.fsum(panel[2] for panel in panels)
     return QuadResult(value=value, error_estimate=total_err, panels_used=panels_used)
@@ -278,13 +321,13 @@ def sinc_table(
     estimates (at most tol), and its panels_used the number of panels
     evaluated inside [0, (N+1/2)pi].  Returns one QuadResult per N.
     """
-    if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 0:
-        raise ValueError(f"N must be a non-negative integer, got {n_max!r}")
+    _validate_order(n_max)
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
     if n_max + 1 > max_panels:
         raise QuadratureError(math.nan, math.inf, 0)
-    edges = [0.0] + [(N + 0.5) * math.pi for N in range(n_max + 1)]
+    top = (n_max + 0.5) * math.pi
+    edges = [0.0] + [(N + 0.5) * math.pi for N in _lattice(0.0, top, math.pi, 0.5)] + [top]
     try:
         panels, _, _ = _refine(_sinc, edges, 0.5 * tol, max_panels)
     except QuadratureError as exc:

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -7,6 +8,7 @@ import zetacomb.kernels as kernels
 from zetacomb.kernels import (
     EPS_SING,
     KERNEL_WORK_CAP,
+    SAMPLES_CAP,
     SampleTable,
     dirichlet_compact,
     dirichlet_sum,
@@ -175,6 +177,26 @@ class TestKernelSamples:
         for N, count in cases:
             with pytest.raises(ValueError, match="work cap"):
                 kernel_samples(N, count)
+
+    def test_samples_cap(self, monkeypatch):
+        monkeypatch.setattr(kernels, "SAMPLES_CAP", 1000)
+        assert len(kernel_samples(0, 1000).rows) == 1000
+        with pytest.raises(ValueError, match="SAMPLES_CAP"):
+            kernel_samples(0, 1001)
+
+    def test_samples_cap_refuses_before_allocating(self):
+        # Order 1 charges one lane-step per sample, well within the work cap,
+        # so only the samples cap stands between this call and its grid.
+        count = SAMPLES_CAP + 1
+        assert count <= KERNEL_WORK_CAP
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="SAMPLES_CAP"):
+                kernel_samples(1, count)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_invalid_requests(self):
         with pytest.raises(ValueError):
