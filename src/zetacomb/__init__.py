@@ -35,7 +35,6 @@ from .kernels import (
 from .testfn import TestFunction, bump_plateau, gaussian_bump, phi_tilde, sigma_eval
 from .quad import QuadResult, QuadratureError, integrate_adaptive, sinc_table, sinc_truncated
 from .actions import (
-    ConvergenceRow,
     delta0_comb_action,
     delta0_partial_action,
     delta1_closed,
@@ -73,7 +72,6 @@ __all__ = [
     "integrate_adaptive",
     "sinc_table",
     "sinc_truncated",
-    "ConvergenceRow",
     "delta0_comb_action",
     "delta0_partial_action",
     "delta1_closed",

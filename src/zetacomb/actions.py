@@ -5,7 +5,9 @@ the mode route sums the integrals c_0 + 2*sum Re(c_n) truncated at order
 N, and the lattice route evaluates 2*pi*sum phi(2*pi*n) over the finitely
 many lattice points inside the support.  Their agreement, and the
 convergence of the windowed-kernel action to 2*pi*phi(0), are the two
-numerical limit statements this module carries.
+numerical limit statements this module carries.  The windowed-kernel
+action is the one kernel-integral route, kernels._kernel_integral, with
+phi as its weight.
 
 Every c_n is a Fourier coefficient of the 2*pi-periodization phi_per of
 phi, so the truncated mode sum is the integral of phi_per times the
@@ -36,14 +38,12 @@ line start without it.
 
 import math
 import sys
-from dataclasses import dataclass
 
-from .kernels import _oscillation, _windowed_compact
-from .quad import QuadratureError, _validate_order, integrate_adaptive
+from .kernels import _kernel_integral
+from .quad import QuadratureError, _validate_order
 from .testfn import TestFunction
 
 __all__ = [
-    "ConvergenceRow",
     "FOURIER_N_CAP",
     "FOURIER_WORK_CAP",
     "MODE_SAMPLE_CAP",
@@ -74,27 +74,6 @@ MODE_SAMPLE_CAP = 1 << 20
 # puts at least this many nodes inside a support narrower than 2*pi.
 _MIN_SUPPORT_NODES = 8
 _EPS = sys.float_info.epsilon
-
-
-@dataclass(frozen=True)
-class ConvergenceRow:
-    """One (N, value) pair against its limit reference."""
-
-    N: int
-    value: float
-    reference: float
-    abs_error: float
-
-    def __post_init__(self):
-        expected = abs(self.value - self.reference)
-        if self.abs_error != expected:
-            raise ValueError(
-                f"abs_error {self.abs_error!r} is not |value - reference| = {expected!r}"
-            )
-
-    @classmethod
-    def make(cls, N: int, value: float, reference: float) -> "ConvergenceRow":
-        return cls(N=N, value=value, reference=reference, abs_error=abs(value - reference))
 
 
 def _dirichlet_periodic(N: int, m: int, M: int) -> float:
@@ -211,8 +190,8 @@ def delta0_comb_action(phi: TestFunction) -> float:
 def deltaN_action(phi: TestFunction, N: int, tol: float) -> float:
     """Action of the order-N windowed kernel: integral of delta_N * phi.
 
-    Integrates over [-pi, pi] clipped to the support, with the oscillation
-    hint N + 1/2; converges to 2*pi*phi(0) as N grows.
+    The kernel integral (kernels._kernel_integral) over [-pi, pi] clipped
+    to the support; converges to 2*pi*phi(0) as N grows.
     """
     _validate_order(N)
     if not tol > 0:
@@ -221,10 +200,7 @@ def deltaN_action(phi: TestFunction, N: int, tol: float) -> float:
     hi = min(math.pi, phi.support[1])
     if not lo < hi:
         return 0.0
-    f = phi.evaluator
-    return integrate_adaptive(
-        lambda x: _windowed_compact(N, x) * f(x), lo, hi, tol, osc_freq=_oscillation(N)
-    ).value
+    return _kernel_integral(N, phi.evaluator, lo, hi, tol).value
 
 
 def _exact_row_sums(terms) -> list:

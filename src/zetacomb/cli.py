@@ -3,7 +3,9 @@
 Six subcommands map one-to-one onto the library surface: exact zeta
 values (zeta), kernel sampling (kernel), delta-sequence convergence
 (action), the two comb routes side by side (comb), partial sums against
-closed forms (fourier), and the truncated sinc integral (sinc).
+closed forms (fourier), and the truncated sinc integral (sinc).  Only
+the three that integrate take --tol: action (whose one kernel-integral
+route is kernels._kernel_integral), comb and sinc.
 
 Output is a single table in text, CSV, or JSON.  Formatting is fixed so
 that identical invocations are byte-identical: floats print via repr
@@ -25,7 +27,6 @@ import math
 import sys
 
 from .actions import (
-    ConvergenceRow,
     delta0_comb_action,
     delta0_partial_action,
     deltaN_action,
@@ -55,34 +56,18 @@ def _int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
 
 
-def _nonneg_int(text: str) -> int:
-    value = _int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _int_in(least: int, cap: int | None = None):
+    """An argparse type: an integer >= least and, given a cap, <= cap."""
 
+    def convert(text: str) -> int:
+        value = _int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        if cap is not None and value > cap:
+            raise argparse.ArgumentTypeError(f"must be <= {cap}, got {value}")
+        return value
 
-def _pos_int(text: str) -> int:
-    value = _int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _max_k(text: str) -> int:
-    value = _pos_int(text)
-    if value > ZETA_MAX_K:
-        raise argparse.ArgumentTypeError(f"must be <= {ZETA_MAX_K}, got {value}")
-    return value
-
-
-def _samples_count(text: str) -> int:
-    value = _int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"need at least 2 samples, got {value}")
-    if value > SAMPLES_CAP:
-        raise argparse.ArgumentTypeError(f"must be <= {SAMPLES_CAP}, got {value}")
-    return value
+    return convert
 
 
 def _finite_float(text: str) -> float:
@@ -119,27 +104,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, tol: bool = False) -> None:
         p.add_argument(
             "--format", choices=("csv", "json", "text"), default="text",
             help="output format (default: text)",
         )
         p.add_argument("--out", metavar="PATH", help="write to PATH instead of stdout")
-        p.add_argument(
-            "--tol", type=_pos_float, default=1e-10,
-            help="quadrature tolerance where applicable (default: 1e-10)",
-        )
+        if tol:
+            p.add_argument(
+                "--tol", type=_pos_float, default=1e-10,
+                help="quadrature tolerance (default: 1e-10)",
+            )
 
     p = sub.add_parser("zeta", help="exact zeta(2k) as rational multiples of pi^2k")
-    p.add_argument("--max-k", type=_max_k, required=True, metavar="K",
+    p.add_argument("--max-k", type=_int_in(1, ZETA_MAX_K), required=True, metavar="K",
                    help=f"emit rows for 2k = 2..2K, K <= {ZETA_MAX_K}")
     p.add_argument("--oracle", action="store_true",
                    help="add the Bernoulli-formula column; values must match")
     common(p)
 
     p = sub.add_parser("kernel", help="sample the order-N kernel in both forms")
-    p.add_argument("--n", type=_nonneg_int, required=True, metavar="N")
-    p.add_argument("--samples", type=_samples_count, default=2001, metavar="M")
+    p.add_argument("--n", type=_int_in(0), required=True, metavar="N")
+    p.add_argument("--samples", type=_int_in(2, SAMPLES_CAP), default=2001, metavar="M")
     p.add_argument("--xmin", type=_finite_float, default=-math.pi)
     p.add_argument("--xmax", type=_finite_float, default=math.pi)
     common(p)
@@ -155,24 +141,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("action", help="kernel action vs 2*pi*phi(0) over a list of N")
     phi_args(p)
     p.add_argument("--n-list", type=_n_list, required=True, metavar="N1,N2,...")
-    common(p)
+    common(p, tol=True)
 
     p = sub.add_parser("comb", help="partial action vs lattice sum at one N")
     phi_args(p)
-    p.add_argument("--n", type=_nonneg_int, required=True, metavar="N")
-    common(p)
+    p.add_argument("--n", type=_int_in(0), required=True, metavar="N")
+    common(p, tol=True)
 
     p = sub.add_parser("fourier", help="partial sum vs closed form on a grid")
     p.add_argument("--order", type=int, choices=(1, 2), required=True)
-    p.add_argument("--n", type=_pos_int, required=True, metavar="N")
-    p.add_argument("--samples", type=_samples_count, required=True, metavar="M")
+    p.add_argument("--n", type=_int_in(1), required=True, metavar="N")
+    p.add_argument("--samples", type=_int_in(2, SAMPLES_CAP), required=True, metavar="M")
     p.add_argument("--xmin", type=_finite_float, required=True)
     p.add_argument("--xmax", type=_finite_float, required=True)
     common(p)
 
     p = sub.add_parser("sinc", help="truncated sinc integral for N = 0..n_max")
-    p.add_argument("--n-max", type=_nonneg_int, required=True, metavar="N")
-    common(p)
+    p.add_argument("--n-max", type=_int_in(0), required=True, metavar="N")
+    common(p, tol=True)
 
     return parser
 
@@ -220,8 +206,8 @@ def _cmd_action(args):
     reference = 2.0 * math.pi * phi(0.0)
     rows = []
     for N in args.n_list:
-        row = ConvergenceRow.make(N, deltaN_action(phi, N, args.tol), reference)
-        rows.append([row.N, row.value, row.reference, row.abs_error])
+        value = deltaN_action(phi, N, args.tol)
+        rows.append([N, value, reference, abs(value - reference)])
     params = {**phi_params, "n_list": args.n_list, "tol": args.tol}
     return params, ["N", "value", "reference", "abs_error"], rows
 

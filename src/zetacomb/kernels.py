@@ -19,12 +19,16 @@ one Kahan lane per grid point.  numpy's float64 cos equals math.cos on
 every point tested, so each lane equals the scalar loop bit for bit; the
 tests assert this.  numpy is imported only there, so the scalar forms and
 the command line start without it.
+
+Every integral of delta_N against a weight f goes through one route,
+_kernel_integral: the normalization takes f = 1 over the window, and the
+kernel action in actions takes f = phi over the clipped support.
 """
 
 import math
 from dataclasses import dataclass
 
-from .quad import QuadratureError, _validate_order, integrate_adaptive
+from .quad import QuadResult, QuadratureError, _validate_order, integrate_adaptive
 
 __all__ = [
     "EPS_SING",
@@ -88,18 +92,6 @@ def _kahan_cos_sum(N: int, r, cos):
         comp = (t - total) - term
         total = t
     return total
-
-
-def _oscillation(N: int) -> float:
-    """N + 1/2, the kernel's top frequency, as a quadrature's oscillation hint.
-
-    An order past the float range raises QuadratureError with no panels
-    used: its seed grid alone would pass any panel budget.
-    """
-    try:
-        return N + 0.5
-    except OverflowError:
-        raise QuadratureError(math.nan, math.inf, 0) from None
 
 
 def dirichlet_sum(N: int, x: float) -> float:
@@ -178,21 +170,29 @@ def kernel_samples(N: int, count: int, xmin: float = -math.pi, xmax: float = mat
     return SampleTable(column_names=("x", "sum_form", "compact_form"), rows=rows)
 
 
-def kernel_normalization(N: int, tol: float, max_panels: int | None = None) -> float:
+def _kernel_integral(N: int, f, lo: float, hi: float, tol: float) -> QuadResult:
+    """Integral of delta_N * f over [lo, hi]: the one kernel-integral route.
+
+    Integrates the O(1) compact form times f with the oscillation hint
+    N + 1/2.  An order past the float range raises QuadratureError with no
+    panels used: its seed grid alone would pass any panel budget.
+    """
+    try:
+        osc_freq = N + 0.5
+    except OverflowError:
+        raise QuadratureError(math.nan, math.inf, 0) from None
+    return integrate_adaptive(
+        lambda x: _windowed_compact(N, x) * f(x), lo, hi, tol, osc_freq=osc_freq
+    )
+
+
+def kernel_normalization(N: int, tol: float) -> float:
     """Integral of delta_N over [-pi, pi]; equals 2*pi for every N.
 
     Every Fourier mode but n=0 has zero mean over the full window, so the
-    constant term alone survives.  Integrates the O(1) compact form with
-    the oscillation hint N + 1/2.  Quadrature failure propagates.
+    constant term alone survives.  The kernel integral with the weight 1
+    (v * 1.0 == v, so this is the plain kernel's integral to the bit).
+    Quadrature failure propagates.
     """
     _validate_order(N)
-    kwargs = {} if max_panels is None else {"max_panels": max_panels}
-    result = integrate_adaptive(
-        lambda x: _windowed_compact(N, x),
-        -math.pi,
-        math.pi,
-        tol,
-        osc_freq=_oscillation(N),
-        **kwargs,
-    )
-    return result.value
+    return _kernel_integral(N, lambda x: 1.0, -math.pi, math.pi, tol).value

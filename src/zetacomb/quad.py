@@ -305,9 +305,7 @@ def _add_exact(partials: list, x: float) -> None:
     partials[i:] = [x]
 
 
-def sinc_table(
-    n_max: int, tol: float, max_panels: int = DEFAULT_PANEL_BUDGET
-) -> list[QuadResult]:
+def sinc_table(n_max: int, tol: float) -> list[QuadResult]:
     """Integral of sin(x)/x over [-(N+1/2)pi, (N+1/2)pi] for N = 0..n_max.
 
     The integrand is even, so [0, (n_max+1/2)pi] is integrated once and
@@ -324,12 +322,12 @@ def sinc_table(
     _validate_order(n_max)
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    if n_max + 1 > max_panels:
+    if n_max + 1 > DEFAULT_PANEL_BUDGET:
         raise QuadratureError(math.nan, math.inf, 0)
     top = (n_max + 0.5) * math.pi
     edges = [0.0] + [(N + 0.5) * math.pi for N in _lattice(0.0, top, math.pi, 0.5)] + [top]
     try:
-        panels, _, _ = _refine(_sinc, edges, 0.5 * tol, max_panels)
+        panels, _, _ = _refine(_sinc, edges, 0.5 * tol, DEFAULT_PANEL_BUDGET)
     except QuadratureError as exc:
         raise QuadratureError(
             2.0 * exc.value, 2.0 * exc.error_estimate, exc.panels_used
@@ -351,6 +349,6 @@ def sinc_table(
     return rows
 
 
-def sinc_truncated(N: int, tol: float, max_panels: int = DEFAULT_PANEL_BUDGET) -> QuadResult:
+def sinc_truncated(N: int, tol: float) -> QuadResult:
     """Integral of sin(x)/x over [-(N+1/2)pi, (N+1/2)pi]: row N of sinc_table."""
-    return sinc_table(N, tol, max_panels)[N]
+    return sinc_table(N, tol)[N]

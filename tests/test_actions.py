@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import zetacomb.actions as actions
+import zetacomb.kernels as kernels
 import zetacomb.quad as quad
 from zetacomb.actions import (
-    ConvergenceRow,
     FOURIER_N_CAP,
     FOURIER_WORK_CAP,
     MODE_SAMPLE_CAP,
@@ -138,7 +138,7 @@ class TestModeTrapezoid:
         def forbidden(*args, **kwargs):
             raise AssertionError("adaptive quadrature called")
 
-        monkeypatch.setattr(actions, "integrate_adaptive", forbidden)
+        monkeypatch.setattr(kernels, "integrate_adaptive", forbidden)
         monkeypatch.setattr(quad, "integrate_adaptive", forbidden)
         v = delta0_partial_action(gaussian_bump(0.0, 1.0), 200, 1e-10)
         assert abs(v - TWO_PI_OVER_E) < 1e-6
@@ -470,13 +470,3 @@ class TestClosedForms:
             left = delta2_closed(k * TWO_PI - 1e-8)
             right = delta2_closed(k * TWO_PI + 1e-8)
             assert abs(left - right) <= 1e-6
-
-
-class TestConvergenceRow:
-    def test_make_computes_error(self):
-        row = ConvergenceRow.make(10, 3.0, math.pi)
-        assert row.abs_error == abs(3.0 - math.pi)
-
-    def test_inconsistent_error_rejected(self):
-        with pytest.raises(ValueError):
-            ConvergenceRow(N=10, value=3.0, reference=math.pi, abs_error=0.0)

@@ -264,6 +264,10 @@ class TestUsageErrors:
             ["fourier", "--order", "1", "--n", "10000001", "--samples", "3", "--xmin", "0", "--xmax", "1"],
             ["kernel", "--n", "1" + "0" * 320, "--samples", "3"],  # past the work cap
             ["kernel", "--n", "100000000", "--samples", "3"],
+            # --tol belongs to the integrating subcommands only
+            ["zeta", "--max-k", "2", "--tol", "1e-9"],
+            ["kernel", "--n", "5", "--tol", "1e-9"],
+            ["fourier", "--order", "1", "--n", "5", "--samples", "5", "--xmin", "0", "--xmax", "1", "--tol", "1e-9"],
         ],
     )
     def test_exit_code_two_with_usage(self, capsys, argv):

@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+from zetacomb.actions import deltaN_action
 import zetacomb.kernels as kernels
 from zetacomb.kernels import (
     EPS_SING,
@@ -16,6 +17,7 @@ from zetacomb.kernels import (
     kernel_samples,
 )
 from zetacomb.quad import QuadratureError
+from zetacomb.testfn import bump_plateau
 
 TWO_PI = 2 * math.pi
 
@@ -239,3 +241,10 @@ class TestNormalization:
         with pytest.raises(QuadratureError) as info:
             kernel_normalization(10**320, 1e-10)
         assert info.value.panels_used == 0
+
+    @pytest.mark.parametrize("N", [0, 1, 50, 5000])
+    def test_is_the_plateau_action_to_the_bit(self, N):
+        # The plateau is 1 on the whole window, and both integrals take the
+        # one kernel-integral route over [-pi, pi].
+        plateau = bump_plateau(math.pi, 1.5 * math.pi)
+        assert kernel_normalization(N, 1e-10) == deltaN_action(plateau, N, 1e-10)

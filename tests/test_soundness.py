@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mpf
 
-from zetacomb import actions
+from zetacomb import kernels
 from zetacomb.actions import _mode_trapezoid, deltaN_action
 from zetacomb.quad import integrate_adaptive, sinc_table
 from zetacomb.testfn import bump_plateau, gaussian_bump
@@ -66,7 +66,7 @@ def action_result(phi, N, tol):
         results.append(integrate_adaptive(*args, **kwargs))
         return results[-1]
 
-    with mock.patch.object(actions, "integrate_adaptive", spy):
+    with mock.patch.object(kernels, "integrate_adaptive", spy):
         value = deltaN_action(phi, N, tol)
     (result,) = results
     assert result.value == value
