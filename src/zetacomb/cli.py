@@ -13,6 +13,11 @@ that identical invocations are byte-identical: floats print via repr
 with LF endings, and JSON is one object {command, params, columns, rows}
 with rows as arrays.
 
+Every invocation imports this module and the library before any work, so
+that import is kept small: the library's records are namedtuples, not
+dataclasses (which load inspect and ast), json and csv are imported only
+for their own --format, and numpy only by kernel and fourier.
+
 Exit codes: 0 success, 2 usage error (argparse's own convention; also an
 argument the library rejects with ValueError or OverflowError, and an --out
 path that cannot be written), 3 numerical failure (a quadrature that cannot
@@ -20,9 +25,7 @@ meet its tolerance, or an oracle mismatch).
 """
 
 import argparse
-import csv
 import io
-import json
 import math
 import sys
 
@@ -274,9 +277,13 @@ def _format_cell(cell) -> str:
 
 def _render(command: str, params: dict, columns: list, rows: list, fmt: str) -> str:
     if fmt == "json":
+        import json
+
         payload = {"command": command, "params": params, "columns": columns, "rows": rows}
         return json.dumps(payload, ensure_ascii=False) + "\n"
     if fmt == "csv":
+        import csv
+
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(columns)

@@ -26,7 +26,7 @@ kernel action in actions takes f = phi over the clipped support.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .quad import QuadResult, QuadratureError, _validate_order, integrate_adaptive
 
@@ -58,17 +58,19 @@ _MIN_LANES = 256
 SAMPLES_CAP = 100_000
 
 
-@dataclass(frozen=True)
-class SampleTable:
+class SampleTable(namedtuple("SampleTable", "column_names rows")):
     """Columns of values over a strictly increasing x grid."""
 
-    column_names: tuple[str, ...]
-    rows: tuple[tuple[float, tuple[float, ...]], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        width = len(self.column_names) - 1
+    def __new__(
+        cls,
+        column_names: tuple[str, ...],
+        rows: tuple[tuple[float, tuple[float, ...]], ...],
+    ):
+        width = len(column_names) - 1
         prev = None
-        for x, values in self.rows:
+        for x, values in rows:
             if len(values) != width:
                 raise ValueError(
                     f"row at x={x} has {len(values)} values, expected {width}"
@@ -76,6 +78,7 @@ class SampleTable:
             if prev is not None and not x > prev:
                 raise ValueError(f"x grid not strictly increasing at {x}")
             prev = x
+        return super().__new__(cls, column_names, rows)
 
 
 def _kahan_cos_sum(N: int, r, cos):

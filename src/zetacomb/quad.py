@@ -32,8 +32,8 @@ accepted panels and no row integrates again from 0.
 import heapq
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable
+from collections import namedtuple
+from collections.abc import Callable
 
 __all__ = [
     "QuadResult",
@@ -78,17 +78,17 @@ _UFLOW = sys.float_info.min
 DEFAULT_PANEL_BUDGET = 1_000_000
 
 
-@dataclass(frozen=True)
-class QuadResult:
-    value: float
-    error_estimate: float
-    panels_used: int
+class QuadResult(namedtuple("QuadResult", "value error_estimate panels_used")):
+    """An integral's value, its error estimate (never NaN) and the panels it took."""
 
-    def __post_init__(self):
-        if self.error_estimate < 0:
+    __slots__ = ()
+
+    def __new__(cls, value: float, error_estimate: float, panels_used: int):
+        if not error_estimate >= 0:
             raise ValueError("error_estimate must be >= 0")
-        if self.panels_used < 1:
+        if panels_used < 1:
             raise ValueError("panels_used must be >= 1")
+        return super().__new__(cls, value, error_estimate, panels_used)
 
 
 class QuadratureError(RuntimeError):
@@ -182,7 +182,8 @@ def _refine(f: Callable[[float], float], edges: list, tol: float, max_panels: in
     right, the summed estimate and the number of panels evaluated.  Raises
     QuadratureError, carrying the best value, when the next bisection would
     pass max_panels, or at once when the rounding floors of the panels alone
-    sum to more than tol, which no bisection can bring down.
+    sum to more than tol, which no bisection can bring down, or when the
+    summed estimate is NaN, as it is once f returns NaN at a node.
     """
     # Heap entries: (-error, sequence number, a, b, value, floor).  The
     # sequence number makes tie-breaking deterministic.
@@ -197,8 +198,10 @@ def _refine(f: Callable[[float], float], edges: list, tol: float, max_panels: in
         total_floor += floor
         panels_used += 1
 
-    while total_err > tol:
-        if total_floor > tol or panels_used + 2 > max_panels:
+    # Written so that a NaN estimate enters the loop and fails there: no
+    # bisection can bring it below tol.
+    while not total_err <= tol:
+        if math.isnan(total_err) or total_floor > tol or panels_used + 2 > max_panels:
             accepted = sorted(heap, key=lambda e: e[2])
             best = math.fsum(entry[4] for entry in accepted)
             raise QuadratureError(best, total_err, panels_used)

@@ -13,8 +13,8 @@ modified function beta*sigma*phi, which shares phi's value at 0.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from collections import namedtuple
+from collections.abc import Callable
 
 __all__ = [
     "TestFunction",
@@ -27,17 +27,15 @@ __all__ = [
 _SIGMA_DOMAIN = 1.5 * math.pi
 
 
-@dataclass(frozen=True)
-class TestFunction:
+class TestFunction(namedtuple("TestFunction", "evaluator support label")):
     """Smooth function vanishing identically outside [support[0], support[1]]."""
 
-    evaluator: Callable[[float], float]
-    support: tuple[float, float]
-    label: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.support[0] < self.support[1]:
-            raise ValueError(f"empty support interval {self.support}")
+    def __new__(cls, evaluator: Callable[[float], float], support: tuple[float, float], label: str):
+        if not support[0] < support[1]:
+            raise ValueError(f"empty support interval {support}")
+        return super().__new__(cls, evaluator, support, label)
 
     def __call__(self, x: float) -> float:
         return self.evaluator(x)

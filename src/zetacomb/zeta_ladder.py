@@ -36,7 +36,7 @@ so the module is safe for concurrent use and always deterministic.
 
 import math
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .exactalg import PiNumber
@@ -63,8 +63,7 @@ def _pi_multiple(x: PiNumber) -> Fraction:
     return t
 
 
-@dataclass(frozen=True)
-class LadderState:
+class LadderState(namedtuple("LadderState", "order coeffs")):
     """Closed form of the order-k antiderivative on (0, 2*pi).
 
     ``coeffs`` are the rational coefficients of q_k(t), lowest power first,
@@ -73,8 +72,7 @@ class LadderState:
     P_k(x) = x**k / k!, whose mean fixes the constant of q_k.
     """
 
-    order: int
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ()
 
     def q(self, x: PiNumber) -> PiNumber:
         """Q_k(x) exactly, for x zero or a rational multiple of pi."""
@@ -98,19 +96,18 @@ class LadderState:
         return " + ".join(parts) or "0"
 
 
-@dataclass(frozen=True)
-class ZetaValue:
+class ZetaValue(namedtuple("ZetaValue", "two_k value")):
     """zeta(two_k) as an exact positive rational multiple of pi**two_k."""
 
-    two_k: int
-    value: PiNumber
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.value.coefficient(self.two_k) <= 0:
+    def __new__(cls, two_k: int, value: PiNumber):
+        if value.coefficient(two_k) <= 0:
             raise ValueError(
-                f"zeta({self.two_k}) must be a positive multiple of "
-                f"pi^{self.two_k}, got {self.value!r}"
+                f"zeta({two_k}) must be a positive multiple of "
+                f"pi^{two_k}, got {value!r}"
             )
+        return super().__new__(cls, two_k, value)
 
     @property
     def coefficient(self) -> Fraction:

@@ -450,11 +450,20 @@ def test_every_argv_exits_zero_two_or_three(argv):
     assert "Traceback" not in err.getvalue()
 
 
-def numpy_loaded_after(probe, *args):
-    """Run probe in a fresh interpreter; its stdout, with 'numpy' in sys.modules appended."""
+def modules_added_by(probe, modules, *args):
+    """Run probe in a fresh interpreter; its stdout words, then those of modules it added.
+
+    A module counts as added when it is in sys.modules after the probe but
+    was not before it, so what site loads at start-up does not count.
+    """
     src = str(Path(zetacomb.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = f"import sys\n{probe}\nprint('numpy' in sys.modules)"
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        f"{probe}\n"
+        f"print(*[m for m in {list(modules)!r} if m in sys.modules and m not in before])"
+    )
     result = subprocess.run(
         [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
     )
@@ -466,7 +475,7 @@ RUN_ARGV = "import os, zetacomb.cli as cli\nprint(cli.run(sys.argv[1:] + ['--out
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    assert numpy_loaded_after("import zetacomb.cli") == ["False"]
+    assert modules_added_by("import zetacomb.cli", ["numpy"]) == []
 
 
 @pytest.mark.parametrize(
@@ -480,9 +489,24 @@ def test_cli_import_leaves_numpy_unloaded():
 )
 def test_runs_without_series_leave_numpy_unloaded(argv):
     # Only kernel and fourier need numpy; the exact and quadrature routes start without it.
-    assert numpy_loaded_after(RUN_ARGV, *argv) == ["0", "False"]
+    assert modules_added_by(RUN_ARGV, ["numpy"], *argv) == ["0"]
 
 
 def test_series_runs_load_numpy():
     # The probe above can tell: a kernel table does load numpy.
-    assert numpy_loaded_after(RUN_ARGV, "kernel", "--n", "3", "--samples", "5") == ["0", "True"]
+    assert modules_added_by(RUN_ARGV, ["numpy"], "kernel", "--n", "3", "--samples", "5") == ["0", "numpy"]
+
+
+def test_cli_import_stays_within_its_budget():
+    # Every command pays for the import: records are namedtuples, not
+    # dataclasses (which pull in inspect), and each format loads its own module.
+    heavy = ["dataclasses", "inspect", "typing", "json", "csv", "numpy"]
+    assert modules_added_by("import zetacomb.cli", heavy) == []
+
+
+@pytest.mark.parametrize(
+    "fmt, added", [("json", ["json"]), ("csv", ["csv"]), ("text", [])], ids=["json", "csv", "text"]
+)
+def test_each_format_loads_only_its_own_module(fmt, added):
+    argv = ["zeta", "--max-k", "3", "--format", fmt]
+    assert modules_added_by(RUN_ARGV, ["json", "csv"], *argv) == ["0", *added]

@@ -128,6 +128,29 @@ class TestIntegrateAdaptive:
         assert info.value.panels_used == 1
         assert abs(info.value.value - TWO_PI) <= 1e-12
 
+    def test_nan_integrand_fails_at_once(self):
+        with pytest.raises(QuadratureError) as info:
+            integrate_adaptive(lambda x: math.nan, 0.0, 1.0, 1e-10)
+        assert info.value.panels_used == 1
+        assert math.isnan(info.value.error_estimate)
+
+    @pytest.mark.parametrize(
+        "g, b, panels",
+        [
+            (math.exp, 1.0, 1),  # a seed node lands in the NaN window
+            (lambda x: math.cos(40.0 * x), 2.0, 3),  # only the first bisection does
+        ],
+        ids=["seed", "bisection"],
+    )
+    def test_nan_on_a_subinterval_fails(self, g, b, panels):
+        def f(x):
+            return math.nan if 0.70 <= x <= 0.71 else g(x)
+
+        with pytest.raises(QuadratureError) as info:
+            integrate_adaptive(f, 0.0, b, 1e-10)
+        assert info.value.panels_used == panels
+        assert math.isnan(info.value.error_estimate)
+
     def test_seed_grid_past_budget_is_not_attempted(self):
         calls = []
         for osc_freq, max_panels in ((1e11, DEFAULT_PANEL_BUDGET), (40.0, 39)):
@@ -224,6 +247,8 @@ class TestQuadResult:
             QuadResult(1.0, -1e-3, 5)
         with pytest.raises(ValueError):
             QuadResult(1.0, 0.0, 0)
+        with pytest.raises(ValueError):
+            QuadResult(1.0, math.nan, 1)
         r = QuadResult(1.0, 0.0, 1)
         assert r.error_estimate == 0.0
 
