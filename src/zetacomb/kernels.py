@@ -11,8 +11,9 @@ is evidence, not tautology.
 The sum form is the accuracy reference: cosine-only evaluation on |x|
 makes it even to the last bit, and Kahan compensation keeps the peak
 value 2N+1 exact even for N in the tens of thousands.  The compact form
-is the O(1) workhorse but loses digits to sin(x/2) cancellation near 0,
-where it falls back to the sum form below a fixed threshold.
+is the O(1) workhorse on the whole window, within 2*eps*(2N+1) of the
+true value; it returns 2N+1 where (N+1/2)*|x| is below 2^-27, which is
+the correctly rounded value there, so x = 0 never divides.
 
 A sample table runs the sum form's loop once, on an ndarray of |x| with
 one Kahan lane per grid point.  numpy's float64 cos equals math.cos on
@@ -41,8 +42,8 @@ __all__ = [
     "kernel_normalization",
 ]
 
-# Below this, relative error of the compact form grows like (N*x)^2 * eps
-# while the sum form stays exact; above it, both carry full precision.
+# The band around x = 0 that acceptance criterion 6 leaves out when it
+# compares the two forms; no library code branches on it.
 EPS_SING = 1e-6
 
 # Most lane-steps one sample table may take (about 2 s): the order N times
@@ -110,10 +111,10 @@ def dirichlet_sum(N: int, x: float) -> float:
 
 
 def dirichlet_compact(N: int, x: float) -> float:
-    """sin((N+1/2)*x) / sin(x/2), valid on |x| < pi.
+    """sin((N+1/2)*x) / sin(x/2), valid on |x| < pi; O(1) in N.
 
-    The singularity at x=0 is removable; below EPS_SING the exact sum form
-    is returned instead of fighting the 0/0 cancellation.
+    The singularity at x=0 is removable: where (N+1/2)*|x| < 2^-27 the
+    value is 2N+1.  Shares no code with dirichlet_sum.
     """
     _validate_order(N)
     if abs(x) >= math.pi:
@@ -126,9 +127,12 @@ def _windowed_compact(N: int, x: float) -> float:
     r = abs(x)
     if r >= math.pi:
         return 0.0
-    if r < EPS_SING:
-        return dirichlet_sum(N, r)
-    return math.sin((N + 0.5) * r) / math.sin(0.5 * r)
+    u = (N + 0.5) * r
+    if u < 2**-27:
+        # The true value falls short of 2N+1 by about u^2/6 relative, under
+        # half an ulp, so 2N+1 is its rounding; r = 0 or subnormal never divides.
+        return float(2 * N + 1)
+    return math.sin(u) / math.sin(0.5 * r)
 
 
 def kernel_samples(N: int, count: int, xmin: float = -math.pi, xmax: float = math.pi) -> SampleTable:
@@ -165,11 +169,7 @@ def kernel_samples(N: int, count: int, xmin: float = -math.pi, xmax: float = mat
 
     rs = np.abs(np.array(xs))
     sums = np.where(rs < math.pi, _kahan_cos_sum(N, rs, np.cos), 0.0)
-    # Below EPS_SING the compact form is the sum form, already in its lane.
-    rows = tuple(
-        (x, (s, s if abs(x) < EPS_SING else _windowed_compact(N, x)))
-        for x, s in zip(xs, sums.tolist())
-    )
+    rows = tuple((x, (s, _windowed_compact(N, x))) for x, s in zip(xs, sums.tolist()))
     return SampleTable(column_names=("x", "sum_form", "compact_form"), rows=rows)
 
 

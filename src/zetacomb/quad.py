@@ -175,15 +175,15 @@ def _kronrod_panel(f: Callable[[float], float], a: float, b: float):
     return result, abserr, floor
 
 
-def _refine(f: Callable[[float], float], edges: list, tol: float, max_panels: int):
+def _refine(f: Callable[[float], float], edges: list, tol: float):
     """Bisect the worst panel of the grid edges until the summed estimate is within tol.
 
     Returns the accepted panels as (left, right, value, error) from left to
     right, the summed estimate and the number of panels evaluated.  Raises
     QuadratureError, carrying the best value, when the next bisection would
-    pass max_panels, or at once when the rounding floors of the panels alone
-    sum to more than tol, which no bisection can bring down, or when the
-    summed estimate is NaN, as it is once f returns NaN at a node.
+    pass DEFAULT_PANEL_BUDGET (read at call time), or at once when the
+    rounding floors of the panels alone sum to more than tol, which no
+    bisection can bring down, or when the summed estimate is NaN.
     """
     # Heap entries: (-error, sequence number, a, b, value, floor).  The
     # sequence number makes tie-breaking deterministic.
@@ -201,7 +201,7 @@ def _refine(f: Callable[[float], float], edges: list, tol: float, max_panels: in
     # Written so that a NaN estimate enters the loop and fails there: no
     # bisection can bring it below tol.
     while not total_err <= tol:
-        if math.isnan(total_err) or total_floor > tol or panels_used + 2 > max_panels:
+        if math.isnan(total_err) or total_floor > tol or panels_used + 2 > DEFAULT_PANEL_BUDGET:
             accepted = sorted(heap, key=lambda e: e[2])
             best = math.fsum(entry[4] for entry in accepted)
             raise QuadratureError(best, total_err, panels_used)
@@ -243,7 +243,6 @@ def integrate_adaptive(
     b: float,
     tol: float,
     osc_freq: float = 0.0,
-    max_panels: int = DEFAULT_PANEL_BUDGET,
 ) -> QuadResult:
     """Integrate f over [a, b] to absolute tolerance tol.
 
@@ -268,21 +267,21 @@ def integrate_adaptive(
     width = b - a
     if osc_freq == 0:
         seed_width = min(width, 2.0 * math.pi)
-        if width / seed_width > max_panels:
+        if width / seed_width > DEFAULT_PANEL_BUDGET:
             raise QuadratureError(math.nan, math.inf, 0)
         n_seed = math.ceil(width / seed_width)
         edges = [a + width * (i / n_seed) for i in range(n_seed)] + [b]
     else:
         # width * w / 2pi periods need at least that many panels; checked
         # first so that an infinite or huge count never reaches the lattice.
-        if not width * osc_freq / (2.0 * math.pi) <= max_panels:
+        if not width * osc_freq / (2.0 * math.pi) <= DEFAULT_PANEL_BUDGET:
             raise QuadratureError(math.nan, math.inf, 0)
         period = 2.0 * math.pi / osc_freq
         ks = _lattice(a, b, period)
-        if len(ks) + 1 > max_panels:
+        if len(ks) + 1 > DEFAULT_PANEL_BUDGET:
             raise QuadratureError(math.nan, math.inf, 0)
         edges = [a] + [k * period for k in ks] + [b]
-    panels, total_err, panels_used = _refine(f, edges, tol, max_panels)
+    panels, total_err, panels_used = _refine(f, edges, tol)
     value = math.fsum(panel[2] for panel in panels)
     return QuadResult(value=value, error_estimate=total_err, panels_used=panels_used)
 
@@ -330,7 +329,7 @@ def sinc_table(n_max: int, tol: float) -> list[QuadResult]:
     top = (n_max + 0.5) * math.pi
     edges = [0.0] + [(N + 0.5) * math.pi for N in _lattice(0.0, top, math.pi, 0.5)] + [top]
     try:
-        panels, _, _ = _refine(_sinc, edges, 0.5 * tol, DEFAULT_PANEL_BUDGET)
+        panels, _, _ = _refine(_sinc, edges, 0.5 * tol)
     except QuadratureError as exc:
         raise QuadratureError(
             2.0 * exc.value, 2.0 * exc.error_estimate, exc.panels_used

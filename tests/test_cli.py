@@ -108,6 +108,15 @@ class TestKernel:
             "b0326c9691f55ce680e37a4cb6fcff75a34cfa432c7829b4d0f9bd1f3a84ae40"
         )
 
+    def test_subnormal_x_is_the_peak(self, capsys):
+        # sin(x/2) underflows to 0 at x = 5e-324; the compact form must not divide.
+        argv = ["kernel", "--n", "7", "--samples", "3", "--xmin=-5e-324", "--xmax=5e-324", "--format", "csv"]
+        code, out, _ = run_text(capsys, argv)
+        assert code == 0
+        rows = parse_csv(out)[1]
+        assert len(rows) == 3
+        assert all(row[1:] == ["15.0", "15.0"] for row in rows)
+
 
 class TestActionCommand:
     ARGS = ["action", "--phi", "gauss", "--n-list", "10,50", "--tol", "1e-9"]

@@ -1,8 +1,12 @@
 import math
 import random
+import sys
+import time
 import tracemalloc
 
+import mpmath
 import pytest
+from hypothesis import given, strategies as st
 
 from zetacomb.actions import deltaN_action
 import zetacomb.kernels as kernels
@@ -85,10 +89,50 @@ class TestDirichletCompact:
         # sin(3pi/4)/sin(pi/4) = 1
         assert abs(dirichlet_compact(1, math.pi / 2) - 1.0) < 1e-12
 
-    def test_fallback_near_zero_is_sum_form(self):
-        for x in (0.0, 1e-9, -1e-7, EPS_SING / 2):
-            assert dirichlet_compact(50, x) == dirichlet_sum(50, x)
-        assert dirichlet_compact(50, 0.0) == 101.0
+    @pytest.mark.parametrize("N", [0, 1, 50, 10**7])
+    def test_peak_value_at_zero_and_subnormal_x(self, N):
+        for x in (0.0, -0.0, 5e-324, -1e-310, 2.0**-1022):
+            assert dirichlet_compact(N, x) == 2 * N + 1
+
+    @given(
+        N=st.integers(0, 10**7),
+        r=st.one_of(
+            st.floats(-300.0, math.log10(EPS_SING)).map(lambda e: 10.0**e),
+            st.floats(1e-8, EPS_SING, exclude_max=True),
+            st.floats(EPS_SING, math.pi, exclude_max=True),
+        ).filter(lambda r: 0.0 < r < math.pi),
+    )
+    def test_within_two_eps_on_the_kernel_scale(self, N, r):
+        # On the kernel's scale 2N+1: relative to the value itself the error
+        # is unbounded, since (N+1/2)*r can sit on a zero of the kernel.
+        with mpmath.workdps(40):
+            mr = mpmath.mpf(r)
+            true = mpmath.sin((N + mpmath.mpf(1) / 2) * mr) / mpmath.sin(mr / 2)
+            error = abs(mpmath.mpf(dirichlet_compact(N, r)) - true)
+        assert error <= 2 * sys.float_info.epsilon * (2 * N + 1)
+
+    def test_never_runs_the_sum_loop(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the compact form ran the sum form's loop")
+
+        monkeypatch.setattr(kernels, "_kahan_cos_sum", refuse)
+        assert abs(dirichlet_compact(50, 1e-7) - 101.0) <= 1e-9
+        assert abs(kernel_normalization(50, 1e-10) - TWO_PI) <= 1e-9
+        plateau = bump_plateau(math.pi, 1.5 * math.pi)
+        assert abs(deltaN_action(plateau, 50, 1e-10) - TWO_PI) <= 1e-9
+
+    @pytest.mark.parametrize("x", [0.0, 1e-7, 0.5])
+    def test_order_past_the_float_range_fails_at_once(self, x):
+        start = time.perf_counter()
+        with pytest.raises(OverflowError):
+            dirichlet_compact(10**400, x)
+        assert time.perf_counter() - start < 1.0
+
+    def test_huge_order_near_zero_is_o1(self):
+        start = time.perf_counter()
+        value = dirichlet_compact(10**12, 1e-7)
+        assert time.perf_counter() - start < 1.0
+        assert abs(value) <= 2 * 10**12 + 1
 
     def test_agreement_with_sum_form(self):
         assert abs(dirichlet_compact(50, 0.1) - dirichlet_sum(50, 0.1)) < 1e-11
@@ -99,8 +143,6 @@ class TestDirichletCompact:
         count = 10**4
         for i in range(count):
             x = -math.pi + (i + 0.5) * TWO_PI / count
-            if abs(x) < EPS_SING:
-                continue
             assert abs(dirichlet_sum(N, x) - dirichlet_compact(N, x)) <= budget
 
     def test_domain_error_outside_window(self):
@@ -151,13 +193,12 @@ class TestKernelSamples:
         table = kernel_samples(N, count, xmin, xmax)
         for x, (s, c) in table.rows:
             assert s == scalar_kahan_sum(N, x)
-            if abs(x) < EPS_SING:
-                assert c == s
 
     def test_compact_column_is_the_compact_form(self):
-        table = kernel_samples(37, 301)
-        for x, (_, c) in table.rows:
-            assert c == (0.0 if abs(x) >= math.pi else dirichlet_compact(37, x))
+        # The second grid lies inside the band |x| < EPS_SING around the peak.
+        for N, args in ((37, (301,)), (7, (5, -1e-7, 1e-7))):
+            for x, (_, c) in kernel_samples(N, *args).rows:
+                assert c == (0.0 if abs(x) >= math.pi else dirichlet_compact(N, x))
 
     def test_work_cap(self, monkeypatch):
         # max(N, 1) * max(count, 256) may reach the cap but not pass it.

@@ -109,11 +109,10 @@ class TestIntegrateAdaptive:
         assert r1.error_estimate == r2.error_estimate
         assert r1.panels_used == r2.panels_used
 
-    def test_budget_exhaustion_reports_best_value(self):
+    def test_budget_exhaustion_reports_best_value(self, monkeypatch):
+        monkeypatch.setattr(quad, "DEFAULT_PANEL_BUDGET", 9)
         with pytest.raises(QuadratureError) as info:
-            integrate_adaptive(
-                lambda x: math.sin(50.0 * x), 0.0, 10.0, 1e-13, max_panels=9
-            )
+            integrate_adaptive(lambda x: math.sin(50.0 * x), 0.0, 10.0, 1e-13)
         err = info.value
         assert math.isfinite(err.value)
         assert err.error_estimate > 1e-13
@@ -151,13 +150,13 @@ class TestIntegrateAdaptive:
         assert info.value.panels_used == panels
         assert math.isnan(info.value.error_estimate)
 
-    def test_seed_grid_past_budget_is_not_attempted(self):
+    def test_seed_grid_past_budget_is_not_attempted(self, monkeypatch):
         calls = []
-        for osc_freq, max_panels in ((1e11, DEFAULT_PANEL_BUDGET), (40.0, 39)):
+        for osc_freq, budget in ((1e11, DEFAULT_PANEL_BUDGET), (40.0, 39)):
+            monkeypatch.setattr(quad, "DEFAULT_PANEL_BUDGET", budget)
             with pytest.raises(QuadratureError) as info:
                 integrate_adaptive(
-                    lambda x: calls.append(x) or 0.0, 0.0, TWO_PI, 1e-10,
-                    osc_freq=osc_freq, max_panels=max_panels,
+                    lambda x: calls.append(x) or 0.0, 0.0, TWO_PI, 1e-10, osc_freq=osc_freq
                 )
             assert info.value.panels_used == 0
             assert "not attempted" in str(info.value)
@@ -167,9 +166,9 @@ class TestIntegrateAdaptive:
         seeds = []
         refine = quad._refine
 
-        def spy(f, edges, tol, max_panels):
+        def spy(f, edges, tol):
             seeds.append(edges)
-            return refine(f, edges, tol, max_panels)
+            return refine(f, edges, tol)
 
         monkeypatch.setattr(quad, "_refine", spy)
         N = 37
