@@ -20,8 +20,8 @@ for their own --format, and numpy only by kernel and fourier.
 
 Exit codes: 0 success, 2 usage error (argparse's own convention; also an
 argument the library rejects with ValueError or OverflowError, and an --out
-path that cannot be written), 3 numerical failure (a quadrature that cannot
-meet its tolerance, or an oracle mismatch).
+path or a stdout that cannot be written), 3 numerical failure (a quadrature
+that cannot meet its tolerance, or an oracle mismatch).
 """
 
 import argparse
@@ -322,15 +322,15 @@ def run(argv=None) -> int:
         # an argument that parses but that the library rejects
         return _usage_error(parser, exc)
     text = _render(args.subcommand, params, columns, rows, args.format)
-    if args.out is None:
-        sys.stdout.write(text)
-        return 0
     try:
-        handle = open(args.out, "w", encoding="utf-8", newline="\n")
+        if args.out is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
     except OSError as exc:
         return _usage_error(parser, exc)
-    with handle:
-        handle.write(text)
     return 0
 
 

@@ -6,10 +6,12 @@ one-sided derivative vanishes.  Evaluators return exactly 0.0 (not merely
 something tiny) outside the declared support, which lets integrators clip
 ranges with no boundary error at all.
 
-The plateau bump is exactly 1 on its inner interval; the correction
-factor sigma(x) = (x/2)/sin(x/2) turns an integral of the truncated
-kernel against phi into the integral of a plain Fourier mode against the
-modified function beta*sigma*phi, which shares phi's value at 0.
+The plateau bump beta = bump_plateau(pi, 3*pi/2) is exactly 1 on
+[-pi, pi], where sin(x/2) = (x/2)/sigma(x) with sigma(x) = (x/2)/sin(x/2).
+So the order-N kernel times phi is exactly 2*sin((N+1/2)*x)/x times
+phi_tilde = beta*sigma*phi there, and u = (N+1/2)*x turns the kernel
+action into the sinc integral of 2*sin(u)/u against phi_tilde(u/(N+1/2)),
+which shares phi's value at 0.
 """
 
 import math
@@ -79,36 +81,18 @@ def bump_plateau(inner: float, outer: float) -> TestFunction:
     )
 
 
-# Even Taylor coefficients of (x/2)/sin(x/2); truncation below 1e-18 for
-# |x| <= 0.6, so the branch switch at 0.5 costs nothing.
-_SIGMA_SERIES = (
-    1.0,
-    1 / 24,
-    7 / 5760,
-    31 / 967680,
-    127 / 154828800,
-    73 / 3503554560,
-    1414477 / 2678117105664000,
-    8191 / 612141052723200,
-    16931177 / 49950709902213120000,
-)
-
-
 def sigma_eval(x: float) -> float:
     """sigma(x) = (x/2)/sin(x/2), with sigma(0) = 1, on |x| <= 3*pi/2.
 
-    Direct formula for |x| >= 0.5; below that sin(x/2) loses digits to
-    cancellation against x/2, so a fixed even Taylor polynomial takes over.
+    One formula: x/2 is exact and sin keeps its relative accuracy near 0.
+    Below 2**-26 the true value 1 + x**2/24 + ... rounds to 1.0, which is
+    returned, so x = 0 or a subnormal x never divides.
     """
     if abs(x) > _SIGMA_DOMAIN:
         raise ValueError(f"sigma is defined on |x| <= 3*pi/2, got {x}")
-    if abs(x) >= 0.5:
-        return (0.5 * x) / math.sin(0.5 * x)
-    x2 = x * x
-    acc = 0.0
-    for c in reversed(_SIGMA_SERIES):
-        acc = acc * x2 + c
-    return acc
+    if abs(x) < 2**-26:
+        return 1.0
+    return (0.5 * x) / math.sin(0.5 * x)
 
 
 def gaussian_bump(center: float, radius: float) -> TestFunction:
@@ -150,10 +134,7 @@ def phi_tilde(phi: TestFunction) -> TestFunction:
         b = beta(x)
         if b == 0.0:
             return 0.0
-        p = phi(x)
-        if p == 0.0:
-            return 0.0
-        return b * sigma_eval(x) * p
+        return b * sigma_eval(x) * phi(x)
 
     return TestFunction(
         evaluator=evaluator,

@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import zetacomb.actions as actions
 import zetacomb.kernels as kernels
@@ -28,7 +29,7 @@ from zetacomb.actions import (
 )
 from zetacomb.kernels import dirichlet_sum
 from zetacomb.quad import QuadratureError, integrate_adaptive
-from zetacomb.testfn import bump_plateau, gaussian_bump
+from zetacomb.testfn import bump_plateau, gaussian_bump, phi_tilde
 
 TWO_PI = 2 * math.pi
 PI2 = math.pi**2
@@ -204,7 +205,41 @@ class TestCoefficientDecay:
                 assert m <= fitted / n**k
 
 
+def sigma_route(phi, N, lo, hi, tol):
+    """The kernel action over [lo, hi] inside the window, computed through sigma.
+
+    There D_N(x)*phi(x) = 2*sin(w*x)/x * phi_tilde(x) with w = N + 1/2, and
+    u = w*x turns the action into the integral of 2*sin(u)/u * phi_tilde(u/w)
+    over [w*lo, w*hi].  It runs on v = u + pi, so its seed edges v = 2*pi*k
+    fall on u = (2k+1)*pi, off the action's lattice u = 2*pi*k; on v = u the
+    two runs would bisect the same panels.
+    """
+    w = N + 0.5
+    pt = phi_tilde(phi)
+
+    def f(v):
+        u = v - math.pi
+        return 2.0 * pt(u / w) if u == 0.0 else 2.0 * math.sin(u) / u * pt(u / w)
+
+    return integrate_adaptive(f, lo * w + math.pi, hi * w + math.pi, tol, osc_freq=1.0)
+
+
 class TestDeltaNAction:
+    @given(
+        st.floats(0.05, 1.5),
+        st.floats(-1.0, 1.0),
+        st.integers(0, 2000),
+        st.sampled_from([1e-8, 1e-10, 1e-12]),
+    )
+    def test_agrees_with_the_sigma_route(self, radius, s, N, tol):
+        # different integrand, variable and seed lattice, and no 1/sin(x/2)
+        phi = gaussian_bump(s * (math.pi - radius), radius)
+        lo = max(-math.pi, phi.support[0])
+        hi = min(math.pi, phi.support[1])
+        action = kernels._kernel_integral(N, phi.evaluator, lo, hi, tol)
+        sigma = sigma_route(phi, N, lo, hi, tol)
+        assert abs(action.value - sigma.value) <= action.error_estimate + sigma.error_estimate
+
     def test_order_zero_is_plain_integral(self):
         v = deltaN_action(gaussian_bump(0.0, 1.0), 0, 1e-10)
         assert abs(v - MOLLIFIER_INTEGRAL) <= 1e-9

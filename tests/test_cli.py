@@ -26,6 +26,12 @@ def run_text(capsys, argv):
     return code, captured.out, captured.err
 
 
+def src_env():
+    """The environment with the imported zetacomb's source tree first on PYTHONPATH."""
+    src = str(Path(zetacomb.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def parse_csv(text):
     rows = list(csv.reader(text.splitlines()))
     return rows[0], rows[1:]
@@ -326,6 +332,27 @@ class TestUsageErrors:
         assert str(target) in err
         assert not target.parent.exists()
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_out_path_that_cannot_be_written_exits_two(self, capsys):
+        # /dev/full opens, but every write fails with ENOSPC
+        code, out, err = run_text(capsys, ["zeta", "--max-k", "5", "--out", "/dev/full"])
+        assert code == 2
+        assert out == ""
+        assert "usage" in err.lower()
+        assert "No space left on device" in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_stdout_that_cannot_be_written_exits_two(self):
+        with open("/dev/full", "w") as full:
+            result = subprocess.run(
+                [sys.executable, "-m", "zetacomb.cli", "zeta", "--max-k", "5"],
+                env=src_env(), stdout=full, stderr=subprocess.PIPE, text=True,
+            )
+        assert result.returncode == 2
+        assert "usage" in result.stderr.lower()
+        assert "Traceback" not in result.stderr
+        assert "Exception ignored" not in result.stderr
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -465,8 +492,6 @@ def modules_added_by(probe, modules, *args):
     A module counts as added when it is in sys.modules after the probe but
     was not before it, so what site loads at start-up does not count.
     """
-    src = str(Path(zetacomb.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -474,7 +499,7 @@ def modules_added_by(probe, modules, *args):
         f"print(*[m for m in {list(modules)!r} if m in sys.modules and m not in before])"
     )
     result = subprocess.run(
-        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, *args], env=src_env(), capture_output=True, text=True, check=True
     )
     return result.stdout.split()
 
