@@ -27,6 +27,7 @@ that cannot meet its tolerance, or an oracle mismatch).
 import argparse
 import io
 import math
+import os
 import sys
 
 from .actions import (
@@ -330,6 +331,11 @@ def run(argv=None) -> int:
             with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
                 handle.write(text)
     except OSError as exc:
+        if args.out is None:
+            # stdout's unwritten bytes would fail again in the flush at exit: send them to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if isinstance(exc, BrokenPipeError):
+                return 2  # the reader closed the pipe, as `| head` does: no error to report
         return _usage_error(parser, exc)
     return 0
 

@@ -9,12 +9,11 @@ import os
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
+from conftest import src_env
 from hypothesis import given, strategies as st
 
-import zetacomb
 import zetacomb.cli as cli
 from zetacomb.actions import MODE_SAMPLE_CAP, delta2_closed
 from zetacomb.quad import sinc_truncated
@@ -24,12 +23,6 @@ def run_text(capsys, argv):
     code = cli.run(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def src_env():
-    """The environment with the imported zetacomb's source tree first on PYTHONPATH."""
-    src = str(Path(zetacomb.__file__).resolve().parent.parent)
-    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
 
 def parse_csv(text):
@@ -342,16 +335,35 @@ class TestUsageErrors:
         assert "No space left on device" in err
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    def test_stdout_that_cannot_be_written_exits_two(self):
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_stdout_that_cannot_be_written_exits_two(self, unbuffered):
+        # buffered, the failed bytes stay in stdout's buffer and the
+        # interpreter's flush at exit would fail again with exit code 120
         with open("/dev/full", "w") as full:
             result = subprocess.run(
                 [sys.executable, "-m", "zetacomb.cli", "zeta", "--max-k", "5"],
-                env=src_env(), stdout=full, stderr=subprocess.PIPE, text=True,
+                env=src_env(PYTHONUNBUFFERED=unbuffered), stdout=full, stderr=subprocess.PIPE,
+                text=True,
             )
         assert result.returncode == 2
         assert "usage" in result.stderr.lower()
         assert "Traceback" not in result.stderr
         assert "Exception ignored" not in result.stderr
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_closed_pipe_exits_two_quietly(self, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "zetacomb.cli", "zeta", "--max-k", "5"],
+                env=src_env(PYTHONUNBUFFERED=unbuffered), stdout=write_end,
+                stderr=subprocess.PIPE, text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 2
+        assert result.stderr == ""
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,14 +1,12 @@
 """Every demo runs to the end: exit 0, nothing on stderr, within 5 s."""
 
-import os
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
-
-import zetacomb
+from conftest import src_env
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
@@ -19,11 +17,9 @@ def test_all_six_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs_cleanly(demo):
-    src = str(Path(zetacomb.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     start = time.perf_counter()
     result = subprocess.run(
-        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, str(demo)], env=src_env(), capture_output=True, text=True, timeout=60
     )
     elapsed = time.perf_counter() - start
     assert result.returncode == 0, result.stderr
