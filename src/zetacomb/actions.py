@@ -24,20 +24,25 @@ clear of lattice points; the order-2 series converges absolutely with
 tail below 2/N, so it is compared everywhere.
 
 The partial sums run over a whole x grid at once, in fixed-size chunks of
-orders n.  Each chunk is a block of grid rows by n, and each row is reduced
-exactly by error-free extraction (Rump, Ogita & Oishi, 2008): a few numpy
-passes split the terms into partials whose sums carry no rounding, and
-math.fsum of those partials is the correctly rounded chunk sum, the same
-float math.fsum of the terms would give.  The chunk sums are then added
-exactly in a fixed order, so results are deterministic and effectively
-free of accumulation error; odd sums are computed on |x| and sign-flipped
-so antisymmetry holds bit-for-bit.  numpy is imported only by the partial
-sums (and the kernel's sample table), so the other routes and the command
-line start without it.
+orders n.  Each chunk is cut into blocks of grid rows by a range of n, and
+each block row is reduced by error-free extraction (Rump, Ogita & Oishi,
+2008): a few numpy passes split the terms into partials whose sums carry
+no rounding.  math.fsum of all the partials a row gets in a chunk is the
+correctly rounded chunk sum, the same float math.fsum of the terms would
+give, so the bits depend neither on the blocks nor on who computed them.
+That lets the blocks run on two threads, the caller's and one more, where
+the process may use two CPUs: numpy releases the interpreter lock inside
+its array passes.  The chunk sums are then added exactly in a fixed order,
+so results are deterministic and effectively free of accumulation error;
+odd sums are computed on |x| and sign-flipped so antisymmetry holds
+bit-for-bit.  numpy is imported only by the partial sums (and the kernel's
+sample table), so the other routes and the command line start without it.
 """
 
 import math
+import os
 import sys
+import threading
 
 from .kernels import _kernel_integral
 from .quad import QuadratureError, _validate_order
@@ -61,8 +66,9 @@ _CHUNK = 1 << 19
 
 # Runtime guard for the partial sums; far beyond every stated comparison.
 FOURIER_N_CAP = 10_000_000
-# Most series terms one grid of partial sums may take (about 2.5 s): the
-# order N times the number of grid points.
+# Most series terms one grid of partial sums may take (about 1.1 s on two
+# CPUs and 1.7 s on one, spawned, 2 vCPU x86-64): the order N times the
+# number of grid points.
 FOURIER_WORK_CAP = 1 << 26
 
 # Most samples of phi one mode-route sum may take (about 2.5 s of Python):
@@ -203,8 +209,9 @@ def deltaN_action(phi: TestFunction, N: int, tol: float) -> float:
     return _kernel_integral(N, phi.evaluator, lo, hi, tol).value
 
 
-def _exact_row_sums(terms) -> list:
-    """Correctly rounded sum of each row of a 2-D float array, as math.fsum gives.
+def _exact_row_sums(terms, q) -> list:
+    """Exact partials of each row of a 2-D float array: math.fsum of a row's
+    partials is the correctly rounded row sum, the float math.fsum gives.
 
     Error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
     summation, Part I", SIAM J. Sci. Comput. 31(1), 2008): with
@@ -212,26 +219,25 @@ def _exact_row_sums(terms) -> list:
     q = (sigma + t) - sigma is a multiple of ulp(sigma)/2 no larger than
     sigma / 2**M, so the q of a row add up exactly in any order, and
     t - q is exact.  Each pass moves the top bits of every term into one
-    exact partial; once the residue is all zero, math.fsum of the few
-    partials is the correctly rounded row sum.  terms is overwritten.
-    Rows that hold non-finite values, or whose sigma would overflow, are
-    left to math.fsum.
+    exact partial, until the residue is all zero.  The partials of several
+    arrays that split one row add up exactly too, so math.fsum over all of
+    them is the row's correctly rounded sum.  terms is overwritten, and q,
+    an array of the same shape, is scratch.  A row that holds a non-finite
+    value, or whose sigma would overflow, gets math.fsum of its terms as
+    its one partial, which is exact only for a row that is not split (a
+    nan row stays nan either way).
     """
     import numpy as np
 
     lanes = 1 << max(1, (terms.shape[1] - 1).bit_length())  # a power of two >= cols, 2
-    q = np.empty_like(terms)
     peak = np.abs(terms, out=q).max(axis=1)
+    partials = [[] for _ in peak]
     # sigma <= 2 * lanes * peak, so a row at or past 2**1023 / lanes (or nan)
     # goes to fsum.
-    direct = {
-        i: math.fsum(terms[i].tolist())
-        for i in np.flatnonzero(~(peak < 2.0**1023 / lanes)).tolist()
-    }
-    for i in direct:
+    for i in np.flatnonzero(~(peak < 2.0**1023 / lanes)).tolist():
+        partials[i].append(math.fsum(terms[i].tolist()))
         terms[i] = 0.0
         peak[i] = 0.0
-    partials = [[] for _ in peak]
     while peak.any():
         sigma = np.ldexp(float(lanes), np.frexp(peak)[1])[:, None]
         np.add(terms, sigma, out=q)
@@ -240,17 +246,123 @@ def _exact_row_sums(terms) -> list:
         for row, part in zip(partials, q.sum(axis=1).tolist()):
             row.append(part)
         peak = np.abs(terms, out=q).max(axis=1)
-    return [direct[i] if i in direct else math.fsum(row) for i, row in enumerate(partials)]
+    return partials
+
+
+def _worker_count() -> int:
+    """Threads for the partial sums: the CPUs this process may run on, at most 2."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        cpus = os.cpu_count() or 1
+    return min(2, cpus)
+
+
+def _map_on_workers(func, jobs: list, workers: int) -> list:
+    """[func(job, worker) for job in jobs], shared out over `workers` threads.
+
+    The caller's thread is one of them and workers - 1 threading.Threads
+    are the rest, each in a copy of the caller's context, so settings kept
+    there (numpy's errstate) hold on every thread.  Each thread takes the
+    next job until none is left.  Once a job has failed, no thread takes
+    another, and the first failure is raised here after every thread has
+    finished the job in hand, so no thread outlives the call.  worker
+    numbers the thread that runs the job, 0 being the caller's, so that
+    func can keep per-thread state.
+    """
+    import contextvars  # loaded with numpy; the command line starts without it
+
+    results = [None] * len(jobs)
+    pending = iter(range(len(jobs)))
+    lock = threading.Lock()
+    failures = []
+
+    def work(worker):
+        try:
+            while True:
+                with lock:
+                    k = None if failures else next(pending, None)
+                if k is None:
+                    return
+                results[k] = func(jobs[k], worker)
+        except BaseException as exc:  # raised again in the caller's thread
+            with lock:
+                failures.append(exc)
+
+    threads = [
+        threading.Thread(target=contextvars.copy_context().run, args=(work, worker))
+        for worker in range(1, min(workers, len(jobs)))
+    ]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
+    if failures:
+        raise failures[0]
+    return results
+
+
+def _chunk_sums(order: int, rs: list, n0: int, width: int, buffers) -> list:
+    """math.fsum of each row's series terms over the orders n0 .. n0 + width - 1.
+
+    The chunk is cut into blocks of grid rows by a range of n, of at most
+    _CHUNK // workers elements: a chunk wider than that is split into
+    column ranges, one row per block.  The blocks run on the workers
+    (_map_on_workers), each reduced to exact partials per row, and
+    math.fsum of all the partials a row gets is its correctly rounded
+    chunk sum.  That is one value whatever the blocks and workers, so the
+    bits depend on neither.  buffers holds one pair of block buffers
+    (terms and the extraction's scratch) per worker, reused from block to
+    block; n is taken back from the chunk's one divisor array, so no block
+    allocates a large array.
+    """
+    import numpy as np
+
+    workers = len(buffers)
+    block = _CHUNK // workers
+    # 2*sin(t)/n is sin(t)/(n/2) to the bit: both round the same quotient.
+    divisor = np.arange(n0, n0 + width, dtype=np.float64)
+    divisor *= 0.5 if order == 1 else divisor
+    wave = np.sin if order == 1 else np.cos
+    cols = min(width, block)
+    height = block // cols
+    jobs = [(i, c) for i in range(0, len(rs), height) for c in range(0, width, cols)]
+
+    def block_partials(job, worker):
+        i, c = job
+        rows = rs[i:i + height]
+        d = divisor[c:c + cols]
+        size = len(rows) * d.size
+        terms, scratch = (b[:size].reshape(len(rows), d.size) for b in buffers[worker])
+        # n back from the divisor, exactly: n/2 and n*n carry no rounding
+        # for n <= FOURIER_N_CAP.
+        n = scratch[0]
+        if order == 1:
+            np.add(d, d, out=n)
+        else:
+            np.sqrt(d, out=n)
+        np.multiply.outer(rows, n, out=terms)
+        wave(terms, out=terms)
+        terms /= d
+        return _exact_row_sums(terms, scratch)
+
+    parts = [[] for _ in rs]
+    for (i, _), block_rows in zip(jobs, _map_on_workers(block_partials, jobs, workers)):
+        for row, partials in zip(parts[i:i + height], block_rows):
+            row.extend(partials)
+    return [math.fsum(partials) for partials in parts]
 
 
 def _fourier_partial_sums(order: int, N: int, xs) -> list:
     """The order-1 or order-2 partial sums at every x of xs, as floats.
 
     The series terms 2*sin(n*|x|)/n or cos(n*|x|)/n**2 are summed in
-    chunks of _CHUNK orders n.  Each chunk is evaluated in blocks of grid
-    rows by n of at most _CHUNK elements and reduced exactly per row; the
-    rounded chunk sums are then added exactly in chunk order, so every row
-    is the same as summing its own chunks with math.fsum.  N * len(xs) may
+    chunks of _CHUNK orders n, each on up to _worker_count() threads
+    (_chunk_sums).  The rounded chunk sums are then added exactly in chunk
+    order, so every row is the same as summing its own chunks with
+    math.fsum.  The working set is three chunk arrays: one chunk's divisor
+    and two block buffers per worker, made once per call.  N * len(xs) may
     not pass FOURIER_WORK_CAP.
     """
     _validate_order(N, least=1, cap=FOURIER_N_CAP)
@@ -262,21 +374,13 @@ def _fourier_partial_sums(order: int, N: int, xs) -> list:
     import numpy as np
 
     rs = [abs(x) for x in xs]
+    workers = _worker_count()
+    buffers = np.empty((workers, 2, min(_CHUNK // workers, len(rs) * min(N, _CHUNK))))
     chunk_sums = [[] for _ in rs]
     for n0 in range(1, N + 1, _CHUNK):
-        n = np.arange(n0, min(N, n0 + _CHUNK - 1) + 1, dtype=np.float64)
-        divisor = n if order == 1 else n * n
-        height = max(1, _CHUNK // n.size)
-        for i in range(0, len(rs), height):
-            terms = np.multiply.outer(rs[i:i + height], n)
-            if order == 1:
-                np.sin(terms, out=terms)
-                terms *= 2.0
-            else:
-                np.cos(terms, out=terms)
-            terms /= divisor
-            for row, value in zip(chunk_sums[i:i + height], _exact_row_sums(terms)):
-                row.append(value)
+        chunk = _chunk_sums(order, rs, n0, min(N + 1 - n0, _CHUNK), buffers)
+        for row, value in zip(chunk_sums, chunk):
+            row.append(value)
     sums = []
     for x, r, row in zip(xs, rs, chunk_sums):
         series = math.fsum(row)

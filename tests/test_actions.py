@@ -1,7 +1,9 @@
 import math
 import random
 import sys
+import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -380,11 +382,11 @@ def chunked_fsum_partial(order, N, x):
 
 
 class TestExactRowSums:
-    """The extraction sum equals math.fsum bit for bit, row by row."""
+    """math.fsum of a row's extracted partials equals math.fsum of the row, bit for bit."""
 
     def check(self, terms):
         expected = fsum_rows(terms)
-        got = _exact_row_sums(terms.copy())
+        got = [math.fsum(partials) for partials in _exact_row_sums(terms.copy(), np.empty_like(terms))]
         assert [math.copysign(1.0, v) for v in got] == [math.copysign(1.0, v) for v in expected]
         assert got == expected
 
@@ -428,10 +430,10 @@ class TestExactRowSums:
 
     def test_rows_past_the_float_range_go_to_fsum(self):
         terms = np.array([[1e308, -1e308, 5.0], [1.7e308, 1.0, 0.0], [math.nan, 1.0, 2.0], [1.0, 2.0, 3.5]])
-        got = _exact_row_sums(terms.copy())
+        got = [math.fsum(partials) for partials in _exact_row_sums(terms.copy(), np.empty_like(terms))]
         assert got[:2] == [5.0, 1.7e308] and math.isnan(got[2]) and got[3] == 6.5
         with pytest.raises(OverflowError):
-            _exact_row_sums(np.array([[1e308, 1e308, -1e308]]))
+            math.fsum(_exact_row_sums(np.array([[1e308, 1e308, -1e308]]), np.empty((1, 3)))[0])
 
 
 class TestBatchedPartialSums:
@@ -442,12 +444,77 @@ class TestBatchedPartialSums:
                 expected = [chunked_fsum_partial(order, N, x) for x in xs]
                 assert _fourier_partial_sums(order, N, xs) == expected
 
-    @pytest.mark.parametrize("N", [(1 << 19) - 1, 1 << 19, (1 << 19) + 1])
-    def test_chunk_boundary(self, N):
-        xs = [-2.0, 0.0, 0.7, 5.0]
+    @pytest.mark.parametrize(
+        "N", [(1 << 19) - 1, 1 << 19, (1 << 19) + 1, (1 << 19) + (1 << 18) + 3]
+    )
+    def test_chunk_boundary(self, N, monkeypatch):
+        # Past 2**18 orders, two workers split each row of a chunk into column
+        # blocks, the last one short; the bits must not move.
+        xs = [-math.pi, -2.0, 0.0, 2.5e-7, 0.7, 5.0, 12.25]
         for order in (1, 2):
             expected = [chunked_fsum_partial(order, N, x) for x in xs]
-            assert _fourier_partial_sums(order, N, xs) == expected
+            for workers in (1, 2):
+                monkeypatch.setattr(actions, "_worker_count", lambda: workers)
+                assert _fourier_partial_sums(order, N, xs) == expected
+
+    def test_short_last_row_block_on_one_and_two_workers(self, monkeypatch):
+        # 1000 orders make blocks of 524 rows on one worker and 262 on two,
+        # so 529 rows end on a block of 5; the last row's sum is nan.
+        rng = random.Random(5)
+        xs = [-math.pi, 0.0, 2.5e-7, 12.25] + [rng.uniform(-20.0, 20.0) for _ in range(524)]
+        xs.append(1.5e308)
+        for order in (1, 2):
+            expected = [chunked_fsum_partial(order, 1000, x) for x in xs[:-1]]
+            for workers in (1, 2):
+                monkeypatch.setattr(actions, "_worker_count", lambda: workers)
+                # Both workers run under the caller's errstate.
+                with np.errstate(over="raise", invalid="raise"):
+                    with pytest.raises(FloatingPointError):
+                        _fourier_partial_sums(order, 1000, xs)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got = _fourier_partial_sums(order, 1000, xs)
+                assert got[:-1] == expected
+                assert math.isnan(got[-1])
+
+    def test_failing_block_reaches_the_caller_after_the_workers_stop(self, monkeypatch):
+        calls = []
+        lock = threading.Lock()
+        extract = actions._exact_row_sums
+
+        def fail_on_third_call(terms, scratch):
+            with lock:
+                calls.append(None)
+                third = len(calls) == 3
+            if third:
+                raise RuntimeError("third block")
+            return extract(terms, scratch)
+
+        monkeypatch.setattr(actions, "_exact_row_sums", fail_on_third_call)
+        for workers in (1, 2):
+            monkeypatch.setattr(actions, "_worker_count", lambda: workers)
+            calls.clear()
+            before = threading.active_count()
+            with pytest.raises(RuntimeError, match="third block"):
+                _fourier_partial_sums(1, 1 << 19, [0.5, 1.0, 1.5, 2.0])
+            assert threading.active_count() == before
+            # A worker may finish the block in hand, but takes no new one.
+            assert len(calls) <= 3 + workers - 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("N", [(1 << 19) + (1 << 18), 1 << 20])
+    def test_working_set(self, N, order, workers, monkeypatch):
+        # At most four chunk arrays, the peak of cutting no chunk into blocks;
+        # at 2**20 a chunk's divisor must be gone before the next one is made.
+        monkeypatch.setattr(actions, "_worker_count", lambda: workers)
+        xs = [-3.0, -1.0, 0.5, 2.0, 4.0]
+        tracemalloc.start()
+        try:
+            _fourier_partial_sums(order, N, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * actions._CHUNK * 8
 
     def test_work_cap(self, monkeypatch):
         # N times the number of points may reach the cap but not pass it.
