@@ -363,7 +363,9 @@ def _fourier_partial_sums(order: int, N: int, xs) -> list:
     order, so every row is the same as summing its own chunks with
     math.fsum.  The working set is three chunk arrays: one chunk's divisor
     and two block buffers per worker, made once per call.  N * len(xs) may
-    not pass FOURIER_WORK_CAP.
+    not pass FOURIER_WORK_CAP.  A row whose n*|x| overflows comes out nan,
+    under numpy's errstate; the one-row wrappers and the command line
+    refuse such an x first.
     """
     _validate_order(N, least=1, cap=FOURIER_N_CAP)
     if N * len(xs) > FOURIER_WORK_CAP:
@@ -400,12 +402,21 @@ def fourier_partial_delta1(N: int, x: float) -> float:
     Odd in x by construction: the positive-axis value is computed and the
     sign flipped, so f(-x) == -f(x) to the last bit.
     """
-    return _fourier_partial_sums(1, N, [x])[0]
+    return _one_row(1, N, x)
 
 
 def fourier_partial_delta2(N: int, x: float) -> float:
     """x**2/2 - 2*sum_{n=1}^{N} cos(n*x)/n**2, even in x bit-for-bit."""
-    return _fourier_partial_sums(2, N, [x])[0]
+    return _one_row(2, N, x)
+
+
+def _one_row(order: int, N: int, x: float) -> float:
+    """The partial sum at x, refused where a term's argument n*|x| is past
+    the float range, where numpy would sum inf into nan."""
+    _validate_order(N, least=1, cap=FOURIER_N_CAP)
+    if N * abs(x) == math.inf:
+        raise ValueError(f"n * |x| for n up to {N} at x = {x} is past the float range")
+    return _fourier_partial_sums(order, N, [x])[0]
 
 
 def delta1_closed(x: float) -> float:

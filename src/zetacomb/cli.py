@@ -13,8 +13,14 @@ that identical invocations are byte-identical: floats print via repr
 with LF endings, and JSON is one object {command, params, columns, rows}
 with rows as arrays.
 
-Every invocation imports this module and the library before any work, so
-that import is kept small: the library's records are namedtuples, not
+Each invocation loads only the library modules its subcommand runs:
+this module imports none at module level.  The library names it uses are
+attributes of it all the same, resolved on first lookup (PEP 562), and
+the handlers call them through this module, so a name patched here (by
+a test, or by perfbench/tracer.py) is the one that runs.  zeta loads
+zeta_ladder and exactalg; sinc loads quad; action and comb load actions,
+kernels, quad and testfn; kernel loads kernels and quad, and fourier
+actions, kernels, quad and testfn.  The records are namedtuples, not
 dataclasses (which load inspect and ast), json and csv are imported only
 for their own --format, and numpy only by kernel and fourier.
 
@@ -25,23 +31,36 @@ that cannot meet its tolerance, or an oracle mismatch).
 """
 
 import argparse
+import importlib
 import io
 import math
 import os
 import sys
 
-from .actions import (
-    delta0_comb_action,
-    delta0_partial_action,
-    deltaN_action,
-    delta1_closed,
-    delta2_closed,
-    _fourier_partial_sums,
-)
-from .kernels import SAMPLES_CAP, kernel_samples
-from .quad import QuadratureError, sinc_table
-from .testfn import TestFunction, bump_plateau, gaussian_bump
-from .zeta_ladder import bernoulli_oracle, zeta_even
+_cli = sys.modules[__name__]
+
+# Each library module and the names this module takes from it; a name's
+# module is imported the first time the name is looked up.
+_IMPORTS = {
+    "actions": (
+        "delta0_comb_action", "delta0_partial_action", "deltaN_action",
+        "delta1_closed", "delta2_closed", "_fourier_partial_sums",
+    ),
+    "kernels": ("SAMPLES_CAP", "kernel_samples"),
+    "quad": ("QuadratureError", "sinc_table"),
+    "testfn": ("TestFunction", "bump_plateau", "gaussian_bump"),
+    "zeta_ladder": ("bernoulli_oracle", "zeta_even"),
+}
+_ORIGIN = {name: module for module, names in _IMPORTS.items() for name in names}
+
+
+def __getattr__(name):
+    if name not in _ORIGIN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__package__}.{_ORIGIN[name]}"), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = ["build_parser", "run", "main", "SAMPLES_CAP", "ZETA_MAX_K"]
 
@@ -51,6 +70,13 @@ ZETA_MAX_K = 200
 
 class _NumericalFailure(Exception):
     pass
+
+
+def _numerical_failures() -> tuple:
+    """The exceptions that exit 3.  Only quad raises QuadratureError, so
+    until quad is loaded there is none to catch and no need to import it."""
+    quad = sys.modules.get(f"{__package__}.quad")
+    return (_NumericalFailure,) if quad is None else (_NumericalFailure, quad.QuadratureError)
 
 
 def _int(text: str) -> int:
@@ -72,6 +98,12 @@ def _int_in(least: int, cap: int | None = None):
         return value
 
     return convert
+
+
+def _samples(text: str) -> int:
+    """The --samples type: an integer in [2, SAMPLES_CAP], the cap looked up
+    here so that building the parser does not import kernels."""
+    return _int_in(2, _cli.SAMPLES_CAP)(text)
 
 
 def _finite_float(text: str) -> float:
@@ -129,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kernel", help="sample the order-N kernel in both forms")
     p.add_argument("--n", type=_int_in(0), required=True, metavar="N")
-    p.add_argument("--samples", type=_int_in(2, SAMPLES_CAP), default=2001, metavar="M")
+    p.add_argument("--samples", type=_samples, default=2001, metavar="M")
     p.add_argument("--xmin", type=_finite_float, default=-math.pi)
     p.add_argument("--xmax", type=_finite_float, default=math.pi)
     common(p)
@@ -155,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fourier", help="partial sum vs closed form on a grid")
     p.add_argument("--order", type=int, choices=(1, 2), required=True)
     p.add_argument("--n", type=_int_in(1), required=True, metavar="N")
-    p.add_argument("--samples", type=_int_in(2, SAMPLES_CAP), required=True, metavar="M")
+    p.add_argument("--samples", type=_samples, required=True, metavar="M")
     p.add_argument("--xmin", type=_finite_float, required=True)
     p.add_argument("--xmax", type=_finite_float, required=True)
     common(p)
@@ -167,15 +199,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_phi(args: argparse.Namespace) -> tuple[TestFunction, dict]:
+def _build_phi(args: argparse.Namespace) -> "tuple[TestFunction, dict]":
     """The test function that --phi, --center and --radius name, and its params."""
     if args.phi == "plateau":
         if args.center is not None or args.radius is not None:
             raise ValueError("--center/--radius apply only to --phi gauss")
-        return bump_plateau(math.pi, 1.5 * math.pi), {"phi": "plateau"}
+        return _cli.bump_plateau(math.pi, 1.5 * math.pi), {"phi": "plateau"}
     center = 0.0 if args.center is None else args.center
     radius = 1.0 if args.radius is None else args.radius
-    return gaussian_bump(center, radius), {"phi": "gauss", "center": center, "radius": radius}
+    return _cli.gaussian_bump(center, radius), {"phi": "gauss", "center": center, "radius": radius}
 
 
 def _cmd_zeta(args):
@@ -185,10 +217,10 @@ def _cmd_zeta(args):
     rows = []
     for k in range(1, args.max_k + 1):
         two_k = 2 * k
-        value = zeta_even(two_k)
+        value = _cli.zeta_even(two_k)
         row = [two_k, str(value)]
         if args.oracle:
-            oracle = bernoulli_oracle(two_k)
+            oracle = _cli.bernoulli_oracle(two_k)
             if oracle.value != value.value:
                 raise _NumericalFailure(
                     f"ladder and Bernoulli oracle disagree at 2k={two_k}"
@@ -199,7 +231,7 @@ def _cmd_zeta(args):
 
 
 def _cmd_kernel(args):
-    table = kernel_samples(args.n, args.samples, args.xmin, args.xmax)
+    table = _cli.kernel_samples(args.n, args.samples, args.xmin, args.xmax)
     rows = [[x, values[0], values[1]] for x, values in table.rows]
     params = {"n": args.n, "samples": args.samples, "xmin": args.xmin, "xmax": args.xmax}
     return params, list(table.column_names), rows
@@ -210,7 +242,7 @@ def _cmd_action(args):
     reference = 2.0 * math.pi * phi(0.0)
     rows = []
     for N in args.n_list:
-        value = deltaN_action(phi, N, args.tol)
+        value = _cli.deltaN_action(phi, N, args.tol)
         rows.append([N, value, reference, abs(value - reference)])
     params = {**phi_params, "n_list": args.n_list, "tol": args.tol}
     return params, ["N", "value", "reference", "abs_error"], rows
@@ -218,8 +250,8 @@ def _cmd_action(args):
 
 def _cmd_comb(args):
     phi, phi_params = _build_phi(args)
-    partial = delta0_partial_action(phi, args.n, args.tol)
-    comb = delta0_comb_action(phi)
+    partial = _cli.delta0_partial_action(phi, args.n, args.tol)
+    comb = _cli.delta0_comb_action(phi)
     rows = [[args.n, partial, comb, abs(partial - comb)]]
     params = {**phi_params, "n": args.n, "tol": args.tol}
     return params, ["N", "partial_action", "comb_action", "abs_diff"], rows
@@ -230,11 +262,11 @@ def _cmd_fourier(args):
         raise ValueError(f"need --xmin < --xmax, got [{args.xmin}, {args.xmax}]")
     if not math.isfinite(args.xmax - args.xmin):
         raise ValueError(f"the span of [{args.xmin}, {args.xmax}] is past the float range")
-    closed = delta1_closed if args.order == 1 else delta2_closed
+    closed = _cli.delta1_closed if args.order == 1 else _cli.delta2_closed
     step = (args.xmax - args.xmin) / (args.samples - 1)
     xs = [args.xmin + i * step for i in range(args.samples - 1)] + [args.xmax]
-    # The closed forms come first: they are cheap, and the only ones that
-    # can leave the float range, so such a grid fails before the sums run.
+    # The float range is checked before the sums run: first the closed
+    # forms, which are cheap, then the largest argument n*|x| of a term.
     try:
         closed_forms = [closed(x) for x in xs]
     except OverflowError:
@@ -242,7 +274,12 @@ def _cmd_fourier(args):
             f"--xmin/--xmax: the order-{args.order} closed form on "
             f"[{args.xmin}, {args.xmax}] is past the float range"
         ) from None
-    sums = _fourier_partial_sums(args.order, args.n, xs)
+    if args.n * max(-args.xmin, args.xmax) == math.inf:
+        raise ValueError(
+            f"--xmin/--xmax: n*|x| for n up to {args.n} on "
+            f"[{args.xmin}, {args.xmax}] is past the float range"
+        )
+    sums = _cli._fourier_partial_sums(args.order, args.n, xs)
     rows = [[x, p, c, abs(p - c)] for x, p, c in zip(xs, sums, closed_forms)]
     params = {
         "order": args.order, "n": args.n, "samples": args.samples,
@@ -254,7 +291,7 @@ def _cmd_fourier(args):
 def _cmd_sinc(args):
     rows = [
         [N, result.value, abs(result.value - math.pi)]
-        for N, result in enumerate(sinc_table(args.n_max, args.tol))
+        for N, result in enumerate(_cli.sinc_table(args.n_max, args.tol))
     ]
     params = {"n_max": args.n_max, "tol": args.tol}
     return params, ["N", "value", "abs_error_vs_pi"], rows
@@ -316,7 +353,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         # argparse has already printed the diagnostic and usage synopsis
         return exc.code if isinstance(exc.code, int) else 2
-    except (QuadratureError, _NumericalFailure) as exc:
+    except _numerical_failures() as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OverflowError) as exc:

@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -311,6 +312,15 @@ class TestFourierDelta1:
             fourier_partial_delta1(FOURIER_N_CAP + 1, 1.0)
         with pytest.raises(ValueError):
             fourier_partial_delta1(True, 1.0)
+
+    def test_terms_past_the_float_range_are_refused(self):
+        # n*|x| overflows for n near 10: refused, not summed into nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (1e308, -1e308, math.inf):
+                with pytest.raises(ValueError, match="float range"):
+                    fourier_partial_delta1(10, x)
+            assert fourier_partial_delta1(10, 1e300) == 1e300  # the sine terms vanish beside x
 
 
 class TestFourierDelta2:

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import csv
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -229,6 +230,18 @@ class TestFourierCommand:
         code, out, _ = run_text(capsys, ["fourier", *argv, "--format", "csv"])
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    def test_terms_past_the_float_range_exit_two(self):
+        # The closed forms are finite on this grid, but n*|x| overflows from
+        # n = 2 on: refused before the sums, not printed as nan rows.
+        argv = ["fourier", "--order", "1", "--n", "5", "--samples", "3", "--xmin", "1e307", "--xmax", "1.5e308"]
+        result = subprocess.run(
+            [sys.executable, "-m", "zetacomb.cli", *argv], env=src_env(), capture_output=True, text=True
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "--xmin/--xmax" in result.stderr
+        assert "Warning" not in result.stderr
 
 
 class TestSincCommand:
@@ -556,3 +569,62 @@ def test_cli_import_stays_within_its_budget():
 def test_each_format_loads_only_its_own_module(fmt, added):
     argv = ["zeta", "--max-k", "3", "--format", fmt]
     assert modules_added_by(RUN_ARGV, ["json", "csv"], *argv) == ["0", *added]
+
+
+def test_cli_import_loads_no_library_module():
+    library = [f"zetacomb.{m}" for m in ("actions", "exactalg", "kernels", "quad", "testfn", "zeta_ladder")]
+    assert modules_added_by("import zetacomb.cli", library) == []
+
+
+EXACT_HALF = ["zetacomb.zeta_ladder", "zetacomb.exactalg", "fractions"]
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    [
+        (["zeta", "--max-k", "3", "--oracle"],
+         ["zetacomb.quad", "zetacomb.kernels", "zetacomb.actions", "zetacomb.testfn", "heapq"]),
+        (["sinc", "--n-max", "2"], [*EXACT_HALF, "zetacomb.actions", "zetacomb.kernels", "zetacomb.testfn"]),
+        (["action", "--phi", "gauss", "--n-list", "10"], EXACT_HALF),
+        (["comb", "--n", "5"], EXACT_HALF),
+    ],
+    ids=["zeta", "sinc", "action", "comb"],
+)
+def test_each_subcommand_loads_only_its_own_modules(argv, unloaded):
+    # The exact and numerical halves share no module, so neither pays to compile the other.
+    assert modules_added_by(RUN_ARGV, unloaded, *argv) == ["0"]
+
+
+FOURIER_ARGV = ["fourier", "--n", "2", "--samples", "2", "--xmin", "0", "--xmax", "1"]
+
+# Each library name the handlers call through zetacomb.cli: its defining
+# module, and an argv whose handler calls it.
+PATCH_POINTS = {
+    "zeta_even": ("zeta_ladder", ["zeta", "--max-k", "1"]),
+    "bernoulli_oracle": ("zeta_ladder", ["zeta", "--max-k", "1", "--oracle"]),
+    "deltaN_action": ("actions", ["action", "--n-list", "1"]),
+    "delta0_partial_action": ("actions", ["comb", "--n", "1"]),
+    "delta0_comb_action": ("actions", ["comb", "--n", "1"]),
+    "delta1_closed": ("actions", [*FOURIER_ARGV, "--order", "1"]),
+    "delta2_closed": ("actions", [*FOURIER_ARGV, "--order", "2"]),
+    "kernel_samples": ("kernels", ["kernel", "--n", "1", "--samples", "2"]),
+    "gaussian_bump": ("testfn", ["action", "--phi", "gauss", "--n-list", "1"]),
+    "bump_plateau": ("testfn", ["action", "--n-list", "1"]),
+}
+
+
+@pytest.mark.parametrize("name", PATCH_POINTS)
+def test_handlers_call_the_patched_name(capsys, monkeypatch, name):
+    module, argv = PATCH_POINTS[name]
+    original = getattr(importlib.import_module(f"zetacomb.{module}"), name)
+    assert getattr(cli, name) is original
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, spy)
+    code, _, _ = run_text(capsys, argv)
+    assert code == 0
+    assert calls
