@@ -411,11 +411,15 @@ def fourier_partial_delta2(N: int, x: float) -> float:
 
 
 def _one_row(order: int, N: int, x: float) -> float:
-    """The partial sum at x, refused where a term's argument n*|x| is past
-    the float range, where numpy would sum inf into nan."""
+    """The partial sum at x, refused where a value leaves the float range:
+    a term's argument n*|x|, which numpy would sum into nan, or order 2's
+    x**2/2, which would make the sum inf."""
     _validate_order(N, least=1, cap=FOURIER_N_CAP)
-    if N * abs(x) == math.inf:
+    r = abs(x)
+    if N * r == math.inf:
         raise ValueError(f"n * |x| for n up to {N} at x = {x} is past the float range")
+    if order == 2 and 0.5 * r * r == math.inf:
+        raise ValueError(f"x**2/2 at x = {x} is past the float range")
     return _fourier_partial_sums(order, N, [x])[0]
 
 

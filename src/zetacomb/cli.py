@@ -22,7 +22,8 @@ zeta_ladder and exactalg; sinc loads quad; action and comb load actions,
 kernels, quad and testfn; kernel loads kernels and quad, and fourier
 actions, kernels, quad and testfn.  The records are namedtuples, not
 dataclasses (which load inspect and ast), json and csv are imported only
-for their own --format, and numpy only by kernel and fourier.
+for their own --format, and numpy only by fourier and by kernel tables
+past kernels._SCALAR_LANE_STEPS.
 
 Exit codes: 0 success, 2 usage error (argparse's own convention; also an
 argument the library rejects with ValueError or OverflowError, and an --out

@@ -15,11 +15,15 @@ is the O(1) workhorse on the whole window, within 2*eps*(2N+1) of the
 true value; it returns 2N+1 where (N+1/2)*|x| is below 2^-27, which is
 the correctly rounded value there, so x = 0 never divides.
 
-A sample table runs the sum form's loop once, on an ndarray of |x| with
-one Kahan lane per grid point.  numpy's float64 cos equals math.cos on
-every point tested, so each lane equals the scalar loop bit for bit; the
-tests assert this.  numpy is imported only there, so the scalar forms and
-the command line start without it.
+A sample table runs the sum form once per distinct |x| inside the
+window, so a symmetric grid pays for half its points.  Up to
+_SCALAR_LANE_STEPS lane-steps (N times the distinct |x|) that is the
+scalar loop of dirichlet_sum, and numpy is never imported; past it, the
+same loop runs once on an ndarray with one Kahan lane per |x|.  numpy's
+float64 cos equals math.cos on every point tested, so each lane equals
+the scalar loop bit for bit; the tests assert this on both routes.  numpy
+is imported only there, so the scalar forms, small tables and the command
+line start without it.
 
 Every integral of delta_N against a weight f goes through one route,
 _kernel_integral: the normalization takes f = 1 over the window, and the
@@ -46,7 +50,7 @@ __all__ = [
 # compares the two forms; no library code branches on it.
 EPS_SING = 1e-6
 
-# Most lane-steps one sample table may take (3.2-3.4 s spawned at N = 65536
+# Most lane-steps one sample table may take (2.0-2.2 s spawned at N = 65536
 # with 2048 samples, on 2 vCPUs): the order N times
 # the sample count, where a count below _MIN_LANES is charged as _MIN_LANES,
 # because each step of the batched sum costs a few numpy calls however few
@@ -56,8 +60,14 @@ KERNEL_WORK_CAP = 1 << 27
 _MIN_LANES = 256
 
 # Most samples one table may hold: each is a row of Python floats, and a
-# kernel table at the cap takes about 1 s and 100 MB.
+# kernel table at the cap takes about 2.7 s and 106 MB (spawned at N = 1342,
+# on 2 vCPUs).
 SAMPLES_CAP = 100_000
+
+# Most lane-steps, N times the distinct |x| inside the window, that a table
+# sums with the scalar loop; above it numpy's lanes win even after paying
+# for importing numpy (measured crossover near 1.1e6, spawned).
+_SCALAR_LANE_STEPS = 10**6
 
 
 class SampleTable(namedtuple("SampleTable", "column_names rows")):
@@ -143,8 +153,10 @@ def kernel_samples(N: int, count: int, xmin: float = -math.pi, xmax: float = mat
     the windowed value 0.  A symmetric range (xmax == -xmin) produces a
     grid that is antisymmetric to the last bit, so table symmetry can be
     asserted exactly rather than approximately.  The sum form runs once
-    over the whole grid, one Kahan lane per point; count may not pass
-    SAMPLES_CAP, nor max(N, 1) * max(count, 256) KERNEL_WORK_CAP.
+    per distinct |x| inside the window: the scalar loop while N times
+    their number is at most _SCALAR_LANE_STEPS, else one numpy Kahan lane
+    each.  count may not pass SAMPLES_CAP, nor max(N, 1) * max(count, 256)
+    KERNEL_WORK_CAP.
     """
     _validate_order(N)
     if count < 2:
@@ -166,11 +178,15 @@ def kernel_samples(N: int, count: int, xmin: float = -math.pi, xmax: float = mat
     if xmax == -xmin:
         xs = [0.5 * (a - b) for a, b in zip(xs, reversed(xs))]
 
-    import numpy as np
+    rs = list(dict.fromkeys(r for r in map(abs, xs) if r < math.pi))
+    if N * len(rs) <= _SCALAR_LANE_STEPS:
+        sums = [_kahan_cos_sum(N, r, math.cos) for r in rs]
+    else:
+        import numpy as np
 
-    rs = np.abs(np.array(xs))
-    sums = np.where(rs < math.pi, _kahan_cos_sum(N, rs, np.cos), 0.0)
-    rows = tuple((x, (s, _windowed_compact(N, x))) for x, s in zip(xs, sums.tolist()))
+        sums = _kahan_cos_sum(N, np.array(rs), np.cos).tolist()
+    by_r = dict(zip(rs, sums))
+    rows = tuple((x, (by_r.get(abs(x), 0.0), _windowed_compact(N, x))) for x in xs)
     return SampleTable(column_names=("x", "sum_form", "compact_form"), rows=rows)
 
 

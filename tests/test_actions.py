@@ -324,6 +324,13 @@ class TestFourierDelta1:
 
 
 class TestFourierDelta2:
+    def test_square_past_the_float_range_is_refused(self):
+        # n*|x| stays finite here, but x**2/2 does not: refused, not summed into inf
+        for x in (1e200, -1e200, 1.9e154):
+            with pytest.raises(ValueError, match="float range"):
+                fourier_partial_delta2(10, x)
+        assert math.isfinite(fourier_partial_delta2(10, 1.8e154))
+
     def test_single_term_at_origin(self):
         assert fourier_partial_delta2(1, 0.0) == -2.0
 

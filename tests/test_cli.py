@@ -16,6 +16,7 @@ from conftest import src_env
 from hypothesis import given, strategies as st
 
 import zetacomb.cli as cli
+import zetacomb.kernels as kernels
 from zetacomb.actions import MODE_SAMPLE_CAP, delta2_closed
 from zetacomb.quad import sinc_truncated
 
@@ -106,6 +107,15 @@ class TestKernel:
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
             "b0326c9691f55ce680e37a4cb6fcff75a34cfa432c7829b4d0f9bd1f3a84ae40"
+        )
+
+    def test_golden_csv_scalar_route(self, capsys):
+        # The table above takes the numpy lanes, this one the scalar loop;
+        # sha256 measured when every table took the numpy lanes.
+        code, out, _ = run_text(capsys, ["kernel", "--n", "50", "--format", "csv"])
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "40751b63b816d59f8882f3fa49527b62481fc3ee1672b3dbab63e92c5c744118"
         )
 
     def test_subnormal_x_is_the_peak(self, capsys):
@@ -547,13 +557,27 @@ def test_cli_import_leaves_numpy_unloaded():
     ],
 )
 def test_runs_without_series_leave_numpy_unloaded(argv):
-    # Only kernel and fourier need numpy; the exact and quadrature routes start without it.
+    # Only fourier and large kernel tables need numpy; the exact and quadrature routes start without it.
     assert modules_added_by(RUN_ARGV, ["numpy"], *argv) == ["0"]
 
 
 def test_series_runs_load_numpy():
-    # The probe above can tell: a kernel table does load numpy.
-    assert modules_added_by(RUN_ARGV, ["numpy"], "kernel", "--n", "3", "--samples", "5") == ["0", "numpy"]
+    # The probe above can tell: a kernel table of 5000 * 500 distinct lane-steps does load numpy.
+    argv = ["kernel", "--n", "5000", "--samples", "1001"]
+    assert modules_added_by(RUN_ARGV, ["numpy"], *argv) == ["0", "numpy"]
+
+
+def test_criterion_12_table_leaves_numpy_unloaded():
+    assert modules_added_by(RUN_ARGV, ["numpy"], "kernel", "--n", "50") == ["0"]
+
+
+@pytest.mark.parametrize("n, added", [(1000, []), (1001, ["numpy"])], ids=["at", "above"])
+def test_kernel_loads_numpy_only_past_the_scalar_limit(n, added):
+    # The default grid of 2001 samples holds 1000 distinct |x| inside the
+    # window: 0 and 999 more, as pi lies outside.  At order 1000 the table
+    # takes exactly the scalar loop's limit of lane-steps.
+    assert 1000 * 1000 == kernels._SCALAR_LANE_STEPS
+    assert modules_added_by(RUN_ARGV, ["numpy"], "kernel", "--n", str(n)) == ["0", *added]
 
 
 def test_cli_import_stays_within_its_budget():

@@ -187,12 +187,23 @@ class TestKernelSamples:
     @pytest.mark.parametrize("N", [0, 1, 50, 2000])
     @pytest.mark.parametrize(
         "count, xmin, xmax",
-        [(2001, -math.pi, math.pi), (400, -3.0, 3.0), (333, -math.pi, 0.7), (257, -1e-3, 2.5)],
+        [
+            (2001, -math.pi, math.pi),
+            (5, -math.pi, math.pi),
+            (400, -3.0, 3.0),
+            (333, -math.pi, 0.7),
+            (257, -1e-3, 2.5),
+            (300, 0.1, math.pi),  # no |x| repeats
+        ],
     )
-    def test_sum_lanes_equal_the_scalar_loop(self, N, count, xmin, xmax):
-        table = kernel_samples(N, count, xmin, xmax)
-        for x, (s, c) in table.rows:
-            assert s == scalar_kahan_sum(N, x)
+    def test_sum_lanes_equal_the_scalar_loop(self, monkeypatch, N, count, xmin, xmax):
+        # A limit of 0 sends every order but 0 to the numpy lanes, a huge one
+        # keeps every table on the scalar loop.
+        for lane_steps in (0, 10**18):
+            monkeypatch.setattr(kernels, "_SCALAR_LANE_STEPS", lane_steps)
+            table = kernel_samples(N, count, xmin, xmax)
+            for x, (s, c) in table.rows:
+                assert s == scalar_kahan_sum(N, x)
 
     def test_compact_column_is_the_compact_form(self):
         # The second grid lies inside the band |x| < EPS_SING around the peak.
