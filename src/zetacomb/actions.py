@@ -23,20 +23,23 @@ floor/ceiling closed forms.  The order-1 series converges only pointwise
 clear of lattice points; the order-2 series converges absolutely with
 tail below 2/N, so it is compared everywhere.
 
-The partial sums run over a whole x grid at once, in fixed-size chunks of
-orders n.  Each chunk is cut into blocks of grid rows by a range of n, and
-each block row is reduced by error-free extraction (Rump, Ogita & Oishi,
+The partial sums run over a whole x grid at once, in chunks of _CHUNK
+orders n.  Each chunk is cut into blocks of grid rows by a range of n,
+small enough that a block's arrays stay in a core's L2 cache, and each
+block row is reduced by error-free extraction (Rump, Ogita & Oishi,
 2008): a few numpy passes split the terms into partials whose sums carry
 no rounding.  math.fsum of all the partials a row gets in a chunk is the
 correctly rounded chunk sum, the same float math.fsum of the terms would
 give, so the bits depend neither on the blocks nor on who computed them.
 That lets the blocks run on two threads, the caller's and one more, where
 the process may use two CPUs: numpy releases the interpreter lock inside
-its array passes.  The chunk sums are then added exactly in a fixed order,
-so results are deterministic and effectively free of accumulation error;
-odd sums are computed on |x| and sign-flipped so antisymmetry holds
-bit-for-bit.  numpy is imported only by the partial sums (and the kernel's
-sample table), so the other routes and the command line start without it.
+its array passes.  Each thread fills its block from buffers of its own,
+made once per call.  The chunk sums are then added exactly in a fixed
+order, so results are deterministic and effectively free of accumulation
+error; odd sums are computed on |x| and sign-flipped so antisymmetry
+holds bit-for-bit.  numpy is imported only by the partial sums (and the
+kernel's sample table), so the other routes and the command line start
+without it.
 """
 
 import math
@@ -62,13 +65,18 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+# The partial sums round once per chunk of _CHUNK orders, so _CHUNK sets
+# their bits.  _BLOCK, the most elements one block of a chunk may hold,
+# does not: it keeps a block's arrays (512 KiB each) inside a core's L2
+# cache, which the extraction sweeps 10 to 20 times per block.
 _CHUNK = 1 << 19
+_BLOCK = 1 << 16
 
 # Runtime guard for the partial sums; far beyond every stated comparison.
 FOURIER_N_CAP = 10_000_000
-# Most series terms one grid of partial sums may take (about 1.1 s on two
-# CPUs and 1.7 s on one, spawned, 2 vCPU x86-64): the order N times the
-# number of grid points.
+# Most series terms one grid of partial sums may take (0.9 to 1.2 s on
+# two CPUs and 1.2 to 1.9 s on one, spawned, 2 vCPU x86-64): the order N
+# times the number of grid points.
 FOURIER_WORK_CAP = 1 << 26
 
 # Most samples of phi one mode-route sum may take (about 2.5 s of Python):
@@ -303,52 +311,54 @@ def _map_on_workers(func, jobs: list, workers: int) -> list:
     return results
 
 
-def _chunk_sums(order: int, rs: list, n0: int, width: int, buffers) -> list:
+def _chunk_sums(order: int, rs: list, n0: int, width: int, buffers, index) -> list:
     """math.fsum of each row's series terms over the orders n0 .. n0 + width - 1.
 
-    The chunk is cut into blocks of grid rows by a range of n, of at most
-    _CHUNK // workers elements: a chunk wider than that is split into
-    column ranges, one row per block.  The blocks run on the workers
-    (_map_on_workers), each reduced to exact partials per row, and
-    math.fsum of all the partials a row gets is its correctly rounded
-    chunk sum.  That is one value whatever the blocks and workers, so the
-    bits depend on neither.  buffers holds one pair of block buffers
-    (terms and the extraction's scratch) per worker, reused from block to
-    block; n is taken back from the chunk's one divisor array, so no block
+    The chunk is cut into the fewest blocks of at most _BLOCK elements,
+    each a few grid rows by one range of n: every row is split into the
+    same column ranges.  The blocks run on the workers (_map_on_workers),
+    each reduced to exact partials per row, and math.fsum of all the
+    partials a row gets is its correctly rounded chunk sum.  That is one
+    value whatever the blocks and workers, so the bits depend on neither.
+    buffers holds one triple of block buffers per worker (terms, the
+    extraction's scratch, and the orders n of one block), reused from
+    block to block; index is the shared, read-only 0, 1, 2, ... of a
+    block's width, from which each block fills its orders, so no block
     allocates a large array.
     """
     import numpy as np
 
-    workers = len(buffers)
-    block = _CHUNK // workers
-    # 2*sin(t)/n is sin(t)/(n/2) to the bit: both round the same quotient.
-    divisor = np.arange(n0, n0 + width, dtype=np.float64)
-    divisor *= 0.5 if order == 1 else divisor
+    # Rows cut into p column ranges of cols elements, height rows to a
+    # block.  p runs from the least that fits a range in a block to twice
+    # that: a range just over half a block would fill only half of one,
+    # and blocks cost interpreter work each, which the two workers share.
+    least = -(-width // _BLOCK)
+    cols, height = min(
+        ((-(-width // p), _BLOCK // -(-width // p)) for p in range(least, 2 * least + 1)),
+        key=lambda shape: -(-len(rs) // shape[1]) * -(-width // shape[0]),
+    )
     wave = np.sin if order == 1 else np.cos
-    cols = min(width, block)
-    height = block // cols
     jobs = [(i, c) for i in range(0, len(rs), height) for c in range(0, width, cols)]
 
     def block_partials(job, worker):
         i, c = job
         rows = rs[i:i + height]
-        d = divisor[c:c + cols]
-        size = len(rows) * d.size
-        terms, scratch = (b[:size].reshape(len(rows), d.size) for b in buffers[worker])
-        # n back from the divisor, exactly: n/2 and n*n carry no rounding
-        # for n <= FOURIER_N_CAP.
-        n = scratch[0]
-        if order == 1:
-            np.add(d, d, out=n)
-        else:
-            np.sqrt(d, out=n)
+        k = min(cols, width - c)
+        *blocks, n = buffers[worker]
+        terms, scratch = (b[:len(rows) * k].reshape(len(rows), k) for b in blocks)
+        n = n[:k]
+        # Integers below 2**53 add exactly, and for n <= FOURIER_N_CAP so do
+        # n/2 and n*n: the divisors are the floats of the exact values.
+        np.add(index[:k], float(n0 + c), out=n)
         np.multiply.outer(rows, n, out=terms)
         wave(terms, out=terms)
-        terms /= d
+        # 2*sin(t)/n is sin(t)/(n/2) to the bit: both round the same quotient.
+        n *= 0.5 if order == 1 else n
+        terms /= n
         return _exact_row_sums(terms, scratch)
 
     parts = [[] for _ in rs]
-    for (i, _), block_rows in zip(jobs, _map_on_workers(block_partials, jobs, workers)):
+    for (i, _), block_rows in zip(jobs, _map_on_workers(block_partials, jobs, len(buffers))):
         for row, partials in zip(parts[i:i + height], block_rows):
             row.extend(partials)
     return [math.fsum(partials) for partials in parts]
@@ -361,11 +371,11 @@ def _fourier_partial_sums(order: int, N: int, xs) -> list:
     chunks of _CHUNK orders n, each on up to _worker_count() threads
     (_chunk_sums).  The rounded chunk sums are then added exactly in chunk
     order, so every row is the same as summing its own chunks with
-    math.fsum.  The working set is three chunk arrays: one chunk's divisor
-    and two block buffers per worker, made once per call.  N * len(xs) may
-    not pass FOURIER_WORK_CAP.  A row whose n*|x| overflows comes out nan,
-    under numpy's errstate; the one-row wrappers and the command line
-    refuse such an x first.
+    math.fsum.  The working set is three arrays of one block per worker,
+    terms, scratch and orders, and one shared index, made once per call.
+    N * len(xs) may not pass FOURIER_WORK_CAP.  A row whose n*|x|
+    overflows comes out nan, under numpy's errstate; the one-row wrappers
+    and the command line refuse such an x first.
     """
     _validate_order(N, least=1, cap=FOURIER_N_CAP)
     if N * len(xs) > FOURIER_WORK_CAP:
@@ -376,11 +386,13 @@ def _fourier_partial_sums(order: int, N: int, xs) -> list:
     import numpy as np
 
     rs = [abs(x) for x in xs]
-    workers = _worker_count()
-    buffers = np.empty((workers, 2, min(_CHUNK // workers, len(rs) * min(N, _CHUNK))))
+    width = min(N, _BLOCK)  # of the widest block
+    size = min(_BLOCK, len(rs) * width)  # of the largest block
+    buffers = [(np.empty(size), np.empty(size), np.empty(width)) for _ in range(_worker_count())]
+    index = np.arange(width, dtype=np.float64)
     chunk_sums = [[] for _ in rs]
     for n0 in range(1, N + 1, _CHUNK):
-        chunk = _chunk_sums(order, rs, n0, min(N + 1 - n0, _CHUNK), buffers)
+        chunk = _chunk_sums(order, rs, n0, min(N + 1 - n0, _CHUNK), buffers, index)
         for row, value in zip(chunk_sums, chunk):
             row.append(value)
     sums = []

@@ -15,15 +15,18 @@ with rows as arrays.
 
 Each invocation loads only the library modules its subcommand runs:
 this module imports none at module level.  The library names it uses are
-attributes of it all the same, resolved on first lookup (PEP 562), and
-the handlers call them through this module, so a name patched here (by
-a test, or by perfbench/tracer.py) is the one that runs.  zeta loads
-zeta_ladder and exactalg; sinc loads quad; action and comb load actions,
-kernels, quad and testfn; kernel loads kernels and quad, and fourier
-actions, kernels, quad and testfn.  The records are namedtuples, not
-dataclasses (which load inspect and ast), json and csv are imported only
-for their own --format, and numpy only by fourier and by kernel tables
-past kernels._SCALAR_LANE_STEPS.
+attributes of it all the same, resolved on first lookup (PEP 562) through
+the package's table of public names, and the handlers call them through
+this module, so a name patched here (by a test, or by perfbench/tracer.py)
+is the one that runs.  zeta loads zeta_ladder and exactalg; sinc loads
+quad; action and comb load actions, kernels, quad and testfn; kernel
+loads kernels and quad, and fourier actions, kernels, quad and testfn.
+The records are namedtuples, not dataclasses (which load inspect and
+ast), json and csv are imported only for their own --format, and numpy
+only by fourier and by kernel tables past kernels._SCALAR_LANE_STEPS.
+
+main(), the program's entry point, sets OPENBLAS_NUM_THREADS to 1 unless
+the caller has set it: no library module touches the environment.
 
 Exit codes: 0 success, 2 usage error (argparse's own convention; also an
 argument the library rejects with ValueError or OverflowError, and an --out
@@ -39,26 +42,21 @@ import os
 import sys
 
 _cli = sys.modules[__name__]
+_package = sys.modules[__package__]
 
-# Each library module and the names this module takes from it; a name's
-# module is imported the first time the name is looked up.
-_IMPORTS = {
-    "actions": (
-        "delta0_comb_action", "delta0_partial_action", "deltaN_action",
-        "delta1_closed", "delta2_closed", "_fourier_partial_sums",
-    ),
-    "kernels": ("SAMPLES_CAP", "kernel_samples"),
-    "quad": ("QuadratureError", "sinc_table"),
-    "testfn": ("TestFunction", "bump_plateau", "gaussian_bump"),
-    "zeta_ladder": ("bernoulli_oracle", "zeta_even"),
-}
-_ORIGIN = {name: module for module, names in _IMPORTS.items() for name in names}
+# The library names this module takes that the package does not export,
+# and their modules.  Every other library name is resolved through the
+# package's own table of public names.
+_PRIVATE = {"_fourier_partial_sums": "actions", "SAMPLES_CAP": "kernels"}
 
 
 def __getattr__(name):
-    if name not in _ORIGIN:
+    if name in _PRIVATE:
+        value = getattr(importlib.import_module(f"{__package__}.{_PRIVATE[name]}"), name)
+    elif name in _package.__all__:
+        value = getattr(_package, name)
+    else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__package__}.{_ORIGIN[name]}"), name)
     globals()[name] = value
     return value
 
@@ -379,6 +377,11 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
+    # The library calls no BLAS routine, but importing numpy starts
+    # OpenBLAS's thread pool, whose threads spin on the CPUs that the
+    # Fourier partial sums' second worker needs.  A value the user set is
+    # kept; other BLAS builds ignore the variable.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(run())
 
 

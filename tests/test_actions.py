@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import sys
@@ -383,6 +384,7 @@ def series_terms(order, rs, n0, n1):
     return 2.0 * np.sin(nr) / n if order == 1 else np.cos(nr) / (n * n)
 
 
+@functools.cache  # several tests ask for the same large-N rows
 def chunked_fsum_partial(order, N, x):
     """The partial sum as chunks of actions._CHUNK terms, each rounded by math.fsum."""
     r = abs(x)
@@ -465,7 +467,7 @@ class TestBatchedPartialSums:
         "N", [(1 << 19) - 1, 1 << 19, (1 << 19) + 1, (1 << 19) + (1 << 18) + 3]
     )
     def test_chunk_boundary(self, N, monkeypatch):
-        # Past 2**18 orders, two workers split each row of a chunk into column
+        # Past _BLOCK orders, each row of a chunk is split into column
         # blocks, the last one short; the bits must not move.
         xs = [-math.pi, -2.0, 0.0, 2.5e-7, 0.7, 5.0, 12.25]
         for order in (1, 2):
@@ -474,9 +476,51 @@ class TestBatchedPartialSums:
                 monkeypatch.setattr(actions, "_worker_count", lambda: workers)
                 assert _fourier_partial_sums(order, N, xs) == expected
 
+    @pytest.mark.parametrize(
+        "block, N",
+        [
+            (1, 2), (1, 3), (1, 5),
+            (7, 3), (7, 8), (7, 999),
+            (4096, (1 << 16) - 1), (4096, (1 << 16) + 1), (4096, (1 << 19) + (1 << 18) + 3),
+            (actions._BLOCK, actions._BLOCK - 1), (actions._BLOCK, actions._BLOCK + 1),
+        ],
+    )
+    def test_block_split_keeps_the_bits(self, block, N, monkeypatch):
+        # The chunk sums are rounded once per chunk, however the blocks cut
+        # it: one element per block, 7 elements (3 orders make blocks of 2,
+        # 2 and 1 rows), 4096, and the default.  Tiny blocks take one job
+        # per few elements, so they run at small N only.  The last row's
+        # n*|x| overflows, and its sum is nan on every split.
+        xs = [-math.pi, 0.0, 2.5e-7, 12.25, 1.5e308]
+        monkeypatch.setattr(actions, "_BLOCK", block)
+        for order in (1, 2):
+            expected = [chunked_fsum_partial(order, N, x) for x in xs[:-1]]
+            for workers in (1, 2):
+                monkeypatch.setattr(actions, "_worker_count", lambda: workers)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got = _fourier_partial_sums(order, N, xs)
+                assert got[:-1] == expected
+                assert math.isnan(got[-1])
+
+    def test_rows_over_half_a_block_are_split(self, monkeypatch):
+        # 40 orders fill only 40 of a 64-element block, one row each: ten
+        # blocks.  Halved, three rows of 20 fit, so 10 rows take 4 * 2.
+        calls = []
+        extract = actions._exact_row_sums
+
+        def count(terms, scratch):
+            calls.append(terms.shape)
+            return extract(terms, scratch)
+
+        monkeypatch.setattr(actions, "_BLOCK", 64)
+        monkeypatch.setattr(actions, "_exact_row_sums", count)
+        xs = [0.3 * i - 1.0 for i in range(10)]
+        assert _fourier_partial_sums(1, 40, xs) == [chunked_fsum_partial(1, 40, x) for x in xs]
+        assert sorted(calls) == [(1, 20)] * 2 + [(3, 20)] * 6
+
     def test_short_last_row_block_on_one_and_two_workers(self, monkeypatch):
-        # 1000 orders make blocks of 524 rows on one worker and 262 on two,
-        # so 529 rows end on a block of 5; the last row's sum is nan.
+        # 1000 orders make blocks of 65 rows, so 529 rows end on a block
+        # of 9; the last row's sum is nan.
         rng = random.Random(5)
         xs = [-math.pi, 0.0, 2.5e-7, 12.25] + [rng.uniform(-20.0, 20.0) for _ in range(524)]
         xs.append(1.5e308)
@@ -521,8 +565,9 @@ class TestBatchedPartialSums:
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("N", [(1 << 19) + (1 << 18), 1 << 20])
     def test_working_set(self, N, order, workers, monkeypatch):
-        # At most four chunk arrays, the peak of cutting no chunk into blocks;
-        # at 2**20 a chunk's divisor must be gone before the next one is made.
+        # Per worker the terms, scratch and orders of one block, plus the
+        # shared index and 64 KiB for the rows' partials: no array the size
+        # of a chunk, and none made per block or per chunk.
         monkeypatch.setattr(actions, "_worker_count", lambda: workers)
         xs = [-3.0, -1.0, 0.5, 2.0, 4.0]
         tracemalloc.start()
@@ -531,7 +576,7 @@ class TestBatchedPartialSums:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * actions._CHUNK * 8
+        assert peak <= (3 * workers + 1) * actions._BLOCK * 8 + (1 << 16)
 
     def test_work_cap(self, monkeypatch):
         # N times the number of points may reach the cap but not pass it.

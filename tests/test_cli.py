@@ -652,3 +652,51 @@ def test_handlers_call_the_patched_name(capsys, monkeypatch, name):
     code, _, _ = run_text(capsys, argv)
     assert code == 0
     assert calls
+
+
+def run_probe(code, env):
+    """Run code in a fresh interpreter with env; its stdout words."""
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return result.stdout.split()
+
+
+# A small fourier op through the entry point, which imports numpy and so
+# starts whatever BLAS thread pool numpy brings; then the threads left and
+# the OpenBLAS variable.
+MAIN_FOURIER = (
+    "import os, sys, zetacomb.cli as cli\n"
+    "sys.argv = ['zetacomb', *" + repr(FOURIER_ARGV) + ", '--order', '1', '--out', os.devnull]\n"
+    "try:\n"
+    "    cli.main()\n"
+    "except SystemExit as exc:\n"
+    "    print(exc.code)\n"
+    "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))"
+)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_main_leaves_one_thread_after_a_fourier_op():
+    # Without the default, OpenBLAS keeps a thread per further CPU.
+    env = src_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    assert run_probe(MAIN_FOURIER, env) == ["0", "1", "1"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_main_keeps_the_callers_openblas_setting():
+    code, _, value = run_probe(MAIN_FOURIER, src_env(OPENBLAS_NUM_THREADS="2"))
+    assert (code, value) == ("0", "2")
+
+
+def test_library_leaves_the_environment_alone():
+    code = (
+        "import os\n"
+        "before = dict(os.environ)\n"
+        "import zetacomb.actions as actions\n"
+        "imported = dict(os.environ) == before\n"
+        "actions.fourier_partial_delta1(1000, 0.5)\n"
+        "print(imported, dict(os.environ) == before)"
+    )
+    env = src_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    assert run_probe(code, env) == ["True", "True"]
