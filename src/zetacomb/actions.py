@@ -205,7 +205,8 @@ def deltaN_action(phi: TestFunction, N: int, tol: float) -> float:
     """Action of the order-N windowed kernel: integral of delta_N * phi.
 
     The kernel integral (kernels._kernel_integral) over [-pi, pi] clipped
-    to the support; converges to 2*pi*phi(0) as N grows.
+    to the support; converges to 2*pi*phi(0) as N grows.  An evaluator
+    marked even (testfn) lets it evaluate one panel of each mirror pair.
     """
     _validate_order(N)
     if not tol > 0:
@@ -214,7 +215,8 @@ def deltaN_action(phi: TestFunction, N: int, tol: float) -> float:
     hi = min(math.pi, phi.support[1])
     if not lo < hi:
         return 0.0
-    return _kernel_integral(N, phi.evaluator, lo, hi, tol).value
+    even = getattr(phi.evaluator, "even", False)
+    return _kernel_integral(N, phi.evaluator, lo, hi, tol, even=even).value
 
 
 def _exact_row_sums(terms, q) -> list:

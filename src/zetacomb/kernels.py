@@ -27,7 +27,11 @@ line start without it.
 
 Every integral of delta_N against a weight f goes through one route,
 _kernel_integral: the normalization takes f = 1 over the window, and the
-kernel action in actions takes f = phi over the clipped support.
+kernel action in actions takes f = phi over the clipped support.  The
+compact form reads only |x|, so it is even to the bit; with a weight its
+caller declares even (f = 1, or an evaluator testfn marks even) on a
+symmetric interval, the quadrature evaluates one panel of each mirror
+pair and returns the bits it would return without the declaration.
 """
 
 import math
@@ -190,19 +194,21 @@ def kernel_samples(N: int, count: int, xmin: float = -math.pi, xmax: float = mat
     return SampleTable(column_names=("x", "sum_form", "compact_form"), rows=rows)
 
 
-def _kernel_integral(N: int, f, lo: float, hi: float, tol: float) -> QuadResult:
+def _kernel_integral(N: int, f, lo: float, hi: float, tol: float, even: bool = False) -> QuadResult:
     """Integral of delta_N * f over [lo, hi]: the one kernel-integral route.
 
     Integrates the O(1) compact form times f with the oscillation hint
-    N + 1/2.  An order past the float range raises QuadratureError with no
-    panels used: its seed grid alone would pass any panel budget.
+    N + 1/2.  even declares f even to the bit, which makes the integrand
+    even (see integrate_adaptive).  An order past the float range raises
+    QuadratureError with no panels used: its seed grid alone would pass
+    any panel budget.
     """
     try:
         osc_freq = N + 0.5
     except OverflowError:
         raise QuadratureError(math.nan, math.inf, 0) from None
     return integrate_adaptive(
-        lambda x: _windowed_compact(N, x) * f(x), lo, hi, tol, osc_freq=osc_freq
+        lambda x: _windowed_compact(N, x) * f(x), lo, hi, tol, osc_freq=osc_freq, even=even
     )
 
 
@@ -211,8 +217,9 @@ def kernel_normalization(N: int, tol: float) -> float:
 
     Every Fourier mode but n=0 has zero mean over the full window, so the
     constant term alone survives.  The kernel integral with the weight 1
-    (v * 1.0 == v, so this is the plain kernel's integral to the bit).
+    (v * 1.0 == v, so this is the plain kernel's integral to the bit),
+    which is even, so each mirror pair of panels is evaluated once.
     Quadrature failure propagates.
     """
     _validate_order(N)
-    return _kernel_integral(N, lambda x: 1.0, -math.pi, math.pi, tol).value
+    return _kernel_integral(N, lambda x: 1.0, -math.pi, math.pi, tol, even=True).value

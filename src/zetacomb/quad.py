@@ -4,7 +4,9 @@ Each panel is handled by the classic 7-point Gauss rule nested inside the
 15-point Kronrod extension (the G7/K15 pair, with the standard QUADPACK
 node and weight constants).  The Kronrod value is the panel result; the
 Gauss/Kronrod discrepancy, sharpened the usual way by the scaled-deviation
-heuristic, is the panel error estimate.
+heuristic, is the panel error estimate.  The rule is written out as
+straight-line code that adds its terms in the order of QUADPACK's loops,
+so it gives their bits without their interpreter overhead.
 
 Refinement is globally adaptive: panels live in a priority queue keyed by
 error estimate, the worst panel is bisected until the summed estimate
@@ -14,6 +16,17 @@ order-fixed, so identical inputs give bit-identical outputs.  A run fails
 fast: when the seed grid alone would pass the panel budget, or when the
 rounding floors of the panels (50*eps times the integral of |f|) add up
 to more than the tolerance, it raises at once instead of bisecting on.
+
+A caller may declare the integrand even, f(-x) == f(x) bit for bit.  A
+panel [-b, -a] then samples f at the negated nodes of [a, b] (midpoint
+and half-width negate and repeat exactly in IEEE arithmetic), gets the
+same values and adds them as the same terms commuted, so its result is
+that of [a, b] to the bit and is reused.  On an interval [-b, b] seeded
+on the period lattice every panel has its mirror: the lattice points
+k*2*pi/w and the bisection midpoints 0.5*(a+b) negate exactly too.  Which
+panels exist, the order they are bisected in and every bit of the result
+are as without the declaration; only the integrand is called about half
+as often.
 
 Oscillatory integrands are handled by seeding: callers pass the highest
 angular frequency w present, and the initial edges are the points of the
@@ -72,6 +85,11 @@ _WG = (
     0.4179591836734694,
 )
 
+# The same constants one name each, for the straight-line panel.
+_X0, _X1, _X2, _X3, _X4, _X5, _X6 = _XGK[:7]
+_WK0, _WK1, _WK2, _WK3, _WK4, _WK5, _WK6, _WK7 = _WGK
+_WG0, _WG1, _WG2, _WG3 = _WG
+
 _EPMACH = sys.float_info.epsilon
 _UFLOW = sys.float_info.min
 
@@ -127,41 +145,66 @@ def _kronrod_panel(f: Callable[[float], float], a: float, b: float):
     """One G7/K15 application on [a, b]; returns (value, error_estimate, floor).
 
     floor is the rounding floor 50*eps*resabs that error_estimate never
-    goes below (0 when resabs is too small for it to apply).
+    goes below (0 when resabs is too small for it to apply).  Straight-line
+    dqk15: node k sits at centr -+ hlgth*_XGK[k], and the sums run in
+    QUADPACK's order, resg, resk and resabs over the Gauss pairs 1, 3, 5
+    and then the Kronrod pairs 0, 2, 4, 6, resasc over the centre and then
+    pairs 0 to 6, so the bits are those of the loop form.
     """
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
     fc = f(centr)
-    resg = fc * _WG[3]
-    resk = fc * _WGK[7]
-    resabs = abs(resk)
-    fv1 = [0.0] * 7
-    fv2 = [0.0] * 7
-    for j in range(3):
-        jtw = 2 * j + 1
-        absc = hlgth * _XGK[jtw]
-        fval1 = f(centr - absc)
-        fval2 = f(centr + absc)
-        fv1[jtw] = fval1
-        fv2[jtw] = fval2
-        fsum = fval1 + fval2
-        resg += _WG[j] * fsum
-        resk += _WGK[jtw] * fsum
-        resabs += _WGK[jtw] * (abs(fval1) + abs(fval2))
-    for j in range(4):
-        jtwm1 = 2 * j
-        absc = hlgth * _XGK[jtwm1]
-        fval1 = f(centr - absc)
-        fval2 = f(centr + absc)
-        fv1[jtwm1] = fval1
-        fv2[jtwm1] = fval2
-        fsum = fval1 + fval2
-        resk += _WGK[jtwm1] * fsum
-        resabs += _WGK[jtwm1] * (abs(fval1) + abs(fval2))
+    absc = hlgth * _X1
+    f1l = f(centr - absc)
+    f1r = f(centr + absc)
+    absc = hlgth * _X3
+    f3l = f(centr - absc)
+    f3r = f(centr + absc)
+    absc = hlgth * _X5
+    f5l = f(centr - absc)
+    f5r = f(centr + absc)
+    absc = hlgth * _X0
+    f0l = f(centr - absc)
+    f0r = f(centr + absc)
+    absc = hlgth * _X2
+    f2l = f(centr - absc)
+    f2r = f(centr + absc)
+    absc = hlgth * _X4
+    f4l = f(centr - absc)
+    f4r = f(centr + absc)
+    absc = hlgth * _X6
+    f6l = f(centr - absc)
+    f6r = f(centr + absc)
+    s1 = f1l + f1r
+    s3 = f3l + f3r
+    s5 = f5l + f5r
+    resk = fc * _WK7
+    resg = fc * _WG3 + _WG0 * s1 + _WG1 * s3 + _WG2 * s5
+    resabs = (
+        abs(resk)
+        + _WK1 * (abs(f1l) + abs(f1r))
+        + _WK3 * (abs(f3l) + abs(f3r))
+        + _WK5 * (abs(f5l) + abs(f5r))
+        + _WK0 * (abs(f0l) + abs(f0r))
+        + _WK2 * (abs(f2l) + abs(f2r))
+        + _WK4 * (abs(f4l) + abs(f4r))
+        + _WK6 * (abs(f6l) + abs(f6r))
+    )
+    resk = (
+        resk + _WK1 * s1 + _WK3 * s3 + _WK5 * s5
+        + _WK0 * (f0l + f0r) + _WK2 * (f2l + f2r) + _WK4 * (f4l + f4r) + _WK6 * (f6l + f6r)
+    )
     reskh = resk * 0.5
-    resasc = _WGK[7] * abs(fc - reskh)
-    for j in range(7):
-        resasc += _WGK[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
+    resasc = (
+        _WK7 * abs(fc - reskh)
+        + _WK0 * (abs(f0l - reskh) + abs(f0r - reskh))
+        + _WK1 * (abs(f1l - reskh) + abs(f1r - reskh))
+        + _WK2 * (abs(f2l - reskh) + abs(f2r - reskh))
+        + _WK3 * (abs(f3l - reskh) + abs(f3r - reskh))
+        + _WK4 * (abs(f4l - reskh) + abs(f4r - reskh))
+        + _WK5 * (abs(f5l - reskh) + abs(f5r - reskh))
+        + _WK6 * (abs(f6l - reskh) + abs(f6r - reskh))
+    )
     result = resk * hlgth
     resabs *= abs(hlgth)
     resasc *= abs(hlgth)
@@ -175,7 +218,7 @@ def _kronrod_panel(f: Callable[[float], float], a: float, b: float):
     return result, abserr, floor
 
 
-def _refine(f: Callable[[float], float], edges: list, tol: float):
+def _refine(f: Callable[[float], float], edges: list, tol: float, even: bool = False):
     """Bisect the worst panel of the grid edges until the summed estimate is within tol.
 
     Returns the accepted panels as (left, right, value, error) from left to
@@ -184,19 +227,38 @@ def _refine(f: Callable[[float], float], edges: list, tol: float):
     pass DEFAULT_PANEL_BUDGET (read at call time), or at once when the
     rounding floors of the panels alone sum to more than tol, which no
     bisection can bring down, or when the summed estimate is NaN.
+
+    even declares f(-x) == f(x) bit for bit.  With it and a grid from -b
+    to b, the (value, error, floor) of a panel [a, b] is reused for the
+    panel whose edges are exactly -b and -a (see the module docstring), so
+    each mirror pair is computed once.  Panel counts, heap order and every
+    bit stay as without the mark.
     """
+    panel = _kronrod_panel
+    if even and edges[0] == -edges[-1]:
+        # Results keyed by the edges of the panel that will reuse them;
+        # each is popped on use, so the dict holds the unmatched half.
+        mirror = {}
+
+        def panel(f, lo, hi):
+            known = mirror.pop((lo, hi), None)
+            if known is None:
+                known = mirror[(-hi, -lo)] = _kronrod_panel(f, lo, hi)
+            return known
+
     # Heap entries: (-error, sequence number, a, b, value, floor).  The
-    # sequence number makes tie-breaking deterministic.
+    # sequence numbers are unique, so the pop order is fixed whatever the
+    # heap's layout.
     heap = []
     total_err = 0.0
     total_floor = 0.0
-    panels_used = 0
     for left, right in zip(edges, edges[1:]):
-        value, err, floor = _kronrod_panel(f, left, right)
-        heapq.heappush(heap, (-err, panels_used, left, right, value, floor))
+        value, err, floor = panel(f, left, right)
+        heap.append((-err, len(heap), left, right, value, floor))
         total_err += err
         total_floor += floor
-        panels_used += 1
+    heapq.heapify(heap)
+    panels_used = len(heap)
 
     # Written so that a NaN estimate enters the loop and fails there: no
     # bisection can bring it below tol.
@@ -210,7 +272,7 @@ def _refine(f: Callable[[float], float], edges: list, tol: float):
         total_floor -= floor
         mid = 0.5 * (left + right)
         for lo, hi in ((left, mid), (mid, right)):
-            value, err, floor = _kronrod_panel(f, lo, hi)
+            value, err, floor = panel(f, lo, hi)
             heapq.heappush(heap, (-err, panels_used, lo, hi, value, floor))
             total_err += err
             total_floor += floor
@@ -243,6 +305,7 @@ def integrate_adaptive(
     b: float,
     tol: float,
     osc_freq: float = 0.0,
+    even: bool = False,
 ) -> QuadResult:
     """Integrate f over [a, b] to absolute tolerance tol.
 
@@ -252,6 +315,10 @@ def integrate_adaptive(
     (a, b), and b, one period per panel; for the kernel they are every
     second zero of sin((N+1/2)*x) and its peak at 0.  Pass 0 for smooth
     integrands, seeded on an even grid of panels at most 2*pi wide.
+    even is a promise, not a detector: pass True only when f(-x) == f(x)
+    bit for bit.  On an interval [-b, b] each panel's mirror then reuses
+    its result instead of sampling f again; the QuadResult is the same to
+    the bit, panels_used included, as with even=False.
     Raises QuadratureError, carrying the best value and estimate, if the
     panel budget runs out or tol lies below the rounding floor of the
     estimate; with panels_used 0 when the seed grid alone would pass the
@@ -281,7 +348,7 @@ def integrate_adaptive(
         if len(ks) + 1 > DEFAULT_PANEL_BUDGET:
             raise QuadratureError(math.nan, math.inf, 0)
         edges = [a] + [k * period for k in ks] + [b]
-    panels, total_err, panels_used = _refine(f, edges, tol)
+    panels, total_err, panels_used = _refine(f, edges, tol, even)
     value = math.fsum(panel[2] for panel in panels)
     return QuadResult(value=value, error_estimate=total_err, panels_used=panels_used)
 

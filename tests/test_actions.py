@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import zetacomb.actions as actions
 import zetacomb.kernels as kernels
@@ -243,6 +243,47 @@ class TestDeltaNAction:
         action = kernels._kernel_integral(N, phi.evaluator, lo, hi, tol)
         sigma = sigma_route(phi, N, lo, hi, tol)
         assert abs(action.value - sigma.value) <= action.error_estimate + sigma.error_estimate
+
+    @pytest.mark.parametrize(
+        "phi, even",
+        [
+            (bump_plateau(math.pi, 1.5 * math.pi), True),
+            (gaussian_bump(0.0, 1.2), True),
+            (gaussian_bump(-0.0, 1.2), True),
+            (gaussian_bump(0.3, 1.2), False),
+        ],
+    )
+    def test_passes_the_even_mark(self, monkeypatch, phi, even):
+        marks = []
+        integrate = kernels.integrate_adaptive
+
+        def spy(*args, **kwargs):
+            marks.append(kwargs["even"])
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "integrate_adaptive", spy)
+        deltaN_action(phi, 37, 1e-10)
+        assert marks == [even]
+
+    @settings(max_examples=60)
+    @given(
+        st.floats(0.05, 3.0),
+        st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
+        st.one_of(st.integers(1, 50), st.integers(51, 20_000)),
+        st.sampled_from([1e-10, 1e-12]),
+    )
+    def test_agrees_with_the_mode_route(self, radius, s, N, tol):
+        # With the support inside the window, the kernel action and the
+        # partial action are one integral of D_N * phi over [-pi, pi], by
+        # independent code: adaptive G7/K15 on the compact form, and the
+        # periodic trapezoid on the integer-reduced kernel.
+        phi = gaussian_bump(s * (math.pi - radius), radius)
+        lo = max(-math.pi, phi.support[0])
+        hi = min(math.pi, phi.support[1])
+        even = getattr(phi.evaluator, "even", False)
+        action = kernels._kernel_integral(N, phi.evaluator, lo, hi, tol, even=even)
+        partial, estimate, _ = _mode_trapezoid(phi, N, tol)
+        assert abs(action.value - partial) <= action.error_estimate + estimate
 
     def test_order_zero_is_plain_integral(self):
         v = deltaN_action(gaussian_bump(0.0, 1.0), 0, 1e-10)

@@ -168,6 +168,26 @@ class TestActionCommand:
             "942fb3b3678561d920cb76aa682ca060fdd4b338b835bb8f766eb5998a55bc56"
         )
 
+    @pytest.mark.parametrize(
+        "phi, digest",
+        [
+            (["plateau"], "e7e042e77ec13beab7119e9abde81cd44e2b71ccfc7cab658c6ea1266f63d12f"),
+            (["gauss", "--center", "0", "--radius", "1.2"],
+             "d7e958a8d67326b922b1bf3c16f408e7fcd23c0d92999a08afbb6ea706b0dd10"),
+        ],
+        ids=["plateau", "gauss-centred"],
+    )
+    def test_golden_even_csv(self, capsys, phi, digest):
+        # Both test functions are marked even, so these orders take the
+        # mirror-pair route; sha256 measured before that route existed.
+        argv = [
+            "action", "--phi", *phi,
+            "--n-list", "0,1,37,500,12000", "--tol", "1e-12", "--format", "csv",
+        ]
+        code, out, _ = run_text(capsys, argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
     def test_byte_determinism(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -263,6 +283,14 @@ class TestSincCommand:
         for N, value, abs_err in rows:
             assert value == sinc_truncated(N, 1e-10).value
             assert abs_err == abs(value - math.pi)
+
+    def test_golden_csv(self, capsys):
+        # sha256 measured before the G7/K15 panel became straight-line code.
+        code, out, _ = run_text(capsys, ["sinc", "--n-max", "350", "--tol", "1e-12", "--format", "csv"])
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "715bd7c91ce35d449d116198abe539708ff80aa798ae1e4d1be0fa0c31b5c91b"
+        )
 
 
 class TestUsageErrors:

@@ -21,7 +21,7 @@ from zetacomb.kernels import (
     kernel_samples,
 )
 from zetacomb.quad import QuadratureError
-from zetacomb.testfn import bump_plateau
+from zetacomb.testfn import bump_plateau, gaussian_bump
 
 TWO_PI = 2 * math.pi
 
@@ -285,6 +285,19 @@ class TestNormalization:
         adaptive = kernel_normalization(7, 1e-10)
         assert abs(adaptive - simpson_normalization(7)) < 1e-8
 
+    def test_takes_the_mirror_pairs(self, monkeypatch):
+        marks = []
+        integrate = kernels.integrate_adaptive
+
+        def spy(*args, **kwargs):
+            marks.append(kwargs["even"])
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "integrate_adaptive", spy)
+        plain = kernels._kernel_integral(37, lambda x: 1.0, -math.pi, math.pi, 1e-10)
+        assert kernel_normalization(37, 1e-10) == plain.value
+        assert marks == [False, True]
+
     def test_invalid_tolerance(self):
         with pytest.raises(ValueError):
             kernel_normalization(5, 0.0)
@@ -300,3 +313,37 @@ class TestNormalization:
         # one kernel-integral route over [-pi, pi].
         plateau = bump_plateau(math.pi, 1.5 * math.pi)
         assert kernel_normalization(N, 1e-10) == deltaN_action(plateau, N, 1e-10)
+
+
+class TestMirrorReuse:
+    """An even weight on [-b, b] takes one panel of each mirror pair, to the bit."""
+
+    WEIGHTS = {
+        "one": (lambda x: 1.0, math.pi),
+        "plateau": (bump_plateau(math.pi, 1.5 * math.pi).evaluator, math.pi),
+        "gauss": (gaussian_bump(0.0, 1.2).evaluator, 1.2),
+    }
+
+    def run(self, N, name, tol, even):
+        weight, b = self.WEIGHTS[name]
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return weight(x)
+
+        try:
+            result = kernels._kernel_integral(N, f, -b, b, tol, even=even)
+        except QuadratureError as exc:
+            result = ("QuadratureError", exc.value, exc.error_estimate, exc.panels_used)
+        return result, len(calls)
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-12, 1e-13])
+    @pytest.mark.parametrize("N", [0, 1, 37, 500, 5000])
+    @pytest.mark.parametrize("name", sorted(WEIGHTS))
+    def test_same_result_from_half_the_samples(self, name, N, tol):
+        plain, plain_calls = self.run(N, name, tol, False)
+        mirrored, mirrored_calls = self.run(N, name, tol, True)
+        assert mirrored == plain
+        assert 0.5 <= mirrored_calls / plain_calls <= 0.55
+

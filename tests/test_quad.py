@@ -1,11 +1,12 @@
 import math
 import random
+import struct
 import sys
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from zetacomb import quad
 from zetacomb.kernels import _windowed_compact, dirichlet_compact
@@ -166,9 +167,9 @@ class TestIntegrateAdaptive:
         seeds = []
         refine = quad._refine
 
-        def spy(f, edges, tol):
+        def spy(f, edges, tol, even):
             seeds.append(edges)
-            return refine(f, edges, tol)
+            return refine(f, edges, tol, even)
 
         monkeypatch.setattr(quad, "_refine", spy)
         N = 37
@@ -212,6 +213,157 @@ class TestIntegrateAdaptive:
             integrate_adaptive(f, 0.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             integrate_adaptive(f, 0.0, 1.0, 1e-9, osc_freq=-1.0)
+
+
+def loop_panel(f, a, b):
+    """The G7/K15 panel in QUADPACK's loop form: the reference for quad._kronrod_panel."""
+    xgk, wgk, wg = quad._XGK, quad._WGK, quad._WG
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    fc = f(centr)
+    resg = fc * wg[3]
+    resk = fc * wgk[7]
+    resabs = abs(resk)
+    fv1 = [0.0] * 7
+    fv2 = [0.0] * 7
+    for j in range(3):
+        jtw = 2 * j + 1
+        absc = hlgth * xgk[jtw]
+        fval1 = f(centr - absc)
+        fval2 = f(centr + absc)
+        fv1[jtw] = fval1
+        fv2[jtw] = fval2
+        fsum = fval1 + fval2
+        resg += wg[j] * fsum
+        resk += wgk[jtw] * fsum
+        resabs += wgk[jtw] * (abs(fval1) + abs(fval2))
+    for j in range(4):
+        jtwm1 = 2 * j
+        absc = hlgth * xgk[jtwm1]
+        fval1 = f(centr - absc)
+        fval2 = f(centr + absc)
+        fv1[jtwm1] = fval1
+        fv2[jtwm1] = fval2
+        fsum = fval1 + fval2
+        resk += wgk[jtwm1] * fsum
+        resabs += wgk[jtwm1] * (abs(fval1) + abs(fval2))
+    reskh = resk * 0.5
+    resasc = wgk[7] * abs(fc - reskh)
+    for j in range(7):
+        resasc += wgk[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
+    result = resk * hlgth
+    resabs *= abs(hlgth)
+    resasc *= abs(hlgth)
+    abserr = abs((resk - resg) * hlgth)
+    if resasc != 0.0 and abserr != 0.0:
+        abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)
+    floor = 0.0
+    if resabs > quad._UFLOW / (50.0 * quad._EPMACH):
+        floor = quad._EPMACH * 50.0 * resabs
+        abserr = max(floor, abserr)
+    return result, abserr, floor
+
+
+def bits(triple):
+    return struct.pack("<3d", *triple)
+
+
+# Below _UFLOW / (50*eps), about 2e-294, resabs gets no rounding floor.
+TINY = 1e-296
+
+GAUSS = gaussian_bump(0.3, 1.2)
+
+INTEGRANDS = {
+    "kernel*gauss": lambda x: _windowed_compact(37, x) * GAUSS(x),
+    "constant": lambda x: 2.5,
+    "zero": lambda x: 0.0,
+    "tiny": lambda x: TINY * math.cos(x),
+    "nan": lambda x: math.nan if x > 0.0 else 1.0,
+}
+
+
+class TestKronrodPanel:
+    @given(
+        st.sampled_from(sorted(INTEGRANDS)),
+        st.floats(-3.0, 2.0),
+        st.integers(-300, 0),
+        st.floats(1.0, 9.99),
+    )
+    def test_equals_the_loop_form(self, name, offset, exponent, mantissa):
+        # widths from 1e-300 to 10, at offsets on the width's own scale
+        f = INTEGRANDS[name]
+        width = mantissa * 10.0**exponent
+        a = offset * width
+        b = a + width
+        assume(a < b)
+        assert bits(quad._kronrod_panel(f, a, b)) == bits(loop_panel(f, a, b))
+
+    @given(st.sampled_from(sorted(INTEGRANDS)), st.floats(1e-300, 4.0), st.floats(1e-300, 4.0))
+    def test_equals_the_loop_form_across_zero(self, name, left, right):
+        f = INTEGRANDS[name]
+        assert bits(quad._kronrod_panel(f, -left, right)) == bits(loop_panel(f, -left, right))
+
+    def test_branches_are_reached(self):
+        # zero: resasc == 0; tiny: no rounding floor; nan: NaN throughout
+        assert quad._kronrod_panel(INTEGRANDS["zero"], -1.0, 2.0) == (0.0, 0.0, 0.0)
+        value, error, floor = quad._kronrod_panel(INTEGRANDS["tiny"], -1.0, 2.0)
+        assert value != 0.0 and floor == 0.0
+        assert all(map(math.isnan, quad._kronrod_panel(INTEGRANDS["nan"], -1.0, 2.0)[:2]))
+
+
+def outcome(f, a, b, tol, even, **kwargs):
+    """integrate_adaptive's QuadResult, or the fields of its QuadratureError."""
+    try:
+        return integrate_adaptive(f, a, b, tol, even=even, **kwargs)
+    except QuadratureError as exc:
+        return ("QuadratureError", exc.value, exc.error_estimate, exc.panels_used)
+
+
+class TestMirrorPanels:
+    KERNEL = staticmethod(lambda x: _windowed_compact(500, x))
+
+    def counted(self, f):
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            return f(x)
+
+        return g, calls
+
+    def test_floor_failure_is_the_same(self):
+        plain = outcome(self.KERNEL, -math.pi, math.pi, 1e-15, False, osc_freq=500.5)
+        assert plain[0] == "QuadratureError"
+        assert outcome(self.KERNEL, -math.pi, math.pi, 1e-15, True, osc_freq=500.5) == plain
+
+    def test_budget_failure_is_the_same(self, monkeypatch):
+        # 502 seed panels, then bisections until the budget runs out (the
+        # run takes 1,264 panels unbounded)
+        monkeypatch.setattr(quad, "DEFAULT_PANEL_BUDGET", 701)
+        plain = outcome(self.KERNEL, -math.pi, math.pi, 1e-12, False, osc_freq=500.5)
+        assert plain[0] == "QuadratureError" and plain[3] == 700
+        assert outcome(self.KERNEL, -math.pi, math.pi, 1e-12, True, osc_freq=500.5) == plain
+
+    def test_even_grid_samples_half(self):
+        f, plain_calls = self.counted(self.KERNEL)
+        plain = integrate_adaptive(f, -math.pi, math.pi, 1e-12, osc_freq=500.5)
+        f, even_calls = self.counted(self.KERNEL)
+        assert integrate_adaptive(f, -math.pi, math.pi, 1e-12, osc_freq=500.5, even=True) == plain
+        assert len(plain_calls) == 15 * plain.panels_used
+        assert 0.5 <= len(even_calls) / len(plain_calls) <= 0.55
+
+    @pytest.mark.parametrize("b, osc_freq", [(3.0, 500.5), (math.pi * (1 + 2**-40), 0.0)])
+    def test_nothing_reused_off_the_mirror(self, b, osc_freq):
+        # [-pi, b] is not symmetric, so an even mark changes nothing, not
+        # even for an integrand that is not even.
+        def f(x):
+            return math.exp(x) * math.cos(7.0 * x) * self.KERNEL(x)
+
+        counted, plain_calls = self.counted(f)
+        plain = integrate_adaptive(counted, -math.pi, b, 1e-11, osc_freq=osc_freq)
+        counted, even_calls = self.counted(f)
+        assert integrate_adaptive(counted, -math.pi, b, 1e-11, osc_freq=osc_freq, even=True) == plain
+        assert even_calls == plain_calls
 
 
 class TestLattice:
