@@ -37,9 +37,10 @@ its array passes.  Each thread fills its block from buffers of its own,
 made once per call.  The chunk sums are then added exactly in a fixed
 order, so results are deterministic and effectively free of accumulation
 error; odd sums are computed on |x| and sign-flipped so antisymmetry
-holds bit-for-bit.  numpy is imported only by the partial sums (and the
-kernel's sample table), so the other routes and the command line start
-without it.
+holds bit-for-bit.  A grid with an x past the float range is refused
+first, so every term is finite.  numpy is imported only by the partial
+sums (and the kernel's sample table), so the other routes and the
+command line start without it.
 """
 
 import math
@@ -232,22 +233,15 @@ def _exact_row_sums(terms, q) -> list:
     exact partial, until the residue is all zero.  The partials of several
     arrays that split one row add up exactly too, so math.fsum over all of
     them is the row's correctly rounded sum.  terms is overwritten, and q,
-    an array of the same shape, is scratch.  A row that holds a non-finite
-    value, or whose sigma would overflow, gets math.fsum of its terms as
-    its one partial, which is exact only for a row that is not split (a
-    nan row stays nan either way).
+    an array of the same shape, is scratch.  Every term must be finite with
+    |t| <= 2, as series terms are; unchecked here, a nan or inf term would
+    never leave the loop, so _fourier_partial_sums refuses such an x first.
     """
     import numpy as np
 
     lanes = 1 << max(1, (terms.shape[1] - 1).bit_length())  # a power of two >= cols, 2
     peak = np.abs(terms, out=q).max(axis=1)
     partials = [[] for _ in peak]
-    # sigma <= 2 * lanes * peak, so a row at or past 2**1023 / lanes (or nan)
-    # goes to fsum.
-    for i in np.flatnonzero(~(peak < 2.0**1023 / lanes)).tolist():
-        partials[i].append(math.fsum(terms[i].tolist()))
-        terms[i] = 0.0
-        peak[i] = 0.0
     while peak.any():
         sigma = np.ldexp(float(lanes), np.frexp(peak)[1])[:, None]
         np.add(terms, sigma, out=q)
@@ -272,16 +266,13 @@ def _map_on_workers(func, jobs: list, workers: int) -> list:
     """[func(job, worker) for job in jobs], shared out over `workers` threads.
 
     The caller's thread is one of them and workers - 1 threading.Threads
-    are the rest, each in a copy of the caller's context, so settings kept
-    there (numpy's errstate) hold on every thread.  Each thread takes the
-    next job until none is left.  Once a job has failed, no thread takes
-    another, and the first failure is raised here after every thread has
-    finished the job in hand, so no thread outlives the call.  worker
-    numbers the thread that runs the job, 0 being the caller's, so that
-    func can keep per-thread state.
+    are the rest.  Each thread takes the next job until none is left.
+    Once a job has failed, no thread takes another, and the first failure
+    is raised here after every thread has finished the job in hand, so no
+    thread outlives the call.  worker numbers the thread that runs the
+    job, 0 being the caller's, so that func can keep per-thread state.
+    The threads run under numpy's default errstate, not the caller's.
     """
-    import contextvars  # loaded with numpy; the command line starts without it
-
     results = [None] * len(jobs)
     pending = iter(range(len(jobs)))
     lock = threading.Lock()
@@ -300,7 +291,7 @@ def _map_on_workers(func, jobs: list, workers: int) -> list:
                 failures.append(exc)
 
     threads = [
-        threading.Thread(target=contextvars.copy_context().run, args=(work, worker))
+        threading.Thread(target=work, args=(worker,))
         for worker in range(1, min(workers, len(jobs)))
     ]
     for thread in threads:
@@ -375,9 +366,8 @@ def _fourier_partial_sums(order: int, N: int, xs) -> list:
     order, so every row is the same as summing its own chunks with
     math.fsum.  The working set is three arrays of one block per worker,
     terms, scratch and orders, and one shared index, made once per call.
-    N * len(xs) may not pass FOURIER_WORK_CAP.  A row whose n*|x|
-    overflows comes out nan, under numpy's errstate; the one-row wrappers
-    and the command line refuse such an x first.
+    N * len(xs) may not pass FOURIER_WORK_CAP, and at every x N*|x| (and
+    x**2/2 at order 2) must be finite: else ValueError, before numpy loads.
     """
     _validate_order(N, least=1, cap=FOURIER_N_CAP)
     if N * len(xs) > FOURIER_WORK_CAP:
@@ -385,9 +375,14 @@ def _fourier_partial_sums(order: int, N: int, xs) -> list:
             f"order {N} at {len(xs)} points is past the work cap: "
             f"N * points must be <= {FOURIER_WORK_CAP}"
         )
+    rs = [abs(x) for x in xs]
+    for x, r in zip(xs, rs):  # each x: max() would skip a nan
+        if not math.isfinite(N * r):
+            raise ValueError(f"n * |x| for n up to {N} at x = {x} is past the float range")
+        if order == 2 and 0.5 * r * r == math.inf:
+            raise ValueError(f"x**2/2 at x = {x} is past the float range")
     import numpy as np
 
-    rs = [abs(x) for x in xs]
     width = min(N, _BLOCK)  # of the widest block
     size = min(_BLOCK, len(rs) * width)  # of the largest block
     buffers = [(np.empty(size), np.empty(size), np.empty(width)) for _ in range(_worker_count())]
@@ -416,25 +411,12 @@ def fourier_partial_delta1(N: int, x: float) -> float:
     Odd in x by construction: the positive-axis value is computed and the
     sign flipped, so f(-x) == -f(x) to the last bit.
     """
-    return _one_row(1, N, x)
+    return _fourier_partial_sums(1, N, [x])[0]
 
 
 def fourier_partial_delta2(N: int, x: float) -> float:
     """x**2/2 - 2*sum_{n=1}^{N} cos(n*x)/n**2, even in x bit-for-bit."""
-    return _one_row(2, N, x)
-
-
-def _one_row(order: int, N: int, x: float) -> float:
-    """The partial sum at x, refused where a value leaves the float range:
-    a term's argument n*|x|, which numpy would sum into nan, or order 2's
-    x**2/2, which would make the sum inf."""
-    _validate_order(N, least=1, cap=FOURIER_N_CAP)
-    r = abs(x)
-    if N * r == math.inf:
-        raise ValueError(f"n * |x| for n up to {N} at x = {x} is past the float range")
-    if order == 2 and 0.5 * r * r == math.inf:
-        raise ValueError(f"x**2/2 at x = {x} is past the float range")
-    return _fourier_partial_sums(order, N, [x])[0]
+    return _fourier_partial_sums(2, N, [x])[0]
 
 
 def delta1_closed(x: float) -> float:

@@ -264,18 +264,15 @@ def _cmd_fourier(args):
     closed = _cli.delta1_closed if args.order == 1 else _cli.delta2_closed
     step = (args.xmax - args.xmin) / (args.samples - 1)
     xs = [args.xmin + i * step for i in range(args.samples - 1)] + [args.xmax]
-    # The float range is checked before the sums run: first the closed
-    # forms, which are cheap, then the largest argument n*|x| of a term.
+    # The closed forms are cheap, so they are checked before the sums,
+    # which check their own float range.
     try:
         closed_forms = [closed(x) for x in xs]
-    except OverflowError:
+    except OverflowError:  # an integer floor(u) * ceil(u) too large for a float
+        closed_forms = None
+    if closed_forms is None or not all(map(math.isfinite, closed_forms)):
         raise ValueError(
             f"--xmin/--xmax: the order-{args.order} closed form on "
-            f"[{args.xmin}, {args.xmax}] is past the float range"
-        ) from None
-    if args.n * max(-args.xmin, args.xmax) == math.inf:
-        raise ValueError(
-            f"--xmin/--xmax: n*|x| for n up to {args.n} on "
             f"[{args.xmin}, {args.xmax}] is past the float range"
         )
     sums = _cli._fourier_partial_sums(args.order, args.n, xs)

@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import re
 import sys
 import threading
 import time
@@ -356,10 +357,10 @@ class TestFourierDelta1:
             fourier_partial_delta1(True, 1.0)
 
     def test_terms_past_the_float_range_are_refused(self):
-        # n*|x| overflows for n near 10: refused, not summed into nan
+        # n*|x| overflows for n near 10, or is nan: refused, not summed into nan
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for x in (1e308, -1e308, math.inf):
+            for x in (1e308, -1e308, math.inf, math.nan):
                 with pytest.raises(ValueError, match="float range"):
                     fourier_partial_delta1(10, x)
             assert fourier_partial_delta1(10, 1e300) == 1e300  # the sine terms vanish beside x
@@ -367,8 +368,9 @@ class TestFourierDelta1:
 
 class TestFourierDelta2:
     def test_square_past_the_float_range_is_refused(self):
-        # n*|x| stays finite here, but x**2/2 does not: refused, not summed into inf
-        for x in (1e200, -1e200, 1.9e154):
+        # n*|x| stays finite here, but x**2/2 does not: refused, not summed
+        # into inf.  A nan x is refused too.
+        for x in (1e200, -1e200, 1.9e154, math.nan):
             with pytest.raises(ValueError, match="float range"):
                 fourier_partial_delta2(10, x)
         assert math.isfinite(fourier_partial_delta2(10, 1.8e154))
@@ -488,21 +490,18 @@ class TestExactRowSums:
         # The order-1 row at x = 0: sin(0) = 0 in every term.
         self.check(series_terms(1, [0.0, 1.0, 0.0], 1, 5000))
 
-    def test_rows_past_the_float_range_go_to_fsum(self):
-        terms = np.array([[1e308, -1e308, 5.0], [1.7e308, 1.0, 0.0], [math.nan, 1.0, 2.0], [1.0, 2.0, 3.5]])
-        got = [math.fsum(partials) for partials in _exact_row_sums(terms.copy(), np.empty_like(terms))]
-        assert got[:2] == [5.0, 1.7e308] and math.isnan(got[2]) and got[3] == 6.5
-        with pytest.raises(OverflowError):
-            math.fsum(_exact_row_sums(np.array([[1e308, 1e308, -1e308]]), np.empty((1, 3)))[0])
+
+
+ORACLE_XS = [-9.5, -math.pi, -1e-3, 0.0, 2.5e-7, 1.0, 3.0, 12.25]
+CHUNK_XS = [-math.pi, -2.0, 0.0, 2.5e-7, 0.7, 5.0, 12.25]
 
 
 class TestBatchedPartialSums:
     def test_rows_equal_the_chunked_fsum_oracle(self):
-        xs = [-9.5, -math.pi, -1e-3, 0.0, 2.5e-7, 1.0, 3.0, 12.25]
         for order in (1, 2):
             for N in (1, 2, 999, 30000):
-                expected = [chunked_fsum_partial(order, N, x) for x in xs]
-                assert _fourier_partial_sums(order, N, xs) == expected
+                expected = [chunked_fsum_partial(order, N, x) for x in ORACLE_XS]
+                assert _fourier_partial_sums(order, N, ORACLE_XS) == expected
 
     @pytest.mark.parametrize(
         "N", [(1 << 19) - 1, 1 << 19, (1 << 19) + 1, (1 << 19) + (1 << 18) + 3]
@@ -510,12 +509,11 @@ class TestBatchedPartialSums:
     def test_chunk_boundary(self, N, monkeypatch):
         # Past _BLOCK orders, each row of a chunk is split into column
         # blocks, the last one short; the bits must not move.
-        xs = [-math.pi, -2.0, 0.0, 2.5e-7, 0.7, 5.0, 12.25]
         for order in (1, 2):
-            expected = [chunked_fsum_partial(order, N, x) for x in xs]
+            expected = [chunked_fsum_partial(order, N, x) for x in CHUNK_XS]
             for workers in (1, 2):
                 monkeypatch.setattr(actions, "_worker_count", lambda: workers)
-                assert _fourier_partial_sums(order, N, xs) == expected
+                assert _fourier_partial_sums(order, N, CHUNK_XS) == expected
 
     @pytest.mark.parametrize(
         "block, N",
@@ -530,18 +528,14 @@ class TestBatchedPartialSums:
         # The chunk sums are rounded once per chunk, however the blocks cut
         # it: one element per block, 7 elements (3 orders make blocks of 2,
         # 2 and 1 rows), 4096, and the default.  Tiny blocks take one job
-        # per few elements, so they run at small N only.  The last row's
-        # n*|x| overflows, and its sum is nan on every split.
-        xs = [-math.pi, 0.0, 2.5e-7, 12.25, 1.5e308]
+        # per few elements, so they run at small N only.
+        xs = [-math.pi, 0.0, 2.5e-7, 12.25]
         monkeypatch.setattr(actions, "_BLOCK", block)
         for order in (1, 2):
-            expected = [chunked_fsum_partial(order, N, x) for x in xs[:-1]]
+            expected = [chunked_fsum_partial(order, N, x) for x in xs]
             for workers in (1, 2):
                 monkeypatch.setattr(actions, "_worker_count", lambda: workers)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    got = _fourier_partial_sums(order, N, xs)
-                assert got[:-1] == expected
-                assert math.isnan(got[-1])
+                assert _fourier_partial_sums(order, N, xs) == expected
 
     def test_rows_over_half_a_block_are_split(self, monkeypatch):
         # 40 orders fill only 40 of a 64-element block, one row each: ten
@@ -561,22 +555,37 @@ class TestBatchedPartialSums:
 
     def test_short_last_row_block_on_one_and_two_workers(self, monkeypatch):
         # 1000 orders make blocks of 65 rows, so 529 rows end on a block
-        # of 9; the last row's sum is nan.
+        # of 9, the last row among them.
         rng = random.Random(5)
         xs = [-math.pi, 0.0, 2.5e-7, 12.25] + [rng.uniform(-20.0, 20.0) for _ in range(524)]
-        xs.append(1.5e308)
+        xs.append(1e6)
         for order in (1, 2):
-            expected = [chunked_fsum_partial(order, 1000, x) for x in xs[:-1]]
+            expected = [chunked_fsum_partial(order, 1000, x) for x in xs]
             for workers in (1, 2):
                 monkeypatch.setattr(actions, "_worker_count", lambda: workers)
-                # Both workers run under the caller's errstate.
-                with np.errstate(over="raise", invalid="raise"):
-                    with pytest.raises(FloatingPointError):
-                        _fourier_partial_sums(order, 1000, xs)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    got = _fourier_partial_sums(order, 1000, xs)
-                assert got[:-1] == expected
-                assert math.isnan(got[-1])
+                assert _fourier_partial_sums(order, 1000, xs) == expected
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_floating_point_event(self, workers, monkeypatch):
+        # The worker threads run under numpy's default errstate, not the
+        # caller's; that is sound only while no block raises any event.  On
+        # one worker every block runs here, under the strictest setting.
+        monkeypatch.setattr(actions, "_worker_count", lambda: workers)
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for order in (1, 2):
+                for N in (1, 2, 999, 30000):
+                    _fourier_partial_sums(order, N, ORACLE_XS)
+                _fourier_partial_sums(order, (1 << 19) + 1, CHUNK_XS)
+
+    def test_one_bad_x_refuses_the_grid(self, monkeypatch):
+        # Every x is checked, nan too (which max() would skip), before any
+        # block is reduced: a reduction of a nan row would never end, so
+        # here it fails at once instead.
+        monkeypatch.setattr(actions, "_exact_row_sums", None)
+        for order, bad in ((1, math.nan), (1, -1e307), (1, math.inf), (2, math.nan), (2, 1e200)):
+            with pytest.raises(ValueError, match=re.escape(f"x = {bad} is past the float range")):
+                _fourier_partial_sums(order, 100, [0.5, -2.0, bad, 3.0])
 
     def test_failing_block_reaches_the_caller_after_the_workers_stop(self, monkeypatch):
         calls = []

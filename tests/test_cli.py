@@ -7,13 +7,14 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
 
 import pytest
 from conftest import src_env
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import zetacomb.cli as cli
 import zetacomb.kernels as kernels
@@ -263,14 +264,15 @@ class TestFourierCommand:
 
     def test_terms_past_the_float_range_exit_two(self):
         # The closed forms are finite on this grid, but n*|x| overflows from
-        # n = 2 on: refused before the sums, not printed as nan rows.
+        # n = 2 on: the partial sums refuse it before they start, not
+        # printed as nan rows.
         argv = ["fourier", "--order", "1", "--n", "5", "--samples", "3", "--xmin", "1e307", "--xmax", "1.5e308"]
         result = subprocess.run(
             [sys.executable, "-m", "zetacomb.cli", *argv], env=src_env(), capture_output=True, text=True
         )
         assert result.returncode == 2
         assert result.stdout == ""
-        assert "--xmin/--xmax" in result.stderr
+        assert "float range" in result.stderr
         assert "Warning" not in result.stderr
 
 
@@ -354,6 +356,9 @@ class TestUsageErrors:
             # closed forms past the float range, refused before ten million
             # terms per point are summed
             (["fourier", "--order", "2", "--n", "10000000", "--samples", "6", "--xmin=-1e300", "--xmax", "1e300"],
+             "--xmin/--xmax"),
+            # x**2/2 is finite, but the closed form is inf
+            (["fourier", "--order", "2", "--n", "1", "--samples", "2", "--xmin", "1e154", "--xmax", "1.5e154"],
              "--xmin/--xmax"),
         ],
     )
@@ -502,9 +507,11 @@ INT_TEXTS = st.integers(0, 12).map(str) | st.sampled_from(
     [str(n) for n in (-1, -(2**63), 2**31, 2**63, 10**12, 10**320)] + ["abc", "1.5", "", "nan"]
 )
 FLOAT_TEXTS = st.sampled_from(["0.3", "1.0", "2.5", "-0.7", "3.0", "1e-08", "-3.141592653589793"]) | (
-    st.sampled_from(["0.0", "-0.0", "5e-324", "1e-300", "1e+300", "1.7e+308", "-1.7e+308",
-                     "nan", "inf", "-inf", "1e999", "abc", ""])
+    st.sampled_from(["0.0", "-0.0", "5e-324", "1e-300", "1e+300", "1.5e+154", "5e+154", "1.7e+308",
+                     "-1.7e+308", "nan", "inf", "-inf", "1e999", "abc", ""])
 )
+# A float cell that is no number, as repr (text, csv) or json writes it.
+NOT_A_NUMBER = re.compile(r"\b(?:inf|nan|Infinity|NaN)\b")
 
 
 def flag_values(action: argparse.Action):
@@ -540,6 +547,10 @@ def subcommand_argv():
 
 
 @given(subcommand_argv())
+# The order-2 closed form is past the float range on both grids, and x**2/2
+# on the first.
+@example(["fourier", "--order=2", "--n=1", "--samples=2", "--xmin=1e+154", "--xmax=5e+154"])
+@example(["fourier", "--order=2", "--n=1", "--samples=2", "--xmin=1e+154", "--xmax=1.5e+154"])
 def test_every_argv_exits_zero_two_or_three(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -547,6 +558,7 @@ def test_every_argv_exits_zero_two_or_three(argv):
     assert code in (0, 2, 3)
     assert (out.getvalue() != "") == (code == 0)
     assert "Traceback" not in err.getvalue()
+    assert NOT_A_NUMBER.search(out.getvalue()) is None
 
 
 def modules_added_by(probe, modules, *args):
@@ -595,6 +607,12 @@ def test_series_runs_load_numpy():
     assert modules_added_by(RUN_ARGV, ["numpy"], *argv) == ["0", "numpy"]
 
 
+def test_refused_fourier_grid_leaves_numpy_unloaded():
+    # The partial sums check the float range before they import numpy.
+    argv = ["fourier", "--order", "1", "--n", "5", "--samples", "3", "--xmin", "1e307", "--xmax", "1.5e308"]
+    assert modules_added_by(RUN_ARGV, ["numpy"], *argv) == ["2"]
+
+
 def test_criterion_12_table_leaves_numpy_unloaded():
     assert modules_added_by(RUN_ARGV, ["numpy"], "kernel", "--n", "50") == ["0"]
 
@@ -639,8 +657,10 @@ EXACT_HALF = ["zetacomb.zeta_ladder", "zetacomb.exactalg", "fractions"]
         (["sinc", "--n-max", "2"], [*EXACT_HALF, "zetacomb.actions", "zetacomb.kernels", "zetacomb.testfn"]),
         (["action", "--phi", "gauss", "--n-list", "10"], EXACT_HALF),
         (["comb", "--n", "5"], EXACT_HALF),
+        (["kernel", "--n", "50"], [*EXACT_HALF, "zetacomb.actions", "zetacomb.testfn"]),
+        (["fourier", "--order", "1", "--n", "100", "--samples", "5", "--xmin", "-1", "--xmax", "1"], EXACT_HALF),
     ],
-    ids=["zeta", "sinc", "action", "comb"],
+    ids=["zeta", "sinc", "action", "comb", "kernel", "fourier"],
 )
 def test_each_subcommand_loads_only_its_own_modules(argv, unloaded):
     # The exact and numerical halves share no module, so neither pays to compile the other.
