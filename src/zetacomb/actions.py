@@ -23,23 +23,22 @@ floor/ceiling closed forms.  The order-1 series converges only pointwise
 clear of lattice points; the order-2 series converges absolutely with
 tail below 2/N, so it is compared everywhere.
 
-The partial sums run over a whole x grid at once, in chunks of _CHUNK
-orders n.  Each chunk is cut into blocks of grid rows by a range of n,
-small enough that a block's arrays stay in a core's L2 cache, and each
-block row is reduced by error-free extraction (Rump, Ogita & Oishi,
-2008): a few numpy passes split the terms into partials whose sums carry
-no rounding.  math.fsum of all the partials a row gets in a chunk is the
-correctly rounded chunk sum, the same float math.fsum of the terms would
-give, so the bits depend neither on the blocks nor on who computed them.
-That lets the blocks run on two threads, the caller's and one more, where
-the process may use two CPUs: numpy releases the interpreter lock inside
-its array passes.  Each thread fills its block from buffers of its own,
-made once per call.  The chunk sums are then added exactly in a fixed
-order, so results are deterministic and effectively free of accumulation
-error; odd sums are computed on |x| and sign-flipped so antisymmetry
-holds bit-for-bit.  A grid with an x past the float range is refused
-first, so every term is finite.  numpy is imported only by the partial
-sums (and the kernel's sample table), so the other routes and the
+The partial sums run over a whole x grid at once.  The orders 1..N are
+cut into blocks of grid rows by a range of n, small enough that a block's
+arrays stay in a core's L2 cache, and each block row is reduced by
+error-free extraction (Rump, Ogita & Oishi, 2008): a few numpy passes
+split the terms into partials whose sums carry no rounding.  math.fsum
+of all the partials a row gets is its correctly rounded series, the same
+float math.fsum of its N terms would give, so the bits depend neither on
+the blocks nor on who computed them.  That lets the blocks run on two
+threads, the caller's and one more, where the process may use two CPUs:
+numpy releases the interpreter lock inside its array passes.  Each
+thread fills its block from buffers of its own, made once per call.  One
+more math.fsum adds the series to |x| (or x**2/2), so results are
+deterministic; odd sums are computed on |x| and sign-flipped so
+antisymmetry holds bit-for-bit.  A grid with an x past the float range is
+refused first, so every term is finite.  numpy is imported only by the
+partial sums (and the kernel's sample table), so the other routes and the
 command line start without it.
 """
 
@@ -50,10 +49,8 @@ import threading
 
 from .kernels import _kernel_integral
 from .quad import QuadratureError, _validate_order
-from .testfn import TestFunction
 
 __all__ = [
-    "FOURIER_N_CAP",
     "FOURIER_WORK_CAP",
     "MODE_SAMPLE_CAP",
     "delta0_partial_action",
@@ -66,18 +63,14 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-# The partial sums round once per chunk of _CHUNK orders, so _CHUNK sets
-# their bits.  _BLOCK, the most elements one block of a chunk may hold,
-# does not: it keeps a block's arrays (512 KiB each) inside a core's L2
-# cache, which the extraction sweeps 10 to 20 times per block.
-_CHUNK = 1 << 19
+# The most elements one block of the partial sums may hold.  It does not
+# set their bits; it keeps a block's arrays (512 KiB each) inside a core's
+# L2 cache, which the extraction sweeps 10 to 20 times per block.
 _BLOCK = 1 << 16
 
-# Runtime guard for the partial sums; far beyond every stated comparison.
-FOURIER_N_CAP = 10_000_000
 # Most series terms one grid of partial sums may take (0.9 to 1.2 s on
 # two CPUs and 1.2 to 1.9 s on one, spawned, 2 vCPU x86-64): the order N
-# times the number of grid points.
+# times the number of grid points.  It bounds N too, so n*n stays exact.
 FOURIER_WORK_CAP = 1 << 26
 
 # Most samples of phi one mode-route sum may take (about 2.5 s of Python):
@@ -111,7 +104,7 @@ def _dirichlet_periodic(N: int, m: int, M: int) -> float:
     return sign * math.sin(math.pi * r / M) / math.sin(math.pi * a / M)
 
 
-def _trapezoid_terms(phi: TestFunction, N: int, M: int, odd_only: bool) -> list:
+def _trapezoid_terms(phi: "TestFunction", N: int, M: int, odd_only: bool) -> list:
     """Nonzero phi_per(x)*D_N(x) over the nodes x = 2*pi*m/M, -M/2 <= m < M/2.
 
     phi_per(x) is the sum of phi(x + 2*pi*k) over k; it is gathered by
@@ -136,7 +129,7 @@ def _trapezoid_terms(phi: TestFunction, N: int, M: int, odd_only: bool) -> list:
     return [v * _dirichlet_periodic(N, m, M) for m, v in per.items()]
 
 
-def _mode_trapezoid(phi: TestFunction, N: int, tol: float) -> tuple[float, float, int]:
+def _mode_trapezoid(phi: "TestFunction", N: int, tol: float) -> tuple[float, float, int]:
     """(value, error estimate, node count M) of the periodic trapezoid sum.
 
     S_M = (2*pi/M) * sum_j phi_per(x_j)*D_N(x_j) integrates phi_per*D_N
@@ -178,7 +171,7 @@ def _mode_trapezoid(phi: TestFunction, N: int, tol: float) -> tuple[float, float
         coarse = value
 
 
-def delta0_partial_action(phi: TestFunction, N: int, tol: float) -> float:
+def delta0_partial_action(phi: "TestFunction", N: int, tol: float) -> float:
     """Symmetric partial action: c_0 + 2*sum_{n=1}^{N} Re(c_n).
 
     One periodic trapezoid sum of phi_per*D_N (see _mode_trapezoid), which
@@ -192,7 +185,7 @@ def delta0_partial_action(phi: TestFunction, N: int, tol: float) -> float:
     return _mode_trapezoid(phi, N, tol)[0]
 
 
-def delta0_comb_action(phi: TestFunction) -> float:
+def delta0_comb_action(phi: "TestFunction") -> float:
     """Lattice route: 2*pi * sum of phi(2*pi*n) over 2*pi*n in support(phi)."""
     lo, hi = phi.support
     n_lo = math.ceil(lo / _TWO_PI)
@@ -202,7 +195,7 @@ def delta0_comb_action(phi: TestFunction) -> float:
     return _TWO_PI * math.fsum(phi(_TWO_PI * n) for n in range(n_lo, n_hi + 1))
 
 
-def deltaN_action(phi: TestFunction, N: int, tol: float) -> float:
+def deltaN_action(phi: "TestFunction", N: int, tol: float) -> float:
     """Action of the order-N windowed kernel: integral of delta_N * phi.
 
     The kernel integral (kernels._kernel_integral) over [-pi, pi] clipped
@@ -304,72 +297,24 @@ def _map_on_workers(func, jobs: list, workers: int) -> list:
     return results
 
 
-def _chunk_sums(order: int, rs: list, n0: int, width: int, buffers, index) -> list:
-    """math.fsum of each row's series terms over the orders n0 .. n0 + width - 1.
-
-    The chunk is cut into the fewest blocks of at most _BLOCK elements,
-    each a few grid rows by one range of n: every row is split into the
-    same column ranges.  The blocks run on the workers (_map_on_workers),
-    each reduced to exact partials per row, and math.fsum of all the
-    partials a row gets is its correctly rounded chunk sum.  That is one
-    value whatever the blocks and workers, so the bits depend on neither.
-    buffers holds one triple of block buffers per worker (terms, the
-    extraction's scratch, and the orders n of one block), reused from
-    block to block; index is the shared, read-only 0, 1, 2, ... of a
-    block's width, from which each block fills its orders, so no block
-    allocates a large array.
-    """
-    import numpy as np
-
-    # Rows cut into p column ranges of cols elements, height rows to a
-    # block.  p runs from the least that fits a range in a block to twice
-    # that: a range just over half a block would fill only half of one,
-    # and blocks cost interpreter work each, which the two workers share.
-    least = -(-width // _BLOCK)
-    cols, height = min(
-        ((-(-width // p), _BLOCK // -(-width // p)) for p in range(least, 2 * least + 1)),
-        key=lambda shape: -(-len(rs) // shape[1]) * -(-width // shape[0]),
-    )
-    wave = np.sin if order == 1 else np.cos
-    jobs = [(i, c) for i in range(0, len(rs), height) for c in range(0, width, cols)]
-
-    def block_partials(job, worker):
-        i, c = job
-        rows = rs[i:i + height]
-        k = min(cols, width - c)
-        *blocks, n = buffers[worker]
-        terms, scratch = (b[:len(rows) * k].reshape(len(rows), k) for b in blocks)
-        n = n[:k]
-        # Integers below 2**53 add exactly, and for n <= FOURIER_N_CAP so do
-        # n/2 and n*n: the divisors are the floats of the exact values.
-        np.add(index[:k], float(n0 + c), out=n)
-        np.multiply.outer(rows, n, out=terms)
-        wave(terms, out=terms)
-        # 2*sin(t)/n is sin(t)/(n/2) to the bit: both round the same quotient.
-        n *= 0.5 if order == 1 else n
-        terms /= n
-        return _exact_row_sums(terms, scratch)
-
-    parts = [[] for _ in rs]
-    for (i, _), block_rows in zip(jobs, _map_on_workers(block_partials, jobs, len(buffers))):
-        for row, partials in zip(parts[i:i + height], block_rows):
-            row.extend(partials)
-    return [math.fsum(partials) for partials in parts]
-
-
 def _fourier_partial_sums(order: int, N: int, xs) -> list:
     """The order-1 or order-2 partial sums at every x of xs, as floats.
 
-    The series terms 2*sin(n*|x|)/n or cos(n*|x|)/n**2 are summed in
-    chunks of _CHUNK orders n, each on up to _worker_count() threads
-    (_chunk_sums).  The rounded chunk sums are then added exactly in chunk
-    order, so every row is the same as summing its own chunks with
-    math.fsum.  The working set is three arrays of one block per worker,
-    terms, scratch and orders, and one shared index, made once per call.
-    N * len(xs) may not pass FOURIER_WORK_CAP, and at every x N*|x| (and
-    x**2/2 at order 2) must be finite: else ValueError, before numpy loads.
+    The series terms 2*sin(n*|x|)/n or cos(n*|x|)/n**2, n = 1 .. N, are
+    cut into the fewest blocks of at most _BLOCK elements, each a few grid
+    rows by one range of n: every row is split into the same column
+    ranges.  The blocks run on up to _worker_count() threads
+    (_map_on_workers), each reduced to exact partials per row, and
+    math.fsum of all the partials a row gets is its correctly rounded
+    series, the float math.fsum of its N terms gives, whatever the blocks
+    and workers.  Each worker fills its blocks from three buffers of its
+    own, terms, the extraction's scratch and the orders n of one block,
+    and n comes from one shared, read-only index 0, 1, 2, ..., all made
+    once per call, so no block allocates a large array.  N * len(xs) may
+    not pass FOURIER_WORK_CAP, and at every x N*|x| (and x**2/2 at order
+    2) must be finite: else ValueError, before numpy loads.
     """
-    _validate_order(N, least=1, cap=FOURIER_N_CAP)
+    _validate_order(N, least=1)
     if N * len(xs) > FOURIER_WORK_CAP:
         raise ValueError(
             f"order {N} at {len(xs)} points is past the work cap: "
@@ -383,17 +328,44 @@ def _fourier_partial_sums(order: int, N: int, xs) -> list:
             raise ValueError(f"x**2/2 at x = {x} is past the float range")
     import numpy as np
 
-    width = min(N, _BLOCK)  # of the widest block
-    size = min(_BLOCK, len(rs) * width)  # of the largest block
-    buffers = [(np.empty(size), np.empty(size), np.empty(width)) for _ in range(_worker_count())]
-    index = np.arange(width, dtype=np.float64)
-    chunk_sums = [[] for _ in rs]
-    for n0 in range(1, N + 1, _CHUNK):
-        chunk = _chunk_sums(order, rs, n0, min(N + 1 - n0, _CHUNK), buffers, index)
-        for row, value in zip(chunk_sums, chunk):
-            row.append(value)
+    # Rows cut into p column ranges of cols elements, height rows to a
+    # block.  p runs from the least that fits a range in a block to twice
+    # that: a range just over half a block would fill only half of one,
+    # and blocks cost interpreter work each, which the two workers share.
+    least = -(-N // _BLOCK)
+    cols, height = min(
+        ((-(-N // p), _BLOCK // -(-N // p)) for p in range(least, 2 * least + 1)),
+        key=lambda shape: -(-len(rs) // shape[1]) * -(-N // shape[0]),
+    )
+    size = min(height, len(rs)) * cols  # of the largest block
+    buffers = [(np.empty(size), np.empty(size), np.empty(cols)) for _ in range(_worker_count())]
+    index = np.arange(cols, dtype=np.float64)
+    wave = np.sin if order == 1 else np.cos
+    jobs = [(i, c) for i in range(0, len(rs), height) for c in range(0, N, cols)]
+
+    def block_partials(job, worker):
+        i, c = job
+        rows = rs[i:i + height]
+        k = min(cols, N - c)
+        *blocks, n = buffers[worker]
+        terms, scratch = (b[:len(rows) * k].reshape(len(rows), k) for b in blocks)
+        n = n[:k]
+        # Integers below 2**53 add exactly, and for n <= FOURIER_WORK_CAP =
+        # 2**26 so do n/2 and n*n: the divisors are the floats of the exact values.
+        np.add(index[:k], float(1 + c), out=n)
+        np.multiply.outer(rows, n, out=terms)
+        wave(terms, out=terms)
+        # 2*sin(t)/n is sin(t)/(n/2) to the bit: both round the same quotient.
+        n *= 0.5 if order == 1 else n
+        terms /= n
+        return _exact_row_sums(terms, scratch)
+
+    parts = [[] for _ in rs]
+    for (i, _), block_rows in zip(jobs, _map_on_workers(block_partials, jobs, len(buffers))):
+        for row, partials in zip(parts[i:i + height], block_rows):
+            row.extend(partials)
     sums = []
-    for x, r, row in zip(xs, rs, chunk_sums):
+    for x, r, row in zip(xs, rs, parts):
         series = math.fsum(row)
         if order == 2:
             sums.append(math.fsum((0.5 * r * r, -2.0 * series)))

@@ -7,6 +7,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ import zetacomb.actions as actions
 import zetacomb.kernels as kernels
 import zetacomb.quad as quad
 from zetacomb.actions import (
-    FOURIER_N_CAP,
     FOURIER_WORK_CAP,
     MODE_SAMPLE_CAP,
     _dirichlet_periodic,
@@ -348,11 +348,13 @@ class TestFourierDelta1:
             x = rng.uniform(0.0, 10.0)
             assert fourier_partial_delta1(1000, -x) == -fourier_partial_delta1(1000, x)
 
-    def test_validation(self):
+    def test_validation(self, monkeypatch):
         with pytest.raises(ValueError):
             fourier_partial_delta1(0, 1.0)
-        with pytest.raises(ValueError):
-            fourier_partial_delta1(FOURIER_N_CAP + 1, 1.0)
+        # Past the work cap on one point: refused before numpy is imported.
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        with pytest.raises(ValueError, match="work cap"):
+            fourier_partial_delta1(FOURIER_WORK_CAP + 1, 1.0)
         with pytest.raises(ValueError):
             fourier_partial_delta1(True, 1.0)
 
@@ -407,11 +409,13 @@ class TestFourierDelta2:
             osc_there = fourier_partial_delta2(N, shifted) - 0.5 * shifted * shifted
             assert abs(osc_here - osc_there) < 1e-12
 
-    def test_validation(self):
+    def test_validation(self, monkeypatch):
         with pytest.raises(ValueError):
             fourier_partial_delta2(0, 1.0)
-        with pytest.raises(ValueError):
-            fourier_partial_delta2(FOURIER_N_CAP + 1, 1.0)
+        # Past the work cap on one point: refused before numpy is imported.
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        with pytest.raises(ValueError, match="work cap"):
+            fourier_partial_delta2(FOURIER_WORK_CAP + 1, 1.0)
         with pytest.raises(ValueError):
             fourier_partial_delta2(True, 1.0)
 
@@ -428,18 +432,15 @@ def series_terms(order, rs, n0, n1):
 
 
 @functools.cache  # several tests ask for the same large-N rows
-def chunked_fsum_partial(order, N, x):
-    """The partial sum as chunks of actions._CHUNK terms, each rounded by math.fsum."""
+def fsum_partial(order, N, x):
+    """The partial sum with its series rounded once, math.fsum of all N terms."""
     r = abs(x)
-    parts = [
-        math.fsum(series_terms(order, [r], n0, min(N, n0 + actions._CHUNK - 1))[0].tolist())
-        for n0 in range(1, N + 1, actions._CHUNK)
-    ]
+    series = math.fsum(series_terms(order, [r], 1, N)[0].tolist())
     if order == 2:
-        return math.fsum((0.5 * r * r, -2.0 * math.fsum(parts)))
+        return math.fsum((0.5 * r * r, -2.0 * series))
     if x == 0.0:
         return 0.0
-    core = math.fsum((r, math.fsum(parts)))
+    core = math.fsum((r, series))
     return core if x > 0 else -core
 
 
@@ -493,27 +494,28 @@ class TestExactRowSums:
 
 
 ORACLE_XS = [-9.5, -math.pi, -1e-3, 0.0, 2.5e-7, 1.0, 3.0, 12.25]
-CHUNK_XS = [-math.pi, -2.0, 0.0, 2.5e-7, 0.7, 5.0, 12.25]
+LONG_ROW_XS = [-math.pi, -2.0, 0.0, 2.5e-7, 0.7, 5.0, 12.25]
 
 
 class TestBatchedPartialSums:
-    def test_rows_equal_the_chunked_fsum_oracle(self):
+    def test_rows_equal_the_fsum_oracle(self):
         for order in (1, 2):
             for N in (1, 2, 999, 30000):
-                expected = [chunked_fsum_partial(order, N, x) for x in ORACLE_XS]
+                expected = [fsum_partial(order, N, x) for x in ORACLE_XS]
                 assert _fourier_partial_sums(order, N, ORACLE_XS) == expected
 
     @pytest.mark.parametrize(
-        "N", [(1 << 19) - 1, 1 << 19, (1 << 19) + 1, (1 << 19) + (1 << 18) + 3]
+        "N", [(1 << 19) - 1, 1 << 19, (1 << 19) + 1, (1 << 19) + (1 << 18) + 3, (1 << 20) + 1]
     )
-    def test_chunk_boundary(self, N, monkeypatch):
-        # Past _BLOCK orders, each row of a chunk is split into column
-        # blocks, the last one short; the bits must not move.
+    def test_long_rows_round_once(self, N, monkeypatch):
+        # Past _BLOCK orders, each row is split into column blocks, the
+        # last one short; the series is still math.fsum of all N terms, on
+        # both sides of 2**19 orders.
         for order in (1, 2):
-            expected = [chunked_fsum_partial(order, N, x) for x in CHUNK_XS]
+            expected = [fsum_partial(order, N, x) for x in LONG_ROW_XS]
             for workers in (1, 2):
                 monkeypatch.setattr(actions, "_worker_count", lambda: workers)
-                assert _fourier_partial_sums(order, N, CHUNK_XS) == expected
+                assert _fourier_partial_sums(order, N, LONG_ROW_XS) == expected
 
     @pytest.mark.parametrize(
         "block, N",
@@ -525,14 +527,14 @@ class TestBatchedPartialSums:
         ],
     )
     def test_block_split_keeps_the_bits(self, block, N, monkeypatch):
-        # The chunk sums are rounded once per chunk, however the blocks cut
-        # it: one element per block, 7 elements (3 orders make blocks of 2,
+        # Each series is rounded once, however the blocks cut its row: one
+        # element per block, 7 elements (3 orders make blocks of 2,
         # 2 and 1 rows), 4096, and the default.  Tiny blocks take one job
         # per few elements, so they run at small N only.
         xs = [-math.pi, 0.0, 2.5e-7, 12.25]
         monkeypatch.setattr(actions, "_BLOCK", block)
         for order in (1, 2):
-            expected = [chunked_fsum_partial(order, N, x) for x in xs]
+            expected = [fsum_partial(order, N, x) for x in xs]
             for workers in (1, 2):
                 monkeypatch.setattr(actions, "_worker_count", lambda: workers)
                 assert _fourier_partial_sums(order, N, xs) == expected
@@ -550,7 +552,7 @@ class TestBatchedPartialSums:
         monkeypatch.setattr(actions, "_BLOCK", 64)
         monkeypatch.setattr(actions, "_exact_row_sums", count)
         xs = [0.3 * i - 1.0 for i in range(10)]
-        assert _fourier_partial_sums(1, 40, xs) == [chunked_fsum_partial(1, 40, x) for x in xs]
+        assert _fourier_partial_sums(1, 40, xs) == [fsum_partial(1, 40, x) for x in xs]
         assert sorted(calls) == [(1, 20)] * 2 + [(3, 20)] * 6
 
     def test_short_last_row_block_on_one_and_two_workers(self, monkeypatch):
@@ -560,7 +562,7 @@ class TestBatchedPartialSums:
         xs = [-math.pi, 0.0, 2.5e-7, 12.25] + [rng.uniform(-20.0, 20.0) for _ in range(524)]
         xs.append(1e6)
         for order in (1, 2):
-            expected = [chunked_fsum_partial(order, 1000, x) for x in xs]
+            expected = [fsum_partial(order, 1000, x) for x in xs]
             for workers in (1, 2):
                 monkeypatch.setattr(actions, "_worker_count", lambda: workers)
                 assert _fourier_partial_sums(order, 1000, xs) == expected
@@ -576,7 +578,7 @@ class TestBatchedPartialSums:
             for order in (1, 2):
                 for N in (1, 2, 999, 30000):
                     _fourier_partial_sums(order, N, ORACLE_XS)
-                _fourier_partial_sums(order, (1 << 19) + 1, CHUNK_XS)
+                _fourier_partial_sums(order, (1 << 19) + 1, LONG_ROW_XS)
 
     def test_one_bad_x_refuses_the_grid(self, monkeypatch):
         # Every x is checked, nan too (which max() would skip), before any
@@ -617,7 +619,7 @@ class TestBatchedPartialSums:
     def test_working_set(self, N, order, workers, monkeypatch):
         # Per worker the terms, scratch and orders of one block, plus the
         # shared index and 64 KiB for the rows' partials: no array the size
-        # of a chunk, and none made per block or per chunk.
+        # of a row, and none made per block.
         monkeypatch.setattr(actions, "_worker_count", lambda: workers)
         xs = [-3.0, -1.0, 0.5, 2.0, 4.0]
         tracemalloc.start()
@@ -640,8 +642,27 @@ class TestBatchedPartialSums:
     def test_work_cap_refuses_at_once(self):
         start = time.perf_counter()
         with pytest.raises(ValueError, match="work cap"):
-            _fourier_partial_sums(1, FOURIER_N_CAP, [0.5 * i for i in range(FOURIER_WORK_CAP // FOURIER_N_CAP + 1)])
+            _fourier_partial_sums(1, FOURIER_WORK_CAP // 4 + 1, [0.5, 1.0, 1.5, 2.0])
         assert time.perf_counter() - start < 1.0
+
+    def test_work_cap_keeps_the_divisors_exact(self):
+        # The cap bounds N on one point, so every n*n is an integer below
+        # 2**53, exact in a float.
+        assert FOURIER_WORK_CAP**2 < 2**53
+
+    @given(
+        st.sampled_from([1, 2]),
+        st.integers(1, 3000),
+        st.lists(st.floats(-20.0, 20.0), max_size=20),
+    )
+    def test_tiny_blocks_equal_the_oracle(self, order, N, xs):
+        # Blocks of 64 elements cut every row into many column ranges and
+        # share the rows out in bands; each row is still the oracle's.
+        expected = [fsum_partial(order, N, x) for x in xs]
+        for workers in (1, 2):
+            with mock.patch.object(actions, "_BLOCK", 64), \
+                    mock.patch.object(actions, "_worker_count", lambda: workers):
+                assert _fourier_partial_sums(order, N, xs) == expected
 
     def test_one_row_wrappers(self):
         xs = [-4.0 + 0.37 * i for i in range(23)]

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from conftest import src_env
@@ -249,7 +250,7 @@ class TestFourierCommand:
     @pytest.mark.parametrize(
         "argv, digest",
         [
-            # N past one chunk of 2**19 terms, with x = 0 on the grid.
+            # N past 2**19 orders, many blocks to a row, with x = 0 on the grid.
             (["--order", "1", "--n", "600001", "--samples", "7", "--xmin", "-6", "--xmax", "12"],
              "6880a981d3fc02f7e033369526bdd89e518dd50db899dff6b6083b580c6a0151"),
             (["--order", "2", "--n", "1048577", "--samples", "5", "--xmin", "-13", "--xmax", "4"],
@@ -257,7 +258,8 @@ class TestFourierCommand:
         ],
     )
     def test_golden_csv(self, capsys, argv, digest):
-        # sha256 measured when every chunk was reduced by math.fsum, one x at a time.
+        # sha256 measured when each row was math.fsum of its 2**19-order
+        # chunk sums; rounding the whole series once moves no bit here.
         code, out, _ = run_text(capsys, ["fourier", *argv, "--format", "csv"])
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
@@ -322,7 +324,8 @@ class TestUsageErrors:
             ["kernel", "--n", "5", "--xmin", "-inf"],
             ["sinc", "--n-max", "2", "--tol", "inf"],
             ["comb", "--phi", "gauss", "--center", "1e17", "--n", "5"],  # support rounds to a point
-            ["fourier", "--order", "1", "--n", "10000001", "--samples", "3", "--xmin", "0", "--xmax", "1"],
+            # 2 * 33554433 terms, two past FOURIER_WORK_CAP
+            ["fourier", "--order", "1", "--n", "33554433", "--samples", "2", "--xmin", "0", "--xmax", "1"],
             ["kernel", "--n", "1" + "0" * 320, "--samples", "3"],  # past the work cap
             ["kernel", "--n", "100000000", "--samples", "3"],
             # --tol belongs to the integrating subcommands only
@@ -641,30 +644,37 @@ def test_each_format_loads_only_its_own_module(fmt, added):
     assert modules_added_by(RUN_ARGV, ["json", "csv"], *argv) == ["0", *added]
 
 
+# Every module of the package but cli, which each probe imports first.
+LIBRARY = sorted(
+    f"zetacomb.{path.stem}" for path in Path(cli.__file__).parent.glob("*.py")
+    if path.stem not in ("__init__", "__main__", "cli")
+)
+
+
 def test_cli_import_loads_no_library_module():
-    library = [f"zetacomb.{m}" for m in ("actions", "exactalg", "kernels", "quad", "testfn", "zeta_ladder")]
-    assert modules_added_by("import zetacomb.cli", library) == []
-
-
-EXACT_HALF = ["zetacomb.zeta_ladder", "zetacomb.exactalg", "fractions"]
+    assert len(LIBRARY) == 6
+    assert modules_added_by("import zetacomb.cli", LIBRARY) == []
 
 
 @pytest.mark.parametrize(
-    "argv, unloaded",
+    "argv, loaded, unloaded",
     [
-        (["zeta", "--max-k", "3", "--oracle"],
-         ["zetacomb.quad", "zetacomb.kernels", "zetacomb.actions", "zetacomb.testfn", "heapq"]),
-        (["sinc", "--n-max", "2"], [*EXACT_HALF, "zetacomb.actions", "zetacomb.kernels", "zetacomb.testfn"]),
-        (["action", "--phi", "gauss", "--n-list", "10"], EXACT_HALF),
-        (["comb", "--n", "5"], EXACT_HALF),
-        (["kernel", "--n", "50"], [*EXACT_HALF, "zetacomb.actions", "zetacomb.testfn"]),
-        (["fourier", "--order", "1", "--n", "100", "--samples", "5", "--xmin", "-1", "--xmax", "1"], EXACT_HALF),
+        (["zeta", "--max-k", "3", "--oracle"], ["exactalg", "zeta_ladder"], ["heapq"]),
+        (["sinc", "--n-max", "2"], ["quad"], ["fractions"]),
+        (["action", "--phi", "gauss", "--n-list", "10"], ["actions", "kernels", "quad", "testfn"], ["fractions"]),
+        (["comb", "--n", "5"], ["actions", "kernels", "quad", "testfn"], ["fractions"]),
+        (["kernel", "--n", "50"], ["kernels", "quad"], ["fractions"]),
+        (["fourier", "--order", "1", "--n", "100", "--samples", "5", "--xmin", "-1", "--xmax", "1"],
+         ["actions", "kernels", "quad"], ["fractions"]),
     ],
     ids=["zeta", "sinc", "action", "comb", "kernel", "fourier"],
 )
-def test_each_subcommand_loads_only_its_own_modules(argv, unloaded):
-    # The exact and numerical halves share no module, so neither pays to compile the other.
-    assert modules_added_by(RUN_ARGV, unloaded, *argv) == ["0"]
+def test_each_subcommand_loads_only_its_own_modules(argv, loaded, unloaded):
+    # The whole set of library modules each subcommand loads, as the cli
+    # docstring lists it.  The exact and numerical halves share no module,
+    # so neither pays to compile the other.
+    added = modules_added_by(RUN_ARGV, [*LIBRARY, *unloaded], *argv)
+    assert added == ["0", *(f"zetacomb.{m}" for m in loaded)]
 
 
 FOURIER_ARGV = ["fourier", "--n", "2", "--samples", "2", "--xmin", "0", "--xmax", "1"]

@@ -14,7 +14,6 @@ from zetacomb.quad import (
     DEFAULT_PANEL_BUDGET,
     QuadResult,
     QuadratureError,
-    _add_exact,
     _lattice,
     integrate_adaptive,
     sinc_table,
@@ -488,12 +487,15 @@ class TestSincTable:
             sinc_table(400, 1e-13)
 
     def test_running_sum_is_exact(self):
+        # The rows' running sum in units of 2**-1074, rounded by one
+        # int/int division, is the correctly rounded sum math.fsum gives.
         rng = random.Random(5)
         values = [rng.uniform(-1, 1) * 10.0 ** rng.randint(-20, 20) for _ in range(2000)]
-        partials = []
+        values += [5e-324, 1.0, 2.0**-53, -(2.0**-1074), 1e300, 3.5e-320, -1e300, -1.0]
+        total = 0
         for i, v in enumerate(values, start=1):
-            _add_exact(partials, v)
-            assert math.fsum(partials) == math.fsum(values[:i])
+            total += quad._fixed(v)
+            assert total / (1 << 1074) == math.fsum(values[:i])
 
     def test_one_pass_panel_count(self):
         rows = sinc_table(388, 1e-11)
