@@ -23,31 +23,18 @@ floor/ceiling closed forms.  The order-1 series converges only pointwise
 clear of lattice points; the order-2 series converges absolutely with
 tail below 2/N, so it is compared everywhere.
 
-The partial sums run over a whole x grid at once.  The orders 1..N are
-cut into blocks of grid rows by a range of n, small enough that a block's
-arrays stay in a core's L2 cache, and each block row is reduced by
-error-free extraction (Rump, Ogita & Oishi, 2008): a few numpy passes
-split the terms into partials whose sums carry no rounding.  math.fsum
-of all the partials a row gets is its correctly rounded series, the same
-float math.fsum of its N terms would give, so the bits depend neither on
-the blocks nor on who computed them.  That lets the blocks run on two
-threads, the caller's and one more, where the process may use two CPUs:
-numpy releases the interpreter lock inside its array passes.  Each
-thread fills its block from buffers of its own, made once per call.  One
-more math.fsum adds the series to |x| (or x**2/2), so results are
+The partial sums run over a whole x grid at once.  Each row's series is
+kernels._trig_series at order 1 or 2, correctly rounded on either of its
+routes, and one more math.fsum adds it to |x| (or x**2/2), so results are
 deterministic; odd sums are computed on |x| and sign-flipped so
 antisymmetry holds bit-for-bit.  A grid with an x past the float range is
-refused first, so every term is finite.  numpy is imported only by the
-partial sums (and the kernel's sample table), so the other routes and the
-command line start without it.
+refused before numpy loads, so every term is finite.
 """
 
 import math
-import os
 import sys
-import threading
 
-from .kernels import _kernel_integral
+from .kernels import _kernel_integral, _trig_series
 from .quad import QuadratureError, _validate_order
 
 __all__ = [
@@ -63,10 +50,6 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-# The most elements one block of the partial sums may hold.  It does not
-# set their bits; it keeps a block's arrays (512 KiB each) inside a core's
-# L2 cache, which the extraction sweeps 10 to 20 times per block.
-_BLOCK = 1 << 16
 
 # Most series terms one grid of partial sums may take (0.9 to 1.2 s on
 # two CPUs and 1.2 to 1.9 s on one, spawned, 2 vCPU x86-64): the order N
@@ -213,106 +196,15 @@ def deltaN_action(phi: "TestFunction", N: int, tol: float) -> float:
     return _kernel_integral(N, phi.evaluator, lo, hi, tol, even=even).value
 
 
-def _exact_row_sums(terms, q) -> list:
-    """Exact partials of each row of a 2-D float array: math.fsum of a row's
-    partials is the correctly rounded row sum, the float math.fsum gives.
-
-    Error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
-    summation, Part I", SIAM J. Sci. Comput. 31(1), 2008): with
-    sigma = 2**k >= 2**M * max|row| and 2**M >= the row length, every
-    q = (sigma + t) - sigma is a multiple of ulp(sigma)/2 no larger than
-    sigma / 2**M, so the q of a row add up exactly in any order, and
-    t - q is exact.  Each pass moves the top bits of every term into one
-    exact partial, until the residue is all zero.  The partials of several
-    arrays that split one row add up exactly too, so math.fsum over all of
-    them is the row's correctly rounded sum.  terms is overwritten, and q,
-    an array of the same shape, is scratch.  Every term must be finite with
-    |t| <= 2, as series terms are; unchecked here, a nan or inf term would
-    never leave the loop, so _fourier_partial_sums refuses such an x first.
-    """
-    import numpy as np
-
-    lanes = 1 << max(1, (terms.shape[1] - 1).bit_length())  # a power of two >= cols, 2
-    peak = np.abs(terms, out=q).max(axis=1)
-    partials = [[] for _ in peak]
-    while peak.any():
-        sigma = np.ldexp(float(lanes), np.frexp(peak)[1])[:, None]
-        np.add(terms, sigma, out=q)
-        q -= sigma
-        terms -= q
-        for row, part in zip(partials, q.sum(axis=1).tolist()):
-            row.append(part)
-        peak = np.abs(terms, out=q).max(axis=1)
-    return partials
-
-
-def _worker_count() -> int:
-    """Threads for the partial sums: the CPUs this process may run on, at most 2."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        cpus = os.cpu_count() or 1
-    return min(2, cpus)
-
-
-def _map_on_workers(func, jobs: list, workers: int) -> list:
-    """[func(job, worker) for job in jobs], shared out over `workers` threads.
-
-    The caller's thread is one of them and workers - 1 threading.Threads
-    are the rest.  Each thread takes the next job until none is left.
-    Once a job has failed, no thread takes another, and the first failure
-    is raised here after every thread has finished the job in hand, so no
-    thread outlives the call.  worker numbers the thread that runs the
-    job, 0 being the caller's, so that func can keep per-thread state.
-    The threads run under numpy's default errstate, not the caller's.
-    """
-    results = [None] * len(jobs)
-    pending = iter(range(len(jobs)))
-    lock = threading.Lock()
-    failures = []
-
-    def work(worker):
-        try:
-            while True:
-                with lock:
-                    k = None if failures else next(pending, None)
-                if k is None:
-                    return
-                results[k] = func(jobs[k], worker)
-        except BaseException as exc:  # raised again in the caller's thread
-            with lock:
-                failures.append(exc)
-
-    threads = [
-        threading.Thread(target=work, args=(worker,))
-        for worker in range(1, min(workers, len(jobs)))
-    ]
-    for thread in threads:
-        thread.start()
-    work(0)
-    for thread in threads:
-        thread.join()
-    if failures:
-        raise failures[0]
-    return results
-
-
 def _fourier_partial_sums(order: int, N: int, xs) -> list:
     """The order-1 or order-2 partial sums at every x of xs, as floats.
 
-    The series terms 2*sin(n*|x|)/n or cos(n*|x|)/n**2, n = 1 .. N, are
-    cut into the fewest blocks of at most _BLOCK elements, each a few grid
-    rows by one range of n: every row is split into the same column
-    ranges.  The blocks run on up to _worker_count() threads
-    (_map_on_workers), each reduced to exact partials per row, and
-    math.fsum of all the partials a row gets is its correctly rounded
-    series, the float math.fsum of its N terms gives, whatever the blocks
-    and workers.  Each worker fills its blocks from three buffers of its
-    own, terms, the extraction's scratch and the orders n of one block,
-    and n comes from one shared, read-only index 0, 1, 2, ..., all made
-    once per call, so no block allocates a large array.  N * len(xs) may
-    not pass FOURIER_WORK_CAP, and at every x N*|x| (and x**2/2 at order
-    2) must be finite: else ValueError, before numpy loads.
+    The series, the sum of 2*sin(n*|x|)/n or of cos(n*|x|)/n**2 over
+    n = 1 .. N, is kernels._trig_series: correctly rounded, the float
+    math.fsum of its N terms gives.  One more math.fsum adds it to |x| (or
+    x**2/2).  N * len(xs) may not pass FOURIER_WORK_CAP, and at every x
+    N*|x| (and x**2/2 at order 2) must be finite: else ValueError, before
+    numpy loads.
     """
     _validate_order(N, least=1)
     if N * len(xs) > FOURIER_WORK_CAP:
@@ -326,47 +218,8 @@ def _fourier_partial_sums(order: int, N: int, xs) -> list:
             raise ValueError(f"n * |x| for n up to {N} at x = {x} is past the float range")
         if order == 2 and 0.5 * r * r == math.inf:
             raise ValueError(f"x**2/2 at x = {x} is past the float range")
-    import numpy as np
-
-    # Rows cut into p column ranges of cols elements, height rows to a
-    # block.  p runs from the least that fits a range in a block to twice
-    # that: a range just over half a block would fill only half of one,
-    # and blocks cost interpreter work each, which the two workers share.
-    least = -(-N // _BLOCK)
-    cols, height = min(
-        ((-(-N // p), _BLOCK // -(-N // p)) for p in range(least, 2 * least + 1)),
-        key=lambda shape: -(-len(rs) // shape[1]) * -(-N // shape[0]),
-    )
-    size = min(height, len(rs)) * cols  # of the largest block
-    buffers = [(np.empty(size), np.empty(size), np.empty(cols)) for _ in range(_worker_count())]
-    index = np.arange(cols, dtype=np.float64)
-    wave = np.sin if order == 1 else np.cos
-    jobs = [(i, c) for i in range(0, len(rs), height) for c in range(0, N, cols)]
-
-    def block_partials(job, worker):
-        i, c = job
-        rows = rs[i:i + height]
-        k = min(cols, N - c)
-        *blocks, n = buffers[worker]
-        terms, scratch = (b[:len(rows) * k].reshape(len(rows), k) for b in blocks)
-        n = n[:k]
-        # Integers below 2**53 add exactly, and for n <= FOURIER_WORK_CAP =
-        # 2**26 so do n/2 and n*n: the divisors are the floats of the exact values.
-        np.add(index[:k], float(1 + c), out=n)
-        np.multiply.outer(rows, n, out=terms)
-        wave(terms, out=terms)
-        # 2*sin(t)/n is sin(t)/(n/2) to the bit: both round the same quotient.
-        n *= 0.5 if order == 1 else n
-        terms /= n
-        return _exact_row_sums(terms, scratch)
-
-    parts = [[] for _ in rs]
-    for (i, _), block_rows in zip(jobs, _map_on_workers(block_partials, jobs, len(buffers))):
-        for row, partials in zip(parts[i:i + height], block_rows):
-            row.extend(partials)
     sums = []
-    for x, r, row in zip(xs, rs, parts):
-        series = math.fsum(row)
+    for x, r, series in zip(xs, rs, _trig_series(order, N, rs)):
         if order == 2:
             sums.append(math.fsum((0.5 * r * r, -2.0 * series)))
         elif x == 0.0:

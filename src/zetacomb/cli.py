@@ -23,7 +23,7 @@ quad; action and comb load actions, kernels, quad and testfn; kernel
 loads kernels and quad, and fourier actions, kernels and quad.
 The records are namedtuples, not dataclasses (which load inspect and
 ast), json and csv are imported only for their own --format, and numpy
-only by fourier and by kernel tables past kernels._SCALAR_LANE_STEPS.
+only by kernel and fourier grids of more than kernels._SCALAR_TERMS terms.
 
 main(), the program's entry point, sets OPENBLAS_NUM_THREADS to 1 unless
 the caller has set it: no library module touches the environment.

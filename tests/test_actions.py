@@ -20,7 +20,6 @@ from zetacomb.actions import (
     FOURIER_WORK_CAP,
     MODE_SAMPLE_CAP,
     _dirichlet_periodic,
-    _exact_row_sums,
     _fourier_partial_sums,
     _mode_trapezoid,
     _trapezoid_terms,
@@ -32,7 +31,7 @@ from zetacomb.actions import (
     fourier_partial_delta1,
     fourier_partial_delta2,
 )
-from zetacomb.kernels import dirichlet_sum
+from zetacomb.kernels import _exact_row_sums, _trig_series, dirichlet_sum
 from zetacomb.quad import QuadratureError, integrate_adaptive
 from zetacomb.testfn import bump_plateau, gaussian_bump, phi_tilde
 
@@ -425,17 +424,24 @@ def fsum_rows(terms):
 
 
 def series_terms(order, rs, n0, n1):
-    """The rows of terms the partial sums reduce, one per r, for n = n0..n1."""
+    """The rows of terms the series engine reduces, one per r, for n = n0..n1."""
     n = np.arange(n0, n1 + 1, dtype=np.float64)
     nr = np.multiply.outer(np.asarray(rs, dtype=np.float64), n)
+    if order == 0:
+        return 2.0 * np.cos(nr)
     return 2.0 * np.sin(nr) / n if order == 1 else np.cos(nr) / (n * n)
 
 
 @functools.cache  # several tests ask for the same large-N rows
 def fsum_partial(order, N, x):
-    """The partial sum with its series rounded once, math.fsum of all N terms."""
+    """The partial sum with its series rounded once, math.fsum of all N terms.
+
+    Order 0 is the kernel's sum form 1 + 2*sum cos(n*x), unwindowed.
+    """
     r = abs(x)
     series = math.fsum(series_terms(order, [r], 1, N)[0].tolist())
+    if order == 0:
+        return math.fsum((1.0, series))
     if order == 2:
         return math.fsum((0.5 * r * r, -2.0 * series))
     if x == 0.0:
@@ -456,7 +462,7 @@ class TestExactRowSums:
     def test_series_terms(self):
         rng = np.random.default_rng(11)
         rs = rng.uniform(0.0, 4 * math.pi, 40)
-        for order in (1, 2):
+        for order in (0, 1, 2):
             for n0, n1 in ((1, 1), (1, 2), (1, 1000), (77, 4096), (1000, 6000)):
                 self.check(series_terms(order, rs, n0, n1))
 
@@ -495,14 +501,30 @@ class TestExactRowSums:
 
 ORACLE_XS = [-9.5, -math.pi, -1e-3, 0.0, 2.5e-7, 1.0, 3.0, 12.25]
 LONG_ROW_XS = [-math.pi, -2.0, 0.0, 2.5e-7, 0.7, 5.0, 12.25]
+ROUTE_LIMITS = (0, 10**18)  # every grid on the numpy blocks, every grid on math.fsum
+
+
+def partial_sums(order, N, xs):
+    """_fourier_partial_sums, or at order 0 the kernel's sum form from the same engine."""
+    if order:
+        return _fourier_partial_sums(order, N, xs)
+    return [math.fsum((1.0, series)) for series in _trig_series(0, N, [abs(x) for x in xs])]
 
 
 class TestBatchedPartialSums:
-    def test_rows_equal_the_fsum_oracle(self):
-        for order in (1, 2):
+    @pytest.fixture(autouse=True)
+    def block_route(self, monkeypatch):
+        # Most grids here sit far below the scalar limit; a limit of 0 sends
+        # them through the numpy blocks, which these tests are about.
+        monkeypatch.setattr(kernels, "_SCALAR_TERMS", 0)
+
+    def test_rows_equal_the_fsum_oracle(self, monkeypatch):
+        for order in (0, 1, 2):
             for N in (1, 2, 999, 30000):
                 expected = [fsum_partial(order, N, x) for x in ORACLE_XS]
-                assert _fourier_partial_sums(order, N, ORACLE_XS) == expected
+                for limit in ROUTE_LIMITS:
+                    monkeypatch.setattr(kernels, "_SCALAR_TERMS", limit)
+                    assert partial_sums(order, N, ORACLE_XS) == expected
 
     @pytest.mark.parametrize(
         "N", [(1 << 19) - 1, 1 << 19, (1 << 19) + 1, (1 << 19) + (1 << 18) + 3, (1 << 20) + 1]
@@ -511,11 +533,11 @@ class TestBatchedPartialSums:
         # Past _BLOCK orders, each row is split into column blocks, the
         # last one short; the series is still math.fsum of all N terms, on
         # both sides of 2**19 orders.
-        for order in (1, 2):
+        for order in (0, 1, 2):
             expected = [fsum_partial(order, N, x) for x in LONG_ROW_XS]
             for workers in (1, 2):
-                monkeypatch.setattr(actions, "_worker_count", lambda: workers)
-                assert _fourier_partial_sums(order, N, LONG_ROW_XS) == expected
+                monkeypatch.setattr(kernels, "_worker_count", lambda: workers)
+                assert partial_sums(order, N, LONG_ROW_XS) == expected
 
     @pytest.mark.parametrize(
         "block, N",
@@ -523,7 +545,7 @@ class TestBatchedPartialSums:
             (1, 2), (1, 3), (1, 5),
             (7, 3), (7, 8), (7, 999),
             (4096, (1 << 16) - 1), (4096, (1 << 16) + 1), (4096, (1 << 19) + (1 << 18) + 3),
-            (actions._BLOCK, actions._BLOCK - 1), (actions._BLOCK, actions._BLOCK + 1),
+            (kernels._BLOCK, kernels._BLOCK - 1), (kernels._BLOCK, kernels._BLOCK + 1),
         ],
     )
     def test_block_split_keeps_the_bits(self, block, N, monkeypatch):
@@ -532,25 +554,25 @@ class TestBatchedPartialSums:
         # 2 and 1 rows), 4096, and the default.  Tiny blocks take one job
         # per few elements, so they run at small N only.
         xs = [-math.pi, 0.0, 2.5e-7, 12.25]
-        monkeypatch.setattr(actions, "_BLOCK", block)
-        for order in (1, 2):
+        monkeypatch.setattr(kernels, "_BLOCK", block)
+        for order in (0, 1, 2):
             expected = [fsum_partial(order, N, x) for x in xs]
             for workers in (1, 2):
-                monkeypatch.setattr(actions, "_worker_count", lambda: workers)
-                assert _fourier_partial_sums(order, N, xs) == expected
+                monkeypatch.setattr(kernels, "_worker_count", lambda: workers)
+                assert partial_sums(order, N, xs) == expected
 
     def test_rows_over_half_a_block_are_split(self, monkeypatch):
         # 40 orders fill only 40 of a 64-element block, one row each: ten
         # blocks.  Halved, three rows of 20 fit, so 10 rows take 4 * 2.
         calls = []
-        extract = actions._exact_row_sums
+        extract = kernels._exact_row_sums
 
         def count(terms, scratch):
             calls.append(terms.shape)
             return extract(terms, scratch)
 
-        monkeypatch.setattr(actions, "_BLOCK", 64)
-        monkeypatch.setattr(actions, "_exact_row_sums", count)
+        monkeypatch.setattr(kernels, "_BLOCK", 64)
+        monkeypatch.setattr(kernels, "_exact_row_sums", count)
         xs = [0.3 * i - 1.0 for i in range(10)]
         assert _fourier_partial_sums(1, 40, xs) == [fsum_partial(1, 40, x) for x in xs]
         assert sorted(calls) == [(1, 20)] * 2 + [(3, 20)] * 6
@@ -561,30 +583,30 @@ class TestBatchedPartialSums:
         rng = random.Random(5)
         xs = [-math.pi, 0.0, 2.5e-7, 12.25] + [rng.uniform(-20.0, 20.0) for _ in range(524)]
         xs.append(1e6)
-        for order in (1, 2):
+        for order in (0, 1, 2):
             expected = [fsum_partial(order, 1000, x) for x in xs]
             for workers in (1, 2):
-                monkeypatch.setattr(actions, "_worker_count", lambda: workers)
-                assert _fourier_partial_sums(order, 1000, xs) == expected
+                monkeypatch.setattr(kernels, "_worker_count", lambda: workers)
+                assert partial_sums(order, 1000, xs) == expected
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_no_floating_point_event(self, workers, monkeypatch):
         # The worker threads run under numpy's default errstate, not the
         # caller's; that is sound only while no block raises any event.  On
         # one worker every block runs here, under the strictest setting.
-        monkeypatch.setattr(actions, "_worker_count", lambda: workers)
+        monkeypatch.setattr(kernels, "_worker_count", lambda: workers)
         with np.errstate(all="raise"), warnings.catch_warnings():
             warnings.simplefilter("error")
-            for order in (1, 2):
+            for order in (0, 1, 2):
                 for N in (1, 2, 999, 30000):
-                    _fourier_partial_sums(order, N, ORACLE_XS)
-                _fourier_partial_sums(order, (1 << 19) + 1, LONG_ROW_XS)
+                    partial_sums(order, N, ORACLE_XS)
+                partial_sums(order, (1 << 19) + 1, LONG_ROW_XS)
 
     def test_one_bad_x_refuses_the_grid(self, monkeypatch):
         # Every x is checked, nan too (which max() would skip), before any
         # block is reduced: a reduction of a nan row would never end, so
         # here it fails at once instead.
-        monkeypatch.setattr(actions, "_exact_row_sums", None)
+        monkeypatch.setattr(kernels, "_exact_row_sums", None)
         for order, bad in ((1, math.nan), (1, -1e307), (1, math.inf), (2, math.nan), (2, 1e200)):
             with pytest.raises(ValueError, match=re.escape(f"x = {bad} is past the float range")):
                 _fourier_partial_sums(order, 100, [0.5, -2.0, bad, 3.0])
@@ -592,7 +614,7 @@ class TestBatchedPartialSums:
     def test_failing_block_reaches_the_caller_after_the_workers_stop(self, monkeypatch):
         calls = []
         lock = threading.Lock()
-        extract = actions._exact_row_sums
+        extract = kernels._exact_row_sums
 
         def fail_on_third_call(terms, scratch):
             with lock:
@@ -602,9 +624,9 @@ class TestBatchedPartialSums:
                 raise RuntimeError("third block")
             return extract(terms, scratch)
 
-        monkeypatch.setattr(actions, "_exact_row_sums", fail_on_third_call)
+        monkeypatch.setattr(kernels, "_exact_row_sums", fail_on_third_call)
         for workers in (1, 2):
-            monkeypatch.setattr(actions, "_worker_count", lambda: workers)
+            monkeypatch.setattr(kernels, "_worker_count", lambda: workers)
             calls.clear()
             before = threading.active_count()
             with pytest.raises(RuntimeError, match="third block"):
@@ -614,21 +636,21 @@ class TestBatchedPartialSums:
             assert len(calls) <= 3 + workers - 1
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("order", [0, 1, 2])
     @pytest.mark.parametrize("N", [(1 << 19) + (1 << 18), 1 << 20])
     def test_working_set(self, N, order, workers, monkeypatch):
         # Per worker the terms, scratch and orders of one block, plus the
         # shared index and 64 KiB for the rows' partials: no array the size
         # of a row, and none made per block.
-        monkeypatch.setattr(actions, "_worker_count", lambda: workers)
+        monkeypatch.setattr(kernels, "_worker_count", lambda: workers)
         xs = [-3.0, -1.0, 0.5, 2.0, 4.0]
         tracemalloc.start()
         try:
-            _fourier_partial_sums(order, N, xs)
+            partial_sums(order, N, xs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= (3 * workers + 1) * actions._BLOCK * 8 + (1 << 16)
+        assert peak <= (3 * workers + 1) * kernels._BLOCK * 8 + (1 << 16)
 
     def test_work_cap(self, monkeypatch):
         # N times the number of points may reach the cap but not pass it.
@@ -651,18 +673,21 @@ class TestBatchedPartialSums:
         assert FOURIER_WORK_CAP**2 < 2**53
 
     @given(
-        st.sampled_from([1, 2]),
+        st.sampled_from([0, 1, 2]),
         st.integers(1, 3000),
         st.lists(st.floats(-20.0, 20.0), max_size=20),
     )
     def test_tiny_blocks_equal_the_oracle(self, order, N, xs):
         # Blocks of 64 elements cut every row into many column ranges and
-        # share the rows out in bands; each row is still the oracle's.
+        # share the rows out in bands; each row is still the oracle's, and
+        # math.fsum of terms from math.sin and math.cos gives it too.
         expected = [fsum_partial(order, N, x) for x in xs]
-        for workers in (1, 2):
-            with mock.patch.object(actions, "_BLOCK", 64), \
-                    mock.patch.object(actions, "_worker_count", lambda: workers):
-                assert _fourier_partial_sums(order, N, xs) == expected
+        for limit in ROUTE_LIMITS:
+            for workers in (1, 2):
+                with mock.patch.object(kernels, "_SCALAR_TERMS", limit), \
+                        mock.patch.object(kernels, "_BLOCK", 64), \
+                        mock.patch.object(kernels, "_worker_count", lambda: workers):
+                    assert partial_sums(order, N, xs) == expected
 
     def test_one_row_wrappers(self):
         xs = [-4.0 + 0.37 * i for i in range(23)]

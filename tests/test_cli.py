@@ -104,20 +104,20 @@ class TestKernel:
             assert x1 == -x2 and s1 == s2 and c1 == c2
 
     def test_golden_csv(self, capsys):
-        # sha256 measured before the sum form ran over the grid in one pass.
+        # The sum form takes the numpy blocks here and math.fsum in the table
+        # below; each sha256 was measured with either route forced.
         code, out, _ = run_text(capsys, ["kernel", "--n", "1831", "--samples", "1330", "--format", "csv"])
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-            "b0326c9691f55ce680e37a4cb6fcff75a34cfa432c7829b4d0f9bd1f3a84ae40"
+            "aec93c98af0e1ecc44b25bb30e1c33d8c76f28c2b944e42f5b9136bb0cb33bb9"
         )
 
     def test_golden_csv_scalar_route(self, capsys):
-        # The table above takes the numpy lanes, this one the scalar loop;
-        # sha256 measured when every table took the numpy lanes.
+        # The sum form takes math.fsum here (see above).
         code, out, _ = run_text(capsys, ["kernel", "--n", "50", "--format", "csv"])
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-            "40751b63b816d59f8882f3fa49527b62481fc3ee1672b3dbab63e92c5c744118"
+            "b818689e236bfc5418fe6f13317b6eac157e7f178e42ceca888724d82302fde4"
         )
 
     def test_subnormal_x_is_the_peak(self, capsys):
@@ -255,11 +255,18 @@ class TestFourierCommand:
              "6880a981d3fc02f7e033369526bdd89e518dd50db899dff6b6083b580c6a0151"),
             (["--order", "2", "--n", "1048577", "--samples", "5", "--xmin", "-13", "--xmax", "4"],
              "5e23bc7adfbcb493472c4cd137fab6d842dfb7aaf9dcfdb84c5e687a4a7959a1"),
+            # Below the scalar limit, with x = 0 on the grid; these took the
+            # numpy blocks when their sha256 was measured.
+            (["--order", "1", "--n", "100", "--samples", "9", "--xmin", "-3", "--xmax", "3"],
+             "59dfe06c247aed47ed3d3be49b8eeb5cf0f473f3b89be441f2e2130ea9f16df1"),
+            (["--order", "2", "--n", "100", "--samples", "9", "--xmin", "-3", "--xmax", "3"],
+             "1f4d14cf982fea6c84255080a1c064420f383025e9f21633bff363adde166c02"),
         ],
     )
     def test_golden_csv(self, capsys, argv, digest):
-        # sha256 measured when each row was math.fsum of its 2**19-order
-        # chunk sums; rounding the whole series once moves no bit here.
+        # The first two sha256 measured when each row was math.fsum of its
+        # 2**19-order chunk sums; rounding the whole series once moves no
+        # bit there.
         code, out, _ = run_text(capsys, ["fourier", *argv, "--format", "csv"])
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
@@ -600,14 +607,27 @@ def test_cli_import_leaves_numpy_unloaded():
     ],
 )
 def test_runs_without_series_leave_numpy_unloaded(argv):
-    # Only fourier and large kernel tables need numpy; the exact and quadrature routes start without it.
+    # Only large kernel and fourier grids need numpy; the exact and quadrature routes start without it.
     assert modules_added_by(RUN_ARGV, ["numpy"], *argv) == ["0"]
 
 
-def test_series_runs_load_numpy():
-    # The probe above can tell: a kernel table of 5000 * 500 distinct lane-steps does load numpy.
-    argv = ["kernel", "--n", "5000", "--samples", "1001"]
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kernel", "--n", "5000", "--samples", "1001"],  # 5000 * 500 distinct |x|
+        ["fourier", "--order", "1", "--n", "250001", "--samples", "2", "--xmin", "0", "--xmax", "1"],
+    ],
+    ids=["kernel", "fourier"],
+)
+def test_series_runs_load_numpy(argv):
+    # The probe above can tell: past the scalar limit of terms, a table loads numpy.
     assert modules_added_by(RUN_ARGV, ["numpy"], *argv) == ["0", "numpy"]
+
+
+@pytest.mark.parametrize("order", ["1", "2"])
+def test_small_fourier_grid_leaves_numpy_unloaded(order):
+    argv = ["fourier", "--order", order, "--n", "100", "--samples", "9", "--xmin", "-3", "--xmax", "3"]
+    assert modules_added_by(RUN_ARGV, ["numpy"], *argv) == ["0"]
 
 
 def test_refused_fourier_grid_leaves_numpy_unloaded():
@@ -620,12 +640,12 @@ def test_criterion_12_table_leaves_numpy_unloaded():
     assert modules_added_by(RUN_ARGV, ["numpy"], "kernel", "--n", "50") == ["0"]
 
 
-@pytest.mark.parametrize("n, added", [(1000, []), (1001, ["numpy"])], ids=["at", "above"])
+@pytest.mark.parametrize("n, added", [(500, []), (501, ["numpy"])], ids=["at", "above"])
 def test_kernel_loads_numpy_only_past_the_scalar_limit(n, added):
     # The default grid of 2001 samples holds 1000 distinct |x| inside the
-    # window: 0 and 999 more, as pi lies outside.  At order 1000 the table
-    # takes exactly the scalar loop's limit of lane-steps.
-    assert 1000 * 1000 == kernels._SCALAR_LANE_STEPS
+    # window: 0 and 999 more, as pi lies outside.  At order 500 the table
+    # takes exactly the scalar route's limit of terms.
+    assert 500 * 1000 == kernels._SCALAR_TERMS
     assert modules_added_by(RUN_ARGV, ["numpy"], "kernel", "--n", str(n)) == ["0", *added]
 
 
@@ -718,16 +738,22 @@ def run_probe(code, env):
     return result.stdout.split()
 
 
-# A small fourier op through the entry point, which imports numpy and so
-# starts whatever BLAS thread pool numpy brings; then the threads left and
-# the OpenBLAS variable.
+# A fourier op just past the scalar limit through the entry point, which
+# imports numpy and so starts whatever BLAS thread pool numpy brings; then
+# the threads left and the OpenBLAS variable.  The op's second worker,
+# joined, may take a moment to leave /proc/self/task; a BLAS pool's
+# threads never leave.
+NUMPY_FOURIER_ARGV = ["fourier", "--n", "250001", "--samples", "2", "--xmin", "0", "--xmax", "1"]
 MAIN_FOURIER = (
-    "import os, sys, zetacomb.cli as cli\n"
-    "sys.argv = ['zetacomb', *" + repr(FOURIER_ARGV) + ", '--order', '1', '--out', os.devnull]\n"
+    "import os, sys, time, zetacomb.cli as cli\n"
+    "sys.argv = ['zetacomb', *" + repr(NUMPY_FOURIER_ARGV) + ", '--order', '1', '--out', os.devnull]\n"
     "try:\n"
     "    cli.main()\n"
     "except SystemExit as exc:\n"
     "    print(exc.code)\n"
+    "deadline = time.monotonic() + 1.0\n"
+    "while len(os.listdir('/proc/self/task')) > 1 and time.monotonic() < deadline:\n"
+    "    time.sleep(0.01)\n"
     "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))"
 )
 
@@ -752,7 +778,7 @@ def test_library_leaves_the_environment_alone():
         "before = dict(os.environ)\n"
         "import zetacomb.actions as actions\n"
         "imported = dict(os.environ) == before\n"
-        "actions.fourier_partial_delta1(1000, 0.5)\n"
+        "actions.fourier_partial_delta1(500001, 0.5)\n"
         "print(imported, dict(os.environ) == before)"
     )
     env = src_env()

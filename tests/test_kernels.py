@@ -5,6 +5,7 @@ import time
 import tracemalloc
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -42,19 +43,12 @@ def simpson_normalization(N, points=20001):
     return total * h / 3
 
 
-def scalar_kahan_sum(N, x):
-    """The windowed sum form as one scalar Kahan loop on |x|."""
+def fsum_sum_form(N, x):
+    """The windowed sum form on |x|: 1 plus the math.fsum of the N doubled cosines."""
     r = abs(x)
     if r >= math.pi:
         return 0.0
-    total = 1.0
-    comp = 0.0
-    for n in range(1, N + 1):
-        term = 2.0 * math.cos(n * r) - comp
-        t = total + term
-        comp = (t - total) - term
-        total = t
-    return total
+    return math.fsum((1.0, math.fsum(2.0 * math.cos(n * r) for n in range(1, N + 1))))
 
 
 class TestDirichletSum:
@@ -82,6 +76,13 @@ class TestDirichletSum:
         for bad in (-1, 1.5, "3", True):
             with pytest.raises(ValueError):
                 dirichlet_sum(bad, 0.0)
+
+    def test_is_the_fsum_oracle_without_numpy(self, monkeypatch):
+        # One x at a time takes math.fsum at any order, past the limit too.
+        monkeypatch.setattr(kernels, "_SCALAR_TERMS", 0)
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        for N, x in ((1, 0.5), (2000, -2.25), (2000, 0.0), (30000, 1e-3)):
+            assert dirichlet_sum(N, x) == fsum_sum_form(N, x)
 
 
 class TestDirichletCompact:
@@ -115,7 +116,8 @@ class TestDirichletCompact:
         def refuse(*args):
             raise AssertionError("the compact form ran the sum form's loop")
 
-        monkeypatch.setattr(kernels, "_kahan_cos_sum", refuse)
+        monkeypatch.setattr(kernels, "_series_row", refuse)
+        monkeypatch.setattr(kernels, "_trig_series", refuse)
         assert abs(dirichlet_compact(50, 1e-7) - 101.0) <= 1e-9
         assert abs(kernel_normalization(50, 1e-10) - TWO_PI) <= 1e-9
         plateau = bump_plateau(math.pi, 1.5 * math.pi)
@@ -196,14 +198,14 @@ class TestKernelSamples:
             (300, 0.1, math.pi),  # no |x| repeats
         ],
     )
-    def test_sum_lanes_equal_the_scalar_loop(self, monkeypatch, N, count, xmin, xmax):
-        # A limit of 0 sends every order but 0 to the numpy lanes, a huge one
-        # keeps every table on the scalar loop.
-        for lane_steps in (0, 10**18):
-            monkeypatch.setattr(kernels, "_SCALAR_LANE_STEPS", lane_steps)
-            table = kernel_samples(N, count, xmin, xmax)
-            for x, (s, c) in table.rows:
-                assert s == scalar_kahan_sum(N, x)
+    def test_both_routes_equal_the_fsum_oracle(self, monkeypatch, N, count, xmin, xmax):
+        # A limit of 0 sends every order but 0 to the numpy blocks, a huge
+        # one keeps every table on math.fsum.
+        xs = [x for x, _ in kernel_samples(N, count, xmin, xmax).rows]
+        expected = [fsum_sum_form(N, x) for x in xs]
+        for limit in (0, 10**18):
+            monkeypatch.setattr(kernels, "_SCALAR_TERMS", limit)
+            assert [s for _, (s, _) in kernel_samples(N, count, xmin, xmax).rows] == expected
 
     def test_compact_column_is_the_compact_form(self):
         # The second grid lies inside the band |x| < EPS_SING around the peak.
@@ -212,18 +214,20 @@ class TestKernelSamples:
                 assert c == (0.0 if abs(x) >= math.pi else dirichlet_compact(N, x))
 
     def test_work_cap(self, monkeypatch):
-        # max(N, 1) * max(count, 256) may reach the cap but not pass it.
+        # max(N, 1) * count may reach the cap but not pass it, however few
+        # the samples.
         monkeypatch.setattr(kernels, "KERNEL_WORK_CAP", 1000)
         assert len(kernel_samples(3, 333).rows) == 333
-        assert len(kernel_samples(3, 2).rows) == 2
+        assert len(kernel_samples(4, 250).rows) == 250
+        assert len(kernel_samples(500, 2).rows) == 2
         assert len(kernel_samples(0, 1000).rows) == 1000
-        for N, count in ((3, 334), (4, 2), (4, 250), (0, 1001)):
+        for N, count in ((3, 334), (4, 251), (501, 2), (0, 1001)):
             with pytest.raises(ValueError):
                 kernel_samples(N, count)
 
     def test_work_cap_refuses_at_once(self):
         cases = (
-            (KERNEL_WORK_CAP // 256 + 1, 3),
+            (KERNEL_WORK_CAP // 3 + 1, 3),
             (KERNEL_WORK_CAP // 1000 + 1, 1000),
             (10**320, 3),
             (0, KERNEL_WORK_CAP + 1),  # order 0 still pays for its samples
@@ -239,7 +243,7 @@ class TestKernelSamples:
             kernel_samples(0, 1001)
 
     def test_samples_cap_refuses_before_allocating(self):
-        # Order 1 charges one lane-step per sample, well within the work cap,
+        # Order 1 charges one term per sample, well within the work cap,
         # so only the samples cap stands between this call and its grid.
         count = SAMPLES_CAP + 1
         assert count <= KERNEL_WORK_CAP
@@ -261,6 +265,22 @@ class TestKernelSamples:
             kernel_samples(5, 10, -4.0, 0.0)
         with pytest.raises(ValueError):
             kernel_samples(5, 10, 0.0, 3.2)
+
+
+class TestTrigSeries:
+    def test_numpy_sin_and_cos_are_libm(self):
+        # The two routes of _trig_series give the same bits only while
+        # numpy's sin and cos equal math's on the angles n*r they take:
+        # n up to 2**26, r across the window and the wider Fourier grids.
+        rng = np.random.default_rng(2026)
+        size = 1 << 18
+        n = np.floor(np.exp2(rng.uniform(0.0, 26.0, size)))
+        r = rng.uniform(0.0, 4 * math.pi, size) * np.exp2(rng.integers(-40, 1, size))
+        angles = n * r
+        for wave, libm in ((np.sin, math.sin), (np.cos, math.cos)):
+            got = wave(angles, out=np.empty(size))
+            expected = np.array([libm(t) for t in angles.tolist()])
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 class TestSampleTable:
