@@ -59,6 +59,17 @@ __all__ = [name for names in _EXPORTS.values() for name in names]
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 
 
+def _validate_order(N: int, least: int = 0) -> None:
+    """Refuse an order N that is not an int (bool included) or is below least.
+
+    Defined here, not in a submodule, so that kernels and quad both reach it
+    without loading each other.
+    """
+    if isinstance(N, bool) or not isinstance(N, int) or N < least:
+        kind = "non-negative" if least == 0 else "positive"
+        raise ValueError(f"N must be a {kind} integer, got {N!r}")
+
+
 def __getattr__(name):
     if name in _EXPORTS:  # a submodule not yet imported
         return importlib.import_module(f"{__name__}.{name}")

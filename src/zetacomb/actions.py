@@ -34,8 +34,9 @@ refused before numpy loads, so every term is finite.
 import math
 import sys
 
+from . import _validate_order
 from .kernels import _kernel_integral, _trig_series
-from .quad import QuadratureError, _validate_order
+from .quad import QuadratureError
 
 __all__ = [
     "FOURIER_WORK_CAP",
@@ -182,8 +183,7 @@ def deltaN_action(phi: "TestFunction", N: int, tol: float) -> float:
     """Action of the order-N windowed kernel: integral of delta_N * phi.
 
     The kernel integral (kernels._kernel_integral) over [-pi, pi] clipped
-    to the support; converges to 2*pi*phi(0) as N grows.  An evaluator
-    marked even (testfn) lets it evaluate one panel of each mirror pair.
+    to the support; converges to 2*pi*phi(0) as N grows.
     """
     _validate_order(N)
     if not tol > 0:
@@ -192,8 +192,7 @@ def deltaN_action(phi: "TestFunction", N: int, tol: float) -> float:
     hi = min(math.pi, phi.support[1])
     if not lo < hi:
         return 0.0
-    even = getattr(phi.evaluator, "even", False)
-    return _kernel_integral(N, phi.evaluator, lo, hi, tol, even=even).value
+    return _kernel_integral(N, phi.evaluator, lo, hi, tol).value
 
 
 def _fourier_partial_sums(order: int, N: int, xs) -> list:

@@ -20,7 +20,7 @@ the package's table of public names, and the handlers call them through
 this module, so a name patched here (by a test, or by perfbench/tracer.py)
 is the one that runs.  zeta loads zeta_ladder and exactalg; sinc loads
 quad; action and comb load actions, kernels, quad and testfn; kernel
-loads kernels and quad, and fourier actions, kernels and quad.
+loads kernels alone, and fourier actions, kernels and quad.
 The records are namedtuples, not dataclasses (which load inspect and
 ast), json and csv are imported only for their own --format, and numpy
 only by kernel and fourier grids of more than kernels._SCALAR_TERMS terms.

@@ -20,8 +20,9 @@ Integrated term by term, the comb's partial sum 1 + 2*sum cos(n*x) gives
 the series x + 2*sum sin(n*x)/n and x**2/2 - 2*sum cos(n*x)/n**2 that
 actions compares with closed forms.  _trig_series sums all three, orders
 0, 1 and 2, by one rule: each series is the correctly rounded sum of its
-N terms.  Up to _SCALAR_TERMS terms that is math.fsum of terms from
-math.sin and math.cos, and numpy stays unloaded; past it, error-free
+N terms.  Up to _SCALAR_TERMS terms (far fewer once numpy is loaded)
+that is math.fsum of terms from math.sin and math.cos, and numpy stays
+unloaded; past it, error-free
 extraction (Rump, Ogita & Oishi, 2008) over numpy blocks on up to two
 threads.  numpy's sin and cos equal libm's on every argument tested, so
 both routes give the same bits.  A sample table sums the kernel's series
@@ -30,19 +31,21 @@ half its points.
 
 Every integral of delta_N against a weight f goes through one route,
 _kernel_integral: the normalization takes f = 1 over the window, and the
-kernel action in actions takes f = phi over the clipped support.  The
-compact form reads only |x|, so it is even to the bit; with a weight its
-caller declares even (f = 1, or an evaluator testfn marks even) on a
-symmetric interval, the quadrature evaluates one panel of each mirror
-pair and returns the bits it would return without the declaration.
+kernel action in actions takes f = phi over the clipped support.  It
+writes the integrand as sin((N+1/2)*x) times g(x) = f(x)/sin(x/2): G7/K15
+on the compact form times f on one-period panels within 8 periods of 0,
+where g is singular, and quad's Filon-Clenshaw-Curtis rule on g on
+geometric panels beyond, so its work grows like log N, not N.  quad is
+imported there, on first use, so a sample table never loads it.
 """
 
 import math
 import os
+import sys
 import threading
 from collections import namedtuple
 
-from .quad import QuadResult, QuadratureError, _validate_order, integrate_adaptive
+from . import _validate_order
 
 __all__ = [
     "EPS_SING",
@@ -70,11 +73,15 @@ KERNEL_WORK_CAP = 1 << 27
 # on 2 vCPUs).
 SAMPLES_CAP = 100_000
 
-# Most terms, N times the rows, that _trig_series sums with math.fsum;
-# above it the numpy blocks win even after paying for importing numpy
-# (measured crossover 4.5e5 to 6e5 terms over the three orders, spawned,
-# on 2 vCPUs).
+# Most terms, N times the rows, that _trig_series sums with math.fsum
+# while numpy is not loaded; above it the numpy blocks win even after
+# paying for importing numpy (measured crossover 4.5e5 to 6e5 terms over
+# the three orders, spawned, on 2 vCPUs).
 _SCALAR_TERMS = 5 * 10**5
+# The same limit once numpy is loaded, as in a caller that already uses
+# it: the blocks win from a few hundred terms (measured crossover 300 to
+# 600 terms over the three orders and 1 to 4 rows, in process, on 2 vCPUs).
+_SCALAR_TERMS_LOADED = 400
 
 # The most elements one block of _trig_series may hold.  It does not set
 # their bits; it keeps a block's arrays (512 KiB each) inside a core's L2
@@ -208,8 +215,8 @@ def _trig_series(order: int, N: int, rs) -> list:
     The terms are 2*cos(n*r) at order 0, sin(n*r)/(n/2) at order 1 and
     cos(n*r)/n**2 at order 2, and each sum is correctly rounded, the float
     math.fsum of its N terms gives.  While N * len(rs) is at most
-    _SCALAR_TERMS each sum is _series_row, and numpy stays unloaded.  Past
-    it the terms are cut into the fewest blocks of at most _BLOCK
+    _SCALAR_TERMS (_SCALAR_TERMS_LOADED once numpy is loaded) each sum is
+    _series_row, and numpy stays unloaded.  Past it the terms are cut into the fewest blocks of at most _BLOCK
     elements, each a few rows by one range of n: every row is split into
     the same column ranges.  The blocks run on up to _worker_count()
     threads (_map_on_workers), each reduced to exact partials per row, and
@@ -220,7 +227,8 @@ def _trig_series(order: int, N: int, rs) -> list:
     no block allocates a large array.  Every n*r must be finite, and
     N <= 2**26 keeps n*n exact: the callers' checks and caps see to both.
     """
-    if N * len(rs) <= _SCALAR_TERMS:
+    limit = _SCALAR_TERMS if sys.modules.get("numpy") is None else _SCALAR_TERMS_LOADED
+    if N * len(rs) <= limit:
         return [_series_row(order, N, r) for r in rs]
     import numpy as np
 
@@ -340,22 +348,73 @@ def kernel_samples(N: int, count: int, xmin: float = -math.pi, xmax: float = mat
     return SampleTable(column_names=("x", "sum_form", "compact_form"), rows=rows)
 
 
-def _kernel_integral(N: int, f, lo: float, hi: float, tol: float, even: bool = False) -> QuadResult:
-    """Integral of delta_N * f over [lo, hi]: the one kernel-integral route.
+def _kernel_integral(N: int, f, lo: float, hi: float, tol: float) -> "QuadResult":
+    """Integral of delta_N * f over [lo, hi] inside [-pi, pi]: the one kernel-integral route.
 
-    Integrates the O(1) compact form times f with the oscillation hint
-    N + 1/2.  even declares f even to the bit, which makes the integrand
-    even (see integrate_adaptive).  An order past the float range raises
-    QuadratureError with no panels used: its seed grid alone would pass
-    any panel budget.
+    The integrand is sin(w*x)*g(x) with w = N + 1/2 and g(x) = f(x)/sin(x/2).
+    Near 0, on [-cut, cut], the seed edges are the period lattice k*2*pi/w
+    anchored at 0, one period per panel, as in integrate_adaptive.  cut is
+    the first lattice point at which the panel [cut, 2*cut] is wide enough
+    for the FCC rule, w*cut/2 >= quad._FCC_MIN_ALPHA: 8 periods.  Outward
+    the seeds are geometric, +-[cut, 2*cut], [2*cut, 4*cut], ..., so an
+    integral takes O(log N) panels, plus lo and hi.  A panel of half-width
+    h with w*h >= quad._FCC_MIN_ALPHA takes the FCC rule on g; any other,
+    a bisected FCC panel too narrow for it included, takes G7/K15 on the
+    O(1) compact form times f.  One heap, budget and floor rule (quad's
+    _refine) serve both rules.  A window inside the cut, every N <= 15 on
+    [-pi, pi], is all G7/K15 and gives integrate_adaptive's bits.
+
+    An order past the float range, or one whose period lattice on [lo, hi]
+    holds more points than the panel budget, raises QuadratureError with no
+    panels used.  The route would not need those panels; the bound keeps
+    the accepted orders where the lattice-seeded route had them.
     """
+    from . import quad
+
     try:
-        osc_freq = N + 0.5
+        w = N + 0.5
     except OverflowError:
-        raise QuadratureError(math.nan, math.inf, 0) from None
-    return integrate_adaptive(
-        lambda x: _windowed_compact(N, x) * f(x), lo, hi, tol, osc_freq=osc_freq, even=even
-    )
+        raise quad.QuadratureError(math.nan, math.inf, 0) from None
+    if not lo < hi:
+        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol}")
+    # The lattice-seeded route's refusals, kept as the bound on the orders.
+    if not (hi - lo) * w / (2.0 * math.pi) <= quad.DEFAULT_PANEL_BUDGET:
+        raise quad.QuadratureError(math.nan, math.inf, 0)
+    period = 2.0 * math.pi / w
+    lattice = quad._lattice(lo, hi, period)
+    if len(lattice) + 1 > quad.DEFAULT_PANEL_BUDGET:
+        raise quad.QuadratureError(math.nan, math.inf, 0)
+    cuts = math.ceil(quad._FCC_MIN_ALPHA / math.pi)  # lattice points to the cut
+    cut = cuts * period
+    outward = []
+    x = 2.0 * cut
+    while x < max(-lo, hi):
+        outward.append(x)
+        x *= 2.0
+    edges = [
+        lo,
+        *(-x for x in reversed(outward) if lo < -x < hi),
+        *(k * period for k in range(max(lattice.start, -cuts), min(lattice.stop, cuts + 1))),
+        *(x for x in outward if lo < x < hi),
+        hi,
+    ]
+
+    def product(x):
+        return _windowed_compact(N, x) * f(x)
+
+    def g(x):
+        return f(x) / math.sin(0.5 * x)
+
+    def panel(a, b):
+        if w * (0.5 * (b - a)) >= quad._FCC_MIN_ALPHA:
+            return quad._fcc_panel(g, w, a, b)
+        return quad._kronrod_panel(product, a, b)
+
+    panels, total_err, panels_used = quad._refine(panel, edges, tol)
+    value = math.fsum(p[2] for p in panels)
+    return quad.QuadResult(value=value, error_estimate=total_err, panels_used=panels_used)
 
 
 def kernel_normalization(N: int, tol: float) -> float:
@@ -363,9 +422,8 @@ def kernel_normalization(N: int, tol: float) -> float:
 
     Every Fourier mode but n=0 has zero mean over the full window, so the
     constant term alone survives.  The kernel integral with the weight 1
-    (v * 1.0 == v, so this is the plain kernel's integral to the bit),
-    which is even, so each mirror pair of panels is evaluated once.
+    (v * 1.0 == v, so this is the plain kernel's integral to the bit).
     Quadrature failure propagates.
     """
     _validate_order(N)
-    return _kernel_integral(N, lambda x: 1.0, -math.pi, math.pi, tol, even=True).value
+    return _kernel_integral(N, lambda x: 1.0, -math.pi, math.pi, tol).value

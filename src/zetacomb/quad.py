@@ -11,32 +11,29 @@ so it gives their bits without their interpreter overhead.
 Refinement is globally adaptive: panels live in a priority queue keyed by
 error estimate, the worst panel is bisected until the summed estimate
 drops below the requested tolerance, and the final value is a fixed-order
-(left-to-right) exact sum of panel results.  Everything is sequential and
-order-fixed, so identical inputs give bit-identical outputs.  A run fails
-fast: when the seed grid alone would pass the panel budget, or when the
-rounding floors of the panels (50*eps times the integral of |f|) add up
-to more than the tolerance, it raises at once instead of bisecting on.
-
-A caller may declare the integrand even, f(-x) == f(x) bit for bit.  A
-panel [-b, -a] then samples f at the negated nodes of [a, b] (midpoint
-and half-width negate and repeat exactly in IEEE arithmetic), gets the
-same values and adds them as the same terms commuted, so its result is
-that of [a, b] to the bit and is reused.  On an interval [-b, b] seeded
-on the period lattice every panel has its mirror: the lattice points
-k*2*pi/w and the bisection midpoints 0.5*(a+b) negate exactly too.  Which
-panels exist, the order they are bisected in and every bit of the result
-are as without the declaration; only the integrand is called about half
-as often.
+(left-to-right) exact sum of panel results.  The loop takes the panel
+rule as an argument, so one heap, one budget and one floor rule serve
+every rule.  Everything is sequential and order-fixed, so identical
+inputs give bit-identical outputs.  A run fails fast: when the seed grid
+alone would pass the panel budget, or when the rounding floors of the
+panels (50*eps times the integral of |f|) add up to more than the
+tolerance, it raises at once instead of bisecting on.
 
 Oscillatory integrands are handled by seeding: callers pass the highest
 angular frequency w present, and the initial edges are the points of the
 period lattice k*2*pi/w anchored at 0 that fall inside the interval, so
-each seed panel spans one period.  For the order-N kernel,
-w = N + 1/2, these edges are every second zero of sin((N+1/2)*x) plus the
-peak at x = 0, so the rule meets the oscillation in phase from the start
-instead of discovering it by bisection.
+each seed panel spans one period.
 
-The truncated sinc integrals for N = 0..n_max come from one such run
+The second panel rule is Filon-Clenshaw-Curtis for sin(w*x)*g(x) with g
+smooth (QUADPACK's dqc25f): g is interpolated at 25 Chebyshev points and
+the interpolant is integrated against sin(w*x) exactly, through the
+modified Chebyshev moments of exp(i*alpha*t), alpha = w*h for a panel of
+half-width h.  Its cost does not grow with w, but the forward moment
+recurrence is stable only while alpha is at least the degree, 24; a
+caller uses the rule on such panels only (kernels._kernel_integral, where
+the kernel's 1/sin(x/2) goes into g away from 0).
+
+The truncated sinc integrals for N = 0..n_max come from one G7/K15 run
 (the breakpoint idea of QUADPACK's dqagp): the seed panels end on the
 lattice of half-periods (k+1/2)*pi, so every row is a prefix sum of the
 accepted panels and no row integrates again from 0.
@@ -47,6 +44,9 @@ import math
 import sys
 from collections import namedtuple
 from collections.abc import Callable
+from operator import mul
+
+from . import _validate_order
 
 __all__ = [
     "QuadResult",
@@ -93,6 +93,55 @@ _WG0, _WG1, _WG2, _WG3 = _WG
 _EPMACH = sys.float_info.epsilon
 _UFLOW = sys.float_info.min
 
+# The FCC rule (QUADPACK dqc25f) on the Chebyshev points t_j = cos(j*pi/24),
+# j = 0..24, of [-1, 1]: the degree-24 interpolant uses them all, the
+# degree-12 one every second.  _FCC_T holds t_1..t_11; t_0 = 1 is the
+# panel's right end, t_12 = 0 its centre, and t_{24-j} = -t_j.
+_FCC_T = tuple(math.cos(j * math.pi / 24) for j in range(1, 12))
+# The forward moment recurrence is stable while alpha = w*h is at least the
+# degree (Dominguez, Graham & Smyshlyaev, IMA J. Numer. Anal. 31, 2011).
+_FCC_MIN_ALPHA = 24.0
+
+
+def _cos24(m: int) -> float:
+    """cos(m*pi/24), its angle reduced below 2*pi in integers first."""
+    return math.cos((m % 48) * math.pi / 24)
+
+
+def _cheb_rows(n: int) -> tuple:
+    """Rows that turn the folded samples of g into the Chebyshev coefficients
+    of its degree-n interpolant on the points cos(j*pi/n), n = 24 or 12.
+
+    With v_j = g(cos(j*pi/24)), s_j = v_j + v_{24-j}, d_j = v_j - v_{24-j}
+    (j = 0..11) and the centre v_12, coefficient k is the dot product of
+    even row k/2 with (s_0, .., s_11, v_12) taken every 24/n-th entry, or
+    of odd row (k-1)/2 with (d_0, .., d_11) taken the same way: the DCT-I
+    of the samples, halved at k = 0 and k = n.
+    """
+    step = 24 // n
+    even, odd = [], []
+    for k in range(n + 1):
+        scale = (1.0 if 0 < k < n else 0.5) * 2.0 / n
+        row = [0.5] + [_cos24(j * k) for j in range(step, 12, step)]
+        if k % 2:
+            odd.append(tuple(scale * c for c in row))
+        else:
+            even.append(tuple(scale * c for c in row + [_cos24(12 * k)]))
+    return tuple(even), tuple(odd)
+
+
+_CHEB24_EVEN, _CHEB24_ODD = _cheb_rows(24)
+_CHEB12_EVEN, _CHEB12_ODD = _cheb_rows(12)
+
+# Clenshaw-Curtis weights of the 25 points, w_0..w_11 (each weighting the
+# pair t_j, -t_j) and the centre's; they price the panel's integral of |g|.
+*_CC_W, _CC_W_MID = (
+    (1.0 if j == 0 else 2.0) / 24 * (1.0 - math.fsum(
+        (1.0 if k == 12 else 2.0) * _cos24(2 * k * j) / (4 * k * k - 1) for k in range(1, 13)
+    ))
+    for j in range(13)
+)
+
 DEFAULT_PANEL_BUDGET = 1_000_000
 
 
@@ -130,13 +179,6 @@ class QuadratureError(RuntimeError):
         self.value = value
         self.error_estimate = error_estimate
         self.panels_used = panels_used
-
-
-def _validate_order(N: int, least: int = 0) -> None:
-    """Refuse an order N that is not an int (bool included) or is below least."""
-    if isinstance(N, bool) or not isinstance(N, int) or N < least:
-        kind = "non-negative" if least == 0 else "positive"
-        raise ValueError(f"N must be a {kind} integer, got {N!r}")
 
 
 def _kronrod_panel(f: Callable[[float], float], a: float, b: float):
@@ -216,34 +258,95 @@ def _kronrod_panel(f: Callable[[float], float], a: float, b: float):
     return result, abserr, floor
 
 
-def _refine(f: Callable[[float], float], edges: list, tol: float, even: bool = False):
+def _fcc_moments(alpha: float) -> list:
+    """The modified Chebyshev moments of exp(i*alpha*t) on [-1, 1], alpha >= 24.
+
+    Entry k is the integral of T_k(t)*cos(alpha*t) for even k and of
+    T_k(t)*sin(alpha*t) for odd k, k = 0..24 (the other part vanishes by
+    parity).  Entries 0 to 2 are closed forms; the rest follow from the
+    forward recurrence that integrating T_k = (T'_{k+1}/(k+1) -
+    T'_{k-1}/(k-1))/2 by parts gives, stable for alpha >= the degree.
+    """
+    sa = math.sin(alpha)
+    ca = math.cos(alpha)
+    inv = 1.0 / alpha
+    m = [0.0] * 25
+    m[0] = 2.0 * sa * inv
+    m[1] = 2.0 * (sa - alpha * ca) * inv * inv
+    m[2] = 2.0 * sa * inv + 8.0 * ca * inv * inv - 8.0 * sa * inv * inv * inv
+    for k in range(2, 24):
+        # From odd k, a cosine moment out of sine moments; from even k the
+        # reverse, with the signs that i*alpha brings.
+        if k % 2:
+            drive = -2.0 * m[k] - 4.0 * sa / (k * k - 1)
+        else:
+            drive = 2.0 * m[k] + 4.0 * ca / (k * k - 1)
+        m[k + 1] = (k + 1) * inv * drive + (k + 1) / (k - 1) * m[k - 1]
+    return m
+
+
+def _fcc_panel(g: Callable[[float], float], w: float, a: float, b: float):
+    """One FCC application to sin(w*x)*g(x) on [a, b]; returns (value, error_estimate, floor).
+
+    The rule needs w*(b-a)/2 >= _FCC_MIN_ALPHA.  g is sampled at the 25
+    Chebyshev points of [a, b], the ends a and b exact; its degree-24 and
+    degree-12 interpolants are integrated against sin(w*x) through
+    _fcc_moments.  The estimate is the larger of their difference and
+    2*h*(|c_22| + |c_23| + |c_24|), the last three coefficients of the
+    degree-24 interpolant: the difference alone reads low on some panels.
+    The rounding floor is 50*eps times the panel's integral of |g|, scaled
+    by 2/pi, the mean of |sin|, so that it prices the integral of
+    |g*sin(w*x)|; error_estimate never goes below it.
+    """
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    right = [g(b)]
+    left = [g(a)]
+    for t in _FCC_T:
+        right.append(g(centr + hlgth * t))
+        left.append(g(centr - hlgth * t))
+    mid = g(centr)
+    s = [r + l for r, l in zip(right, left)]
+    s.append(mid)
+    d = [r - l for r, l in zip(right, left)]
+    s12 = s[::2]
+    d12 = d[::2]
+    even24 = [sum(map(mul, row, s)) for row in _CHEB24_EVEN]
+    odd24 = [sum(map(mul, row, d)) for row in _CHEB24_ODD]
+    even12 = [sum(map(mul, row, s12)) for row in _CHEB12_EVEN]
+    odd12 = [sum(map(mul, row, d12)) for row in _CHEB12_ODD]
+    mom = _fcc_moments(w * hlgth)
+    phase = w * centr
+    sc = math.sin(phase)
+    cc = math.cos(phase)
+    result = hlgth * (sc * sum(map(mul, even24, mom[::2])) + cc * sum(map(mul, odd24, mom[1::2])))
+    coarse = hlgth * (sc * sum(map(mul, even12, mom[:13:2])) + cc * sum(map(mul, odd12, mom[1:12:2])))
+    tail = 2.0 * hlgth * (abs(even24[11]) + abs(odd24[11]) + abs(even24[12]))
+    abserr = max(abs(result - coarse), tail)
+    resabs = hlgth * (
+        _CC_W_MID * abs(mid)
+        + sum(map(mul, _CC_W, map(abs, right)))
+        + sum(map(mul, _CC_W, map(abs, left)))
+    ) * (2.0 / math.pi)
+    floor = 0.0
+    if resabs > _UFLOW / (50.0 * _EPMACH):
+        floor = _EPMACH * 50.0 * resabs
+        abserr = max(floor, abserr)
+    return result, abserr, floor
+
+
+def _refine(panel: Callable, edges: list, tol: float):
     """Bisect the worst panel of the grid edges until the summed estimate is within tol.
 
-    Returns the accepted panels as (left, right, value, error) from left to
-    right, the summed estimate and the number of panels evaluated.  Raises
-    QuadratureError, carrying the best value, when the next bisection would
-    pass DEFAULT_PANEL_BUDGET (read at call time), or at once when the
-    rounding floors of the panels alone sum to more than tol, which no
-    bisection can bring down, or when the summed estimate is NaN.
-
-    even declares f(-x) == f(x) bit for bit.  With it and a grid from -b
-    to b, the (value, error, floor) of a panel [a, b] is reused for the
-    panel whose edges are exactly -b and -a (see the module docstring), so
-    each mirror pair is computed once.  Panel counts, heap order and every
-    bit stay as without the mark.
+    panel(lo, hi) is the panel rule: it returns (value, error, floor) for
+    [lo, hi], as _kronrod_panel and _fcc_panel do.  Returns the accepted
+    panels as (left, right, value, error) from left to right, the summed
+    estimate and the number of panels evaluated.  Raises QuadratureError,
+    carrying the best value, when the next bisection would pass
+    DEFAULT_PANEL_BUDGET (read at call time), or at once when the rounding
+    floors of the panels alone sum to more than tol, which no bisection
+    can bring down, or when the summed estimate is NaN.
     """
-    panel = _kronrod_panel
-    if even and edges[0] == -edges[-1]:
-        # Results keyed by the edges of the panel that will reuse them;
-        # each is popped on use, so the dict holds the unmatched half.
-        mirror = {}
-
-        def panel(f, lo, hi):
-            known = mirror.pop((lo, hi), None)
-            if known is None:
-                known = mirror[(-hi, -lo)] = _kronrod_panel(f, lo, hi)
-            return known
-
     # Heap entries: (-error, sequence number, a, b, value, floor).  The
     # sequence numbers are unique, so the pop order is fixed whatever the
     # heap's layout.
@@ -251,7 +354,7 @@ def _refine(f: Callable[[float], float], edges: list, tol: float, even: bool = F
     total_err = 0.0
     total_floor = 0.0
     for left, right in zip(edges, edges[1:]):
-        value, err, floor = panel(f, left, right)
+        value, err, floor = panel(left, right)
         heap.append((-err, len(heap), left, right, value, floor))
         total_err += err
         total_floor += floor
@@ -270,7 +373,7 @@ def _refine(f: Callable[[float], float], edges: list, tol: float, even: bool = F
         total_floor -= floor
         mid = 0.5 * (left + right)
         for lo, hi in ((left, mid), (mid, right)):
-            value, err, floor = panel(f, lo, hi)
+            value, err, floor = panel(lo, hi)
             heapq.heappush(heap, (-err, panels_used, lo, hi, value, floor))
             total_err += err
             total_floor += floor
@@ -303,20 +406,16 @@ def integrate_adaptive(
     b: float,
     tol: float,
     osc_freq: float = 0.0,
-    even: bool = False,
 ) -> QuadResult:
     """Integrate f over [a, b] to absolute tolerance tol.
 
     osc_freq is a seeding hint, not a detector: pass the highest angular
     frequency w in f (N + 1/2 for the order-N kernel) and the seed edges
     are a, the points k*2*pi/w of the period lattice anchored at 0 inside
-    (a, b), and b, one period per panel; for the kernel they are every
-    second zero of sin((N+1/2)*x) and its peak at 0.  Pass 0 for smooth
-    integrands, seeded on an even grid of panels at most 2*pi wide.
-    even is a promise, not a detector: pass True only when f(-x) == f(x)
-    bit for bit.  On an interval [-b, b] each panel's mirror then reuses
-    its result instead of sampling f again; the QuadResult is the same to
-    the bit, panels_used included, as with even=False.
+    (a, b), and b, one period per panel; for the order-N kernel they are
+    every second zero of sin((N+1/2)*x) and its peak at 0.  Pass 0 for
+    smooth integrands, seeded on an even grid of panels at most 2*pi wide.
+    Every panel is G7/K15.
     Raises QuadratureError, carrying the best value and estimate, if the
     panel budget runs out or tol lies below the rounding floor of the
     estimate; with panels_used 0 when the seed grid alone would pass the
@@ -346,7 +445,7 @@ def integrate_adaptive(
         if len(ks) + 1 > DEFAULT_PANEL_BUDGET:
             raise QuadratureError(math.nan, math.inf, 0)
         edges = [a] + [k * period for k in ks] + [b]
-    panels, total_err, panels_used = _refine(f, edges, tol, even)
+    panels, total_err, panels_used = _refine(lambda lo, hi: _kronrod_panel(f, lo, hi), edges, tol)
     value = math.fsum(panel[2] for panel in panels)
     return QuadResult(value=value, error_estimate=total_err, panels_used=panels_used)
 
@@ -386,7 +485,7 @@ def sinc_table(n_max: int, tol: float) -> list[QuadResult]:
     top = (n_max + 0.5) * math.pi
     edges = [0.0] + [(N + 0.5) * math.pi for N in _lattice(0.0, top, math.pi, 0.5)] + [top]
     try:
-        panels, _, _ = _refine(_sinc, edges, 0.5 * tol)
+        panels, _, _ = _refine(lambda lo, hi: _kronrod_panel(_sinc, lo, hi), edges, 0.5 * tol)
     except QuadratureError as exc:
         raise QuadratureError(
             2.0 * exc.value, 2.0 * exc.error_estimate, exc.panels_used

@@ -12,15 +12,6 @@ So the order-N kernel times phi is exactly 2*sin((N+1/2)*x)/x times
 phi_tilde = beta*sigma*phi there, and u = (N+1/2)*x turns the kernel
 action into the sinc integral of 2*sin(u)/u against phi_tilde(u/(N+1/2)),
 which shares phi's value at 0.
-
-An evaluator whose values satisfy f(-x) == f(x) bit for bit carries the
-attribute even = True: every plateau, whose evaluator reads only |x|, and
-a gaussian bump centred at 0.0 (or -0.0), where u at -x is exactly -u at
-x and u*u drops the sign.  The kernel action reads the mark to evaluate
-one panel of each mirror pair; a false mark would make its results
-wrong, so nothing else sets it.  It is an attribute of the function,
-not a TestFunction field, so records compare and print as before, and a
-wrapper made with functools.wraps keeps it.
 """
 
 import math
@@ -70,7 +61,6 @@ def bump_plateau(inner: float, outer: float) -> TestFunction:
     """Even bump: exactly 1 on [-inner, inner], 0 outside (-outer, outer).
 
     The shoulder on each side is the smooth step traversed in (inner, outer).
-    The evaluator reads only |x|, so it is marked even.
     """
     if not 0 < inner < outer:
         raise ValueError(f"need 0 < inner < outer, got inner={inner}, outer={outer}")
@@ -84,7 +74,6 @@ def bump_plateau(inner: float, outer: float) -> TestFunction:
             return 0.0
         return _smooth_step((outer - r) / scale)
 
-    evaluator.even = True
     return TestFunction(
         evaluator=evaluator,
         support=(-outer, outer),
@@ -110,7 +99,6 @@ def gaussian_bump(center: float, radius: float) -> TestFunction:
     """Standard mollifier exp(-1/(1-u^2)), u = (x-center)/radius.
 
     Peak value exp(-1) at the center; support [center-radius, center+radius].
-    Marked even when center == 0.0.
     """
     if not radius > 0:
         raise ValueError(f"radius must be > 0, got {radius}")
@@ -122,8 +110,6 @@ def gaussian_bump(center: float, radius: float) -> TestFunction:
             return 0.0
         return math.exp(-1.0 / (1.0 - u2))
 
-    if center == 0.0:
-        evaluator.even = True
     return TestFunction(
         evaluator=evaluator,
         support=(center - radius, center + radius),

@@ -143,8 +143,9 @@ class TestModeTrapezoid:
         def forbidden(*args, **kwargs):
             raise AssertionError("adaptive quadrature called")
 
-        monkeypatch.setattr(kernels, "integrate_adaptive", forbidden)
-        monkeypatch.setattr(quad, "integrate_adaptive", forbidden)
+        monkeypatch.setattr(kernels, "_kernel_integral", forbidden)
+        for name in ("integrate_adaptive", "_refine", "_fcc_panel"):
+            monkeypatch.setattr(quad, name, forbidden)
         v = delta0_partial_action(gaussian_bump(0.0, 1.0), 200, 1e-10)
         assert abs(v - TWO_PI_OVER_E) < 1e-6
 
@@ -244,27 +245,6 @@ class TestDeltaNAction:
         sigma = sigma_route(phi, N, lo, hi, tol)
         assert abs(action.value - sigma.value) <= action.error_estimate + sigma.error_estimate
 
-    @pytest.mark.parametrize(
-        "phi, even",
-        [
-            (bump_plateau(math.pi, 1.5 * math.pi), True),
-            (gaussian_bump(0.0, 1.2), True),
-            (gaussian_bump(-0.0, 1.2), True),
-            (gaussian_bump(0.3, 1.2), False),
-        ],
-    )
-    def test_passes_the_even_mark(self, monkeypatch, phi, even):
-        marks = []
-        integrate = kernels.integrate_adaptive
-
-        def spy(*args, **kwargs):
-            marks.append(kwargs["even"])
-            return integrate(*args, **kwargs)
-
-        monkeypatch.setattr(kernels, "integrate_adaptive", spy)
-        deltaN_action(phi, 37, 1e-10)
-        assert marks == [even]
-
     @settings(max_examples=60)
     @given(
         st.floats(0.05, 3.0),
@@ -280,8 +260,7 @@ class TestDeltaNAction:
         phi = gaussian_bump(s * (math.pi - radius), radius)
         lo = max(-math.pi, phi.support[0])
         hi = min(math.pi, phi.support[1])
-        even = getattr(phi.evaluator, "even", False)
-        action = kernels._kernel_integral(N, phi.evaluator, lo, hi, tol, even=even)
+        action = kernels._kernel_integral(N, phi.evaluator, lo, hi, tol)
         partial, estimate, _ = _mode_trapezoid(phi, N, tol)
         assert abs(action.value - partial) <= action.error_estimate + estimate
 
@@ -504,6 +483,35 @@ LONG_ROW_XS = [-math.pi, -2.0, 0.0, 2.5e-7, 0.7, 5.0, 12.25]
 ROUTE_LIMITS = (0, 10**18)  # every grid on the numpy blocks, every grid on math.fsum
 
 
+def route(set_attribute, limit):
+    """Set both scalar limits of _trig_series, numpy loaded or not, to limit."""
+    set_attribute(kernels, "_SCALAR_TERMS", limit)
+    set_attribute(kernels, "_SCALAR_TERMS_LOADED", limit)
+
+
+def test_loaded_numpy_sends_a_long_row_to_the_blocks(monkeypatch):
+    # This module imports numpy, so one row of 10**5 terms, below the limit
+    # of a process without numpy, is past the loaded one; both routes give
+    # the same bits.
+    assert sys.modules.get("numpy") is not None
+    assert 10**5 <= kernels._SCALAR_TERMS
+    shapes = []
+    extract = kernels._exact_row_sums
+
+    def spy(terms, q):
+        shapes.append(terms.shape)
+        return extract(terms, q)
+
+    monkeypatch.setattr(kernels, "_exact_row_sums", spy)
+    xs = [0.3, 1.0, 2.5, 5.9]
+    blocks = [fourier_partial_delta1(10**5, x) for x in xs]
+    assert shapes
+    shapes.clear()
+    monkeypatch.setattr(kernels, "_SCALAR_TERMS_LOADED", kernels._SCALAR_TERMS)
+    assert [fourier_partial_delta1(10**5, x) for x in xs] == blocks
+    assert shapes == []
+
+
 def partial_sums(order, N, xs):
     """_fourier_partial_sums, or at order 0 the kernel's sum form from the same engine."""
     if order:
@@ -514,16 +522,16 @@ def partial_sums(order, N, xs):
 class TestBatchedPartialSums:
     @pytest.fixture(autouse=True)
     def block_route(self, monkeypatch):
-        # Most grids here sit far below the scalar limit; a limit of 0 sends
+        # Most grids here sit far below the scalar limits; limits of 0 send
         # them through the numpy blocks, which these tests are about.
-        monkeypatch.setattr(kernels, "_SCALAR_TERMS", 0)
+        route(monkeypatch.setattr, 0)
 
     def test_rows_equal_the_fsum_oracle(self, monkeypatch):
         for order in (0, 1, 2):
             for N in (1, 2, 999, 30000):
                 expected = [fsum_partial(order, N, x) for x in ORACLE_XS]
                 for limit in ROUTE_LIMITS:
-                    monkeypatch.setattr(kernels, "_SCALAR_TERMS", limit)
+                    route(monkeypatch.setattr, limit)
                     assert partial_sums(order, N, ORACLE_XS) == expected
 
     @pytest.mark.parametrize(
@@ -685,6 +693,7 @@ class TestBatchedPartialSums:
         for limit in ROUTE_LIMITS:
             for workers in (1, 2):
                 with mock.patch.object(kernels, "_SCALAR_TERMS", limit), \
+                        mock.patch.object(kernels, "_SCALAR_TERMS_LOADED", limit), \
                         mock.patch.object(kernels, "_BLOCK", 64), \
                         mock.patch.object(kernels, "_worker_count", lambda: workers):
                     assert partial_sums(order, N, xs) == expected

@@ -156,10 +156,10 @@ class TestActionCommand:
         assert parsed == payload["rows"]
 
     def test_golden_gauss_csv(self, capsys):
-        # Every order here bisects past its seed grid; sha256 measured when the
-        # seed edges first sat on the kernel's period lattice.  Against mpmath
-        # at 30 digits the five values are off by 8.5e-17, 5.0e-17, 4.5e-16,
-        # 2.3e-16 and 5.3e-16.
+        # sha256 measured when the orders past 8 periods of 0 first took FCC
+        # panels there; only N = 12000 moved.  Against mpmath at 30 digits the
+        # five values are off by 8.5e-17, 5.0e-17, 4.5e-16, 2.3e-16 and
+        # 8.8e-17 (5.3e-16 on the lattice-seeded G7/K15 route).
         argv = [
             "action", "--phi", "gauss", "--center", "0.3", "--radius", "1.2",
             "--n-list", "0,1,37,500,12000", "--tol", "1e-12", "--format", "csv",
@@ -167,21 +167,23 @@ class TestActionCommand:
         code, out, _ = run_text(capsys, argv)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-            "942fb3b3678561d920cb76aa682ca060fdd4b338b835bb8f766eb5998a55bc56"
+            "28a9dddd7b13a31c51adf51205764a756c745258170552f2564f1f217d1109f9"
         )
 
     @pytest.mark.parametrize(
         "phi, digest",
         [
-            (["plateau"], "e7e042e77ec13beab7119e9abde81cd44e2b71ccfc7cab658c6ea1266f63d12f"),
+            (["plateau"], "4219722f752ff06d3c7eb4a105c73eb9b960d1f3eca5d420022bb92e55d20f0c"),
             (["gauss", "--center", "0", "--radius", "1.2"],
-             "d7e958a8d67326b922b1bf3c16f408e7fcd23c0d92999a08afbb6ea706b0dd10"),
+             "11d6770317430aa5f6c3544a18cc5e9070d8cb259debbbc10a8f3e908324516e"),
         ],
         ids=["plateau", "gauss-centred"],
     )
     def test_golden_even_csv(self, capsys, phi, digest):
-        # Both test functions are marked even, so these orders take the
-        # mirror-pair route; sha256 measured before that route existed.
+        # sha256 measured when the orders past 8 periods of 0 first took FCC
+        # panels there.  Moved against mpmath: the plateau at N = 500
+        # 8.9e-16 -> 0 and at 12000 1.5e-14 -> 8.9e-16; the centred gauss at
+        # 12000 2.8e-17 -> 4.2e-16.  N = 0, 1 and 37 kept their bits.
         argv = [
             "action", "--phi", *phi,
             "--n-list", "0,1,37,500,12000", "--tol", "1e-12", "--format", "csv",
@@ -683,7 +685,7 @@ def test_cli_import_loads_no_library_module():
         (["sinc", "--n-max", "2"], ["quad"], ["fractions"]),
         (["action", "--phi", "gauss", "--n-list", "10"], ["actions", "kernels", "quad", "testfn"], ["fractions"]),
         (["comb", "--n", "5"], ["actions", "kernels", "quad", "testfn"], ["fractions"]),
-        (["kernel", "--n", "50"], ["kernels", "quad"], ["fractions"]),
+        (["kernel", "--n", "50"], ["kernels"], ["fractions", "heapq"]),
         (["fourier", "--order", "1", "--n", "100", "--samples", "5", "--xmin", "-1", "--xmax", "1"],
          ["actions", "kernels", "quad"], ["fractions"]),
     ],

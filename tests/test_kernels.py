@@ -21,7 +21,8 @@ from zetacomb.kernels import (
     kernel_normalization,
     kernel_samples,
 )
-from zetacomb.quad import QuadratureError
+from zetacomb import quad
+from zetacomb.quad import QuadratureError, integrate_adaptive
 from zetacomb.testfn import bump_plateau, gaussian_bump
 
 TWO_PI = 2 * math.pi
@@ -199,12 +200,13 @@ class TestKernelSamples:
         ],
     )
     def test_both_routes_equal_the_fsum_oracle(self, monkeypatch, N, count, xmin, xmax):
-        # A limit of 0 sends every order but 0 to the numpy blocks, a huge
-        # one keeps every table on math.fsum.
+        # Limits of 0 send every order but 0 to the numpy blocks, huge ones
+        # keep every table on math.fsum, numpy loaded or not.
         xs = [x for x, _ in kernel_samples(N, count, xmin, xmax).rows]
         expected = [fsum_sum_form(N, x) for x in xs]
         for limit in (0, 10**18):
             monkeypatch.setattr(kernels, "_SCALAR_TERMS", limit)
+            monkeypatch.setattr(kernels, "_SCALAR_TERMS_LOADED", limit)
             assert [s for _, (s, _) in kernel_samples(N, count, xmin, xmax).rows] == expected
 
     def test_compact_column_is_the_compact_form(self):
@@ -305,19 +307,6 @@ class TestNormalization:
         adaptive = kernel_normalization(7, 1e-10)
         assert abs(adaptive - simpson_normalization(7)) < 1e-8
 
-    def test_takes_the_mirror_pairs(self, monkeypatch):
-        marks = []
-        integrate = kernels.integrate_adaptive
-
-        def spy(*args, **kwargs):
-            marks.append(kwargs["even"])
-            return integrate(*args, **kwargs)
-
-        monkeypatch.setattr(kernels, "integrate_adaptive", spy)
-        plain = kernels._kernel_integral(37, lambda x: 1.0, -math.pi, math.pi, 1e-10)
-        assert kernel_normalization(37, 1e-10) == plain.value
-        assert marks == [False, True]
-
     def test_invalid_tolerance(self):
         with pytest.raises(ValueError):
             kernel_normalization(5, 0.0)
@@ -335,35 +324,78 @@ class TestNormalization:
         assert kernel_normalization(N, 1e-10) == deltaN_action(plateau, N, 1e-10)
 
 
-class TestMirrorReuse:
-    """An even weight on [-b, b] takes one panel of each mirror pair, to the bit."""
+def seed_edges(monkeypatch):
+    """The edge lists quad._refine is called with, from now on."""
+    calls = []
+    refine = quad._refine
 
-    WEIGHTS = {
-        "one": (lambda x: 1.0, math.pi),
-        "plateau": (bump_plateau(math.pi, 1.5 * math.pi).evaluator, math.pi),
-        "gauss": (gaussian_bump(0.0, 1.2).evaluator, 1.2),
-    }
+    def spy(panel, edges, tol):
+        calls.append(edges)
+        return refine(panel, edges, tol)
 
-    def run(self, N, name, tol, even):
-        weight, b = self.WEIGHTS[name]
-        calls = []
+    monkeypatch.setattr(quad, "_refine", spy)
+    return calls
 
-        def f(x):
-            calls.append(x)
-            return weight(x)
 
-        try:
-            result = kernels._kernel_integral(N, f, -b, b, tol, even=even)
-        except QuadratureError as exc:
-            result = ("QuadratureError", exc.value, exc.error_estimate, exc.panels_used)
-        return result, len(calls)
+def fcc_panels(monkeypatch):
+    """The (a, b) of every FCC panel evaluated from now on."""
+    calls = []
+    fcc = quad._fcc_panel
 
-    @pytest.mark.parametrize("tol", [1e-10, 1e-12, 1e-13])
-    @pytest.mark.parametrize("N", [0, 1, 37, 500, 5000])
-    @pytest.mark.parametrize("name", sorted(WEIGHTS))
-    def test_same_result_from_half_the_samples(self, name, N, tol):
-        plain, plain_calls = self.run(N, name, tol, False)
-        mirrored, mirrored_calls = self.run(N, name, tol, True)
-        assert mirrored == plain
-        assert 0.5 <= mirrored_calls / plain_calls <= 0.55
+    def spy(g, w, a, b):
+        calls.append((a, b))
+        return fcc(g, w, a, b)
+
+    monkeypatch.setattr(quad, "_fcc_panel", spy)
+    return calls
+
+
+class TestKernelIntegral:
+    PLATEAU = staticmethod(bump_plateau(math.pi, 1.5 * math.pi).evaluator)
+
+    @pytest.mark.parametrize("N", [15, 16])
+    def test_both_sides_of_the_cut(self, monkeypatch, N):
+        # The cut, 8 periods from 0, lies past pi at N = 15 and is the last
+        # seed edge inside the window at N = 16.  Either way the grid is the
+        # whole period lattice, every panel is G7/K15, and the result is
+        # integrate_adaptive's to the bit.
+        edges = seed_edges(monkeypatch)
+        result = kernels._kernel_integral(N, self.PLATEAU, -math.pi, math.pi, 1e-12)
+        period = 2 * math.pi / (N + 0.5)
+        assert (8 * period < math.pi) == (N == 16)
+        lattice = [k * period for k in range(-8, 9) if abs(k * period) < math.pi]
+        assert edges == [[-math.pi, *lattice, math.pi]]
+        plain = integrate_adaptive(
+            lambda x: kernels._windowed_compact(N, x) * self.PLATEAU(x),
+            -math.pi, math.pi, 1e-12, osc_freq=N + 0.5,
+        )
+        assert result == plain
+
+    @pytest.mark.parametrize("N, used", [(30, False), (31, True), (5000, True)])
+    def test_fcc_only_where_the_panel_is_wide_enough(self, monkeypatch, N, used):
+        # [cut, pi] first reaches w*h >= 24 at N = 31 on the whole window.
+        panels = fcc_panels(monkeypatch)
+        result = kernels._kernel_integral(N, self.PLATEAU, -math.pi, math.pi, 1e-12)
+        assert abs(result.value - 2 * math.pi) <= result.error_estimate <= 1e-12
+        assert bool(panels) == used
+        assert all((N + 0.5) * (0.5 * (b - a)) >= quad._FCC_MIN_ALPHA for a, b in panels)
+
+    def test_seeds_are_geometric_past_the_cut(self, monkeypatch):
+        edges = seed_edges(monkeypatch)
+        N = 5000
+        kernels._kernel_integral(N, self.PLATEAU, -1.0, math.pi, 1e-10)
+        period = 2 * math.pi / (N + 0.5)
+        cut = 8 * period
+        outward = [cut * 2**j for j in range(1, 12) if cut * 2**j < math.pi]
+        assert edges == [[
+            -1.0, *(-x for x in reversed(outward) if x < 1.0),
+            *(k * period for k in range(-8, 9)), *outward, math.pi,
+        ]]
+
+    def test_large_order_takes_few_panels(self):
+        # 39,997 panels on the lattice-seeded route.
+        phi = gaussian_bump(0.3, 1.2)
+        result = kernels._kernel_integral(10**5, phi.evaluator, -0.9, 1.5, 1e-12)
+        assert result.panels_used <= 300
+        assert abs(result.value - 2 * math.pi * phi(0.0)) <= 1e-10
 

@@ -4,6 +4,7 @@ import struct
 import sys
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -166,9 +167,9 @@ class TestIntegrateAdaptive:
         seeds = []
         refine = quad._refine
 
-        def spy(f, edges, tol, even):
+        def spy(panel, edges, tol):
             seeds.append(edges)
-            return refine(f, edges, tol, even)
+            return refine(panel, edges, tol)
 
         monkeypatch.setattr(quad, "_refine", spy)
         N = 37
@@ -310,59 +311,77 @@ class TestKronrodPanel:
         assert all(map(math.isnan, quad._kronrod_panel(INTEGRANDS["nan"], -1.0, 2.0)[:2]))
 
 
-def outcome(f, a, b, tol, even, **kwargs):
-    """integrate_adaptive's QuadResult, or the fields of its QuadratureError."""
-    try:
-        return integrate_adaptive(f, a, b, tol, even=even, **kwargs)
-    except QuadratureError as exc:
-        return ("QuadratureError", exc.value, exc.error_estimate, exc.panels_used)
+def poly_exp_integral(coeffs, alpha, a, b):
+    """The integral of sum_m coeffs[m]*t**m * exp(i*alpha*t) over [a, b], at 60
+    digits, from the exact antiderivatives of t**m * exp(i*alpha*t)."""
+    with mpmath.workdps(60):
+        ia = mpmath.mpc(0, alpha)
+
+        def antiderivative(t):
+            t = mpmath.mpf(t)
+            total = 0
+            for m, c in enumerate(coeffs):
+                falling = 1  # m!/(m-j)!
+                for j in range(m + 1):
+                    total += c * (-1) ** j * falling * t ** (m - j) / ia ** (j + 1)
+                    falling *= m - j
+            return mpmath.exp(ia * t) * total
+
+        return antiderivative(b) - antiderivative(a)
 
 
-class TestMirrorPanels:
-    KERNEL = staticmethod(lambda x: _windowed_compact(500, x))
+def exact_moment(k, alpha):
+    """The integral of T_k(t)*exp(i*alpha*t) over [-1, 1], real part for even k
+    and imaginary part for odd k: T_k's integer monomial coefficients, a
+    route that shares nothing with the recurrence."""
+    with mpmath.workdps(60):
+        coeffs = [int(mpmath.nint(c)) for c in mpmath.taylor(lambda t: mpmath.chebyt(k, t), 0, k)]
+        value = poly_exp_integral(coeffs, alpha, -1, 1)
+        return float(value.real if k % 2 == 0 else value.imag)
 
-    def counted(self, f):
-        calls = []
+
+class TestFccPanel:
+    @pytest.mark.parametrize("alpha", [24.0, 100.0, 3000.7, 1e6])
+    def test_moments_match_mpmath(self, alpha):
+        got = quad._fcc_moments(alpha)
+        assert len(got) == 25
+        for k, moment in enumerate(got):
+            assert abs(moment - exact_moment(k, alpha)) <= 1e-15, k
+
+    def test_clenshaw_curtis_weights(self):
+        # They integrate the Chebyshev polynomials up to degree 24 exactly.
+        ts = [1.0, *quad._FCC_T]
+        weights = [*quad._CC_W, *reversed(quad._CC_W), quad._CC_W_MID]
+        nodes = [*ts, *(-t for t in reversed(ts)), 0.0]
+        for k in range(0, 25, 2):
+            exact = 2.0 / (1 - k * k)
+            got = math.fsum(w * math.cos(k * math.acos(t)) for w, t in zip(weights, nodes))
+            assert abs(got - exact) <= 1e-14
+
+    @pytest.mark.parametrize("w, a, b", [(100.0, 1.0, 2.0), (1000.5, -2.5, -0.3), (24.0, -1.0, 1.0)])
+    def test_exact_for_low_degree(self, w, a, b):
+        # g of degree 12 is interpolated exactly at both degrees, so the value
+        # is the integral itself and the estimate is the rounding floor.
+        coeffs = [1, 1, -3, 0, 0, 0, 0, mpmath.mpf(0.5), 0, 0, 0, 0, -mpmath.mpf(0.01)]
 
         def g(x):
-            calls.append(x)
-            return f(x)
+            return 1.0 + x - 3.0 * x**2 + 0.5 * x**7 - 0.01 * x**12
 
-        return g, calls
+        value, error, floor = quad._fcc_panel(g, w, a, b)
+        exact = poly_exp_integral(coeffs, w, a, b).imag
+        assert abs(value - float(exact)) <= 1e-14
+        assert error == floor > 0
 
-    def test_floor_failure_is_the_same(self):
-        plain = outcome(self.KERNEL, -math.pi, math.pi, 1e-15, False, osc_freq=500.5)
-        assert plain[0] == "QuadratureError"
-        assert outcome(self.KERNEL, -math.pi, math.pi, 1e-15, True, osc_freq=500.5) == plain
-
-    def test_budget_failure_is_the_same(self, monkeypatch):
-        # 502 seed panels, then bisections until the budget runs out (the
-        # run takes 1,264 panels unbounded)
-        monkeypatch.setattr(quad, "DEFAULT_PANEL_BUDGET", 701)
-        plain = outcome(self.KERNEL, -math.pi, math.pi, 1e-12, False, osc_freq=500.5)
-        assert plain[0] == "QuadratureError" and plain[3] == 700
-        assert outcome(self.KERNEL, -math.pi, math.pi, 1e-12, True, osc_freq=500.5) == plain
-
-    def test_even_grid_samples_half(self):
-        f, plain_calls = self.counted(self.KERNEL)
-        plain = integrate_adaptive(f, -math.pi, math.pi, 1e-12, osc_freq=500.5)
-        f, even_calls = self.counted(self.KERNEL)
-        assert integrate_adaptive(f, -math.pi, math.pi, 1e-12, osc_freq=500.5, even=True) == plain
-        assert len(plain_calls) == 15 * plain.panels_used
-        assert 0.5 <= len(even_calls) / len(plain_calls) <= 0.55
-
-    @pytest.mark.parametrize("b, osc_freq", [(3.0, 500.5), (math.pi * (1 + 2**-40), 0.0)])
-    def test_nothing_reused_off_the_mirror(self, b, osc_freq):
-        # [-pi, b] is not symmetric, so an even mark changes nothing, not
-        # even for an integrand that is not even.
-        def f(x):
-            return math.exp(x) * math.cos(7.0 * x) * self.KERNEL(x)
-
-        counted, plain_calls = self.counted(f)
-        plain = integrate_adaptive(counted, -math.pi, b, 1e-11, osc_freq=osc_freq)
-        counted, even_calls = self.counted(f)
-        assert integrate_adaptive(counted, -math.pi, b, 1e-11, osc_freq=osc_freq, even=True) == plain
-        assert even_calls == plain_calls
+    def test_estimate_covers_a_panel_that_needs_bisection(self):
+        # The bump's edge inside the panel: the interpolant is poor, and the
+        # estimate says so.
+        g = gaussian_bump(0.0, 1.0).evaluator
+        value, error, _ = quad._fcc_panel(g, 200.0, 0.5, 1.5)
+        with mpmath.workdps(30):
+            exact = mpmath.quad(lambda x: mpmath.sin(200 * x) * mpmath.exp(-1 / (1 - x * x)),
+                                mpmath.linspace(0.5, 1, 60))
+        assert abs(value - float(exact)) <= error
+        assert error > 1e-12
 
 
 class TestLattice:

@@ -8,16 +8,17 @@ the whole window, so its kernel action is exactly 2*pi.
 """
 
 import math
+import random
 from unittest import mock
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mpf
 
-from zetacomb import kernels
+from zetacomb import actions, kernels
 from zetacomb.actions import _mode_trapezoid, deltaN_action
-from zetacomb.quad import integrate_adaptive, sinc_table
+from zetacomb.quad import QuadratureError, sinc_table
 from zetacomb.testfn import bump_plateau, gaussian_bump
 
 DPS = 30
@@ -28,6 +29,9 @@ PLATEAU = bump_plateau(math.pi, 1.5 * math.pi)
 
 orders = st.integers(0, 2000)
 tolerances = st.floats(-12.0, -8.0).map(lambda e: 10.0**e)
+# Orders up to 20000: most of the window lies past the cut, in FCC panels.
+large_orders = st.integers(16, 20_000)
+tight_tolerances = st.sampled_from([1e-13, 1e-12])
 
 
 def gauss_kernel_integral(N, center, radius):
@@ -63,10 +67,10 @@ def action_result(phi, N, tol):
     results = []
 
     def spy(*args, **kwargs):
-        results.append(integrate_adaptive(*args, **kwargs))
+        results.append(kernels._kernel_integral(*args, **kwargs))
         return results[-1]
 
-    with mock.patch.object(kernels, "integrate_adaptive", spy):
+    with mock.patch.object(actions, "_kernel_integral", spy):
         value = deltaN_action(phi, N, tol)
     (result,) = results
     assert result.value == value
@@ -99,6 +103,48 @@ class TestKernelActionEstimates:
         assert abs(result.value - 2 * math.pi) <= result.error_estimate <= 1e-12
 
 
+def action_outcome(phi, N, tol):
+    """(value, estimate, met) of deltaN_action's kernel integral: from its
+    QuadResult, or from the QuadratureError of a tol it cannot meet."""
+    try:
+        result = action_result(phi, N, tol)
+    except QuadratureError as exc:
+        return exc.value, exc.error_estimate, False
+    return result.value, result.error_estimate, True
+
+
+class TestKernelActionEstimatesAtLargeOrders:
+    @settings(max_examples=4)
+    @given(large_orders, st.floats(-1.5, 1.5), st.floats(0.1, 1.6), tight_tolerances)
+    @example(738, -2.110940629683294, 0.9223134589209607, 1.2117678099774653e-11)
+    @example(3022, 0.3220969326067826, 0.7583321735892217, 1.2921791910530627e-11)
+    def test_gauss(self, N, center, radius, tol):
+        # With |I24 - I12| alone as the FCC estimate, the two examples read
+        # low by 4.5x and 2.1x; the tail term of the coefficients covers them.
+        value, estimate, met = action_outcome(gaussian_bump(center, radius), N, tol)
+        assert true_error(value, gauss_kernel_integral(N, center, radius)) <= estimate
+        assert estimate <= tol or not met
+
+    @settings(max_examples=20)
+    @given(large_orders, tight_tolerances)
+    def test_plateau(self, N, tol):
+        value, estimate, met = action_outcome(PLATEAU, N, tol)
+        assert true_error(value, 2 * mpmath.pi) <= estimate
+        assert estimate <= tol or not met
+
+    @pytest.mark.parametrize("edge", [1.3, 2.05])
+    def test_support_edge_past_the_cut(self, edge):
+        # The bump's left edge at edge*cut, cut = 8 periods: inside the span
+        # [cut, 2*cut] of the first FCC panel, where the clipped panel is too
+        # narrow for FCC, and at the left end of an FCC panel [edge*cut, 4*cut].
+        N = 1000
+        lo = edge * 8 * (2 * math.pi / (N + 0.5))
+        center, radius = lo + 1.5, 1.5
+        result = action_result(gaussian_bump(center, radius), N, 1e-12)
+        exact = gauss_kernel_integral(N, center, radius)
+        assert true_error(result.value, exact) <= result.error_estimate <= 1e-12
+
+
 class TestSincTableEstimates:
     @settings(max_examples=10)
     @given(st.integers(0, 400), tolerances)
@@ -119,3 +165,23 @@ class TestModeTrapezoidEstimates:
         value, estimate, _ = _mode_trapezoid(gaussian_bump(center, radius), N, tol)
         exact = gauss_kernel_integral(N, center, radius)
         assert true_error(value, exact) <= estimate <= tol
+
+
+@pytest.mark.slow
+def test_estimate_sweep():
+    # 3,000 random off-centre gauss bumps inside the window: radius 0.2 to
+    # 3.0, N log-uniform from 16 to 6000, tol log-uniform from 1e-13 to
+    # 1e-8.  No estimate may read below the true error, and the worst ratio
+    # of true error to estimate must leave a margin of 10.
+    rng = random.Random(2011)
+    worst = 0.0
+    for _ in range(3000):
+        radius = rng.uniform(0.2, 3.0)
+        center = rng.uniform(radius - math.pi, math.pi - radius)
+        N = int(math.exp(rng.uniform(math.log(16), math.log(6000))))
+        tol = 10 ** rng.uniform(-13, -8)
+        value, estimate, _ = action_outcome(gaussian_bump(center, radius), N, tol)
+        error = true_error(value, gauss_kernel_integral(N, center, radius))
+        assert error <= estimate, (N, center, radius, tol)
+        worst = max(worst, float(error) / estimate)
+    assert worst <= 0.1

@@ -1,6 +1,5 @@
 import math
 import random
-import struct
 
 import mpmath
 import pytest
@@ -131,22 +130,6 @@ class TestGaussianBump:
             gaussian_bump(0.0, 0.0)
         with pytest.raises(ValueError):
             gaussian_bump(0.0, -1.0)
-
-
-class TestEvenMark:
-    @given(st.floats(0.0, 12.0), st.floats(0.05, 3.0), st.floats(0.05, 3.0))
-    def test_marked_evaluators_are_even_to_the_bit(self, x, inner, shoulder):
-        for phi in (
-            bump_plateau(inner, inner + shoulder),
-            bump_plateau(math.pi, 1.5 * math.pi),
-            gaussian_bump(0.0, inner),
-            gaussian_bump(-0.0, inner),
-        ):
-            assert phi.evaluator.even is True
-            assert struct.pack("<d", phi(-x)) == struct.pack("<d", phi(x))
-
-    def test_off_centre_bump_is_unmarked(self):
-        assert not hasattr(gaussian_bump(0.3, 1.0).evaluator, "even")
 
 
 class TestPhiTilde:
