@@ -27,8 +27,8 @@ The partial sums run over a whole x grid at once.  Each row's series is
 kernels._trig_series at order 1 or 2, correctly rounded on either of its
 routes, and one more math.fsum adds it to |x| (or x**2/2), so results are
 deterministic; odd sums are computed on |x| and sign-flipped so
-antisymmetry holds bit-for-bit.  A grid with an x past the float range is
-refused before numpy loads, so every term is finite.
+antisymmetry holds bit-for-bit.  A grid past the engine's work cap, or
+with an |x| past the float range, is refused before numpy loads.
 """
 
 import math
@@ -39,7 +39,6 @@ from .kernels import _kernel_integral, _trig_series
 from .quad import QuadratureError
 
 __all__ = [
-    "FOURIER_WORK_CAP",
     "MODE_SAMPLE_CAP",
     "delta0_partial_action",
     "delta0_comb_action",
@@ -51,11 +50,6 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-
-# Most series terms one grid of partial sums may take (0.9 to 1.2 s on
-# two CPUs and 1.2 to 1.9 s on one, spawned, 2 vCPU x86-64): the order N
-# times the number of grid points.  It bounds N too, so n*n stays exact.
-FOURIER_WORK_CAP = 1 << 26
 
 # Most samples of phi one mode-route sum may take (about 2.5 s of Python):
 # M nodes times the number of periods the support spans, at least one.  The
@@ -201,22 +195,16 @@ def _fourier_partial_sums(order: int, N: int, xs) -> list:
     The series, the sum of 2*sin(n*|x|)/n or of cos(n*|x|)/n**2 over
     n = 1 .. N, is kernels._trig_series: correctly rounded, the float
     math.fsum of its N terms gives.  One more math.fsum adds it to |x| (or
-    x**2/2).  N * len(xs) may not pass FOURIER_WORK_CAP, and at every x
-    N*|x| (and x**2/2 at order 2) must be finite: else ValueError, before
-    numpy loads.
+    x**2/2).  At order 2 every x**2/2 must be finite, and the engine refuses
+    N * len(xs) past kernels.SERIES_WORK_CAP and an N*|x| past the float
+    range: else ValueError, before numpy loads.
     """
     _validate_order(N, least=1)
-    if N * len(xs) > FOURIER_WORK_CAP:
-        raise ValueError(
-            f"order {N} at {len(xs)} points is past the work cap: "
-            f"N * points must be <= {FOURIER_WORK_CAP}"
-        )
     rs = [abs(x) for x in xs]
-    for x, r in zip(xs, rs):  # each x: max() would skip a nan
-        if not math.isfinite(N * r):
-            raise ValueError(f"n * |x| for n up to {N} at x = {x} is past the float range")
-        if order == 2 and 0.5 * r * r == math.inf:
-            raise ValueError(f"x**2/2 at x = {x} is past the float range")
+    if order == 2:
+        for r in rs:
+            if 0.5 * r * r == math.inf:
+                raise ValueError(f"x**2/2 at |x| = {r} is past the float range")
     sums = []
     for x, r, series in zip(xs, rs, _trig_series(order, N, rs)):
         if order == 2:

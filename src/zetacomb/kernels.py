@@ -22,12 +22,13 @@ actions compares with closed forms.  _trig_series sums all three, orders
 0, 1 and 2, by one rule: each series is the correctly rounded sum of its
 N terms.  Up to _SCALAR_TERMS terms (far fewer once numpy is loaded)
 that is math.fsum of terms from math.sin and math.cos, and numpy stays
-unloaded; past it, error-free
-extraction (Rump, Ogita & Oishi, 2008) over numpy blocks on up to two
-threads.  numpy's sin and cos equal libm's on every argument tested, so
-both routes give the same bits.  A sample table sums the kernel's series
-once per distinct |x| inside the window, so a symmetric grid pays for
-half its points.
+unloaded; past it, error-free extraction (Rump, Ogita & Oishi, 2008) over
+numpy blocks on up to two threads.  numpy's sin and cos equal libm's on
+every argument tested, so both routes give the same bits.  Before numpy
+loads, the engine refuses more than SERIES_WORK_CAP terms, N times the
+rows, and an n*r past the float range.  A sample table sums the kernel's
+series once per distinct |x| inside the window, so a symmetric grid pays
+for half its points.
 
 Every integral of delta_N against a weight f goes through one route,
 _kernel_integral: the normalization takes f = 1 over the window, and the
@@ -49,8 +50,8 @@ from . import _validate_order
 
 __all__ = [
     "EPS_SING",
-    "KERNEL_WORK_CAP",
     "SAMPLES_CAP",
+    "SERIES_WORK_CAP",
     "SampleTable",
     "dirichlet_sum",
     "dirichlet_compact",
@@ -62,11 +63,10 @@ __all__ = [
 # compares the two forms; no library code branches on it.
 EPS_SING = 1e-6
 
-# Most terms one sample table may take (1.0 s spawned at N = 65536 with
-# 2048 samples and at N = 524288 with 256, 1.8 s at N = 65536 with 2048
-# distinct |x|, on 2 vCPUs): the order N times the sample count, where
-# N = 0 is charged as 1, because the table itself costs work per sample.
-KERNEL_WORK_CAP = 1 << 27
+# Most terms one call of _trig_series may sum, N times the rows: about
+# 1 s spawned on 2 vCPUs for a kernel table or a Fourier grid at the cap.
+# It bounds N too, so every n*n is exact.
+SERIES_WORK_CAP = 1 << 26
 
 # Most samples one table may hold: each is a row of Python floats, and a
 # kernel table at the cap takes about 1.9 s and 110 MB (spawned at N = 1342,
@@ -127,8 +127,7 @@ def _exact_row_sums(terms, q) -> list:
     them is the row's correctly rounded sum.  terms is overwritten, and q,
     an array of the same shape, is scratch.  Every term must be finite with
     |t| <= 2, as series terms are; unchecked here, a nan or inf term would
-    never leave the loop, so the callers of _trig_series refuse such an x
-    first.
+    never leave the loop, so _trig_series refuses such an r first.
     """
     import numpy as np
 
@@ -209,24 +208,37 @@ def _series_row(order: int, N: int, r: float) -> float:
     return math.fsum(math.cos(n * r) / (n * n) for n in ns)
 
 
+def _check_series(N: int, rs) -> None:
+    """Refuse a series past SERIES_WORK_CAP terms, or an n*r past the float range."""
+    if N * len(rs) > SERIES_WORK_CAP:
+        raise ValueError(
+            f"order {N} at {len(rs)} rows is past the work cap: N * rows must be <= {SERIES_WORK_CAP}"
+        )
+    for r in rs:  # each r, as max(rs) would skip a nan
+        if not math.isfinite(N * r):
+            raise ValueError(f"n * |x| for n up to {N} at |x| = {r} is past the float range")
+
+
 def _trig_series(order: int, N: int, rs) -> list:
     """sum_{n=1}^{N} of the order's terms at each r >= 0 of rs, as floats.
 
     The terms are 2*cos(n*r) at order 0, sin(n*r)/(n/2) at order 1 and
     cos(n*r)/n**2 at order 2, and each sum is correctly rounded, the float
-    math.fsum of its N terms gives.  While N * len(rs) is at most
+    math.fsum of its N terms gives.  First _check_series raises ValueError
+    past SERIES_WORK_CAP terms or at an n*r past the float range, so every
+    term is finite and every n*n exact.  While N * len(rs) is at most
     _SCALAR_TERMS (_SCALAR_TERMS_LOADED once numpy is loaded) each sum is
-    _series_row, and numpy stays unloaded.  Past it the terms are cut into the fewest blocks of at most _BLOCK
-    elements, each a few rows by one range of n: every row is split into
-    the same column ranges.  The blocks run on up to _worker_count()
-    threads (_map_on_workers), each reduced to exact partials per row, and
-    math.fsum of all the partials a row gets is its sum.  Each worker
-    fills its blocks from three buffers of its own, terms, the
-    extraction's scratch and the orders n of one block, and n comes from
-    one shared, read-only index 0, 1, 2, ..., all made once per call, so
-    no block allocates a large array.  Every n*r must be finite, and
-    N <= 2**26 keeps n*n exact: the callers' checks and caps see to both.
+    _series_row, and numpy stays unloaded.  Past it the terms are cut into
+    the fewest blocks of at most _BLOCK elements, each a few rows by one
+    range of n: every row is split into the same column ranges.  The
+    blocks run on up to _worker_count() threads (_map_on_workers), each
+    reduced to exact partials per row, and math.fsum of all the partials
+    a row gets is its sum.  Each worker fills its blocks from three
+    buffers of its own, terms, the extraction's scratch and the orders n
+    of one block, and n comes from one shared, read-only index 0, 1, 2,
+    ..., all made once per call, so no block allocates a large array.
     """
+    _check_series(N, rs)
     limit = _SCALAR_TERMS if sys.modules.get("numpy") is None else _SCALAR_TERMS_LOADED
     if N * len(rs) <= limit:
         return [_series_row(order, N, r) for r in rs]
@@ -277,12 +289,14 @@ def dirichlet_sum(N: int, x: float) -> float:
     """1 + 2*sum_{n=1}^{N} cos(n*x) for |x| < pi, else 0 (window boundary).
 
     Its series rounded once by math.fsum, so numpy stays unloaded;
-    evaluated on |x| so the result is even bit-for-bit.
+    evaluated on |x| so the result is even bit-for-bit.  Inside the window
+    N may not pass SERIES_WORK_CAP, as in _trig_series.
     """
     _validate_order(N)
     r = abs(x)
     if r >= math.pi:
         return 0.0
+    _check_series(N, [r])
     return math.fsum((1.0, _series_row(0, N, r)))
 
 
@@ -319,17 +333,12 @@ def kernel_samples(N: int, count: int, xmin: float = -math.pi, xmax: float = mat
     grid that is antisymmetric to the last bit, so table symmetry can be
     asserted exactly rather than approximately.  The sum form is
     _trig_series of order 0 over the distinct |x| inside the window, the
-    value dirichlet_sum gives at each.  count may not pass SAMPLES_CAP,
-    nor max(N, 1) * count KERNEL_WORK_CAP.
+    value dirichlet_sum gives at each, so N times the number of those |x|
+    may not pass SERIES_WORK_CAP.  count may not pass SAMPLES_CAP.
     """
     _validate_order(N)
     if count < 2:
         raise ValueError(f"need at least 2 sample points, got {count}")
-    if max(N, 1) * count > KERNEL_WORK_CAP:
-        raise ValueError(
-            f"order {N} at {count} samples is past the work cap: "
-            f"max(N, 1) * samples must be <= {KERNEL_WORK_CAP}"
-        )
     if count > SAMPLES_CAP:
         raise ValueError(f"need at most SAMPLES_CAP = {SAMPLES_CAP} sample points, got {count}")
     if not xmin < xmax:
@@ -380,12 +389,7 @@ def _kernel_integral(N: int, f, lo: float, hi: float, tol: float) -> "QuadResult
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
     # The lattice-seeded route's refusals, kept as the bound on the orders.
-    if not (hi - lo) * w / (2.0 * math.pi) <= quad.DEFAULT_PANEL_BUDGET:
-        raise quad.QuadratureError(math.nan, math.inf, 0)
-    period = 2.0 * math.pi / w
-    lattice = quad._lattice(lo, hi, period)
-    if len(lattice) + 1 > quad.DEFAULT_PANEL_BUDGET:
-        raise quad.QuadratureError(math.nan, math.inf, 0)
+    period, lattice = quad._period_lattice(lo, hi, w)
     cuts = math.ceil(quad._FCC_MIN_ALPHA / math.pi)  # lattice points to the cut
     cut = cuts * period
     outward = []

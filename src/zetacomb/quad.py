@@ -400,6 +400,19 @@ def _lattice(a: float, b: float, period: float, shift: float = 0.0) -> range:
     return range(lo, hi + 1)
 
 
+def _period_lattice(a: float, b: float, w: float) -> tuple[float, range]:
+    """(period, ks) of the lattice k*2*pi/w on (a, b); QuadratureError with no
+    panels used if its seeds would pass the budget, counted first in periods,
+    (b - a)*w/2pi, so that an infinite or huge count never reaches _lattice."""
+    if not (b - a) * w / (2.0 * math.pi) <= DEFAULT_PANEL_BUDGET:
+        raise QuadratureError(math.nan, math.inf, 0)
+    period = 2.0 * math.pi / w
+    ks = _lattice(a, b, period)
+    if len(ks) + 1 > DEFAULT_PANEL_BUDGET:
+        raise QuadratureError(math.nan, math.inf, 0)
+    return period, ks
+
+
 def integrate_adaptive(
     f: Callable[[float], float],
     a: float,
@@ -436,14 +449,7 @@ def integrate_adaptive(
         n_seed = math.ceil(width / seed_width)
         edges = [a + width * (i / n_seed) for i in range(n_seed)] + [b]
     else:
-        # width * w / 2pi periods need at least that many panels; checked
-        # first so that an infinite or huge count never reaches the lattice.
-        if not width * osc_freq / (2.0 * math.pi) <= DEFAULT_PANEL_BUDGET:
-            raise QuadratureError(math.nan, math.inf, 0)
-        period = 2.0 * math.pi / osc_freq
-        ks = _lattice(a, b, period)
-        if len(ks) + 1 > DEFAULT_PANEL_BUDGET:
-            raise QuadratureError(math.nan, math.inf, 0)
+        period, ks = _period_lattice(a, b, osc_freq)
         edges = [a] + [k * period for k in ks] + [b]
     panels, total_err, panels_used = _refine(lambda lo, hi: _kronrod_panel(f, lo, hi), edges, tol)
     value = math.fsum(panel[2] for panel in panels)

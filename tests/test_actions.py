@@ -13,11 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import zetacomb.actions as actions
 import zetacomb.kernels as kernels
 import zetacomb.quad as quad
 from zetacomb.actions import (
-    FOURIER_WORK_CAP,
     MODE_SAMPLE_CAP,
     _dirichlet_periodic,
     _fourier_partial_sums,
@@ -31,7 +29,7 @@ from zetacomb.actions import (
     fourier_partial_delta1,
     fourier_partial_delta2,
 )
-from zetacomb.kernels import _exact_row_sums, _trig_series, dirichlet_sum
+from zetacomb.kernels import SERIES_WORK_CAP, _exact_row_sums, _trig_series, dirichlet_sum
 from zetacomb.quad import QuadratureError, integrate_adaptive
 from zetacomb.testfn import bump_plateau, gaussian_bump, phi_tilde
 
@@ -332,7 +330,7 @@ class TestFourierDelta1:
         # Past the work cap on one point: refused before numpy is imported.
         monkeypatch.setitem(sys.modules, "numpy", None)
         with pytest.raises(ValueError, match="work cap"):
-            fourier_partial_delta1(FOURIER_WORK_CAP + 1, 1.0)
+            fourier_partial_delta1(SERIES_WORK_CAP + 1, 1.0)
         with pytest.raises(ValueError):
             fourier_partial_delta1(True, 1.0)
 
@@ -393,7 +391,7 @@ class TestFourierDelta2:
         # Past the work cap on one point: refused before numpy is imported.
         monkeypatch.setitem(sys.modules, "numpy", None)
         with pytest.raises(ValueError, match="work cap"):
-            fourier_partial_delta2(FOURIER_WORK_CAP + 1, 1.0)
+            fourier_partial_delta2(SERIES_WORK_CAP + 1, 1.0)
         with pytest.raises(ValueError):
             fourier_partial_delta2(True, 1.0)
 
@@ -616,7 +614,7 @@ class TestBatchedPartialSums:
         # here it fails at once instead.
         monkeypatch.setattr(kernels, "_exact_row_sums", None)
         for order, bad in ((1, math.nan), (1, -1e307), (1, math.inf), (2, math.nan), (2, 1e200)):
-            with pytest.raises(ValueError, match=re.escape(f"x = {bad} is past the float range")):
+            with pytest.raises(ValueError, match=re.escape(f"|x| = {abs(bad)} is past the float range")):
                 _fourier_partial_sums(order, 100, [0.5, -2.0, bad, 3.0])
 
     def test_failing_block_reaches_the_caller_after_the_workers_stop(self, monkeypatch):
@@ -662,7 +660,7 @@ class TestBatchedPartialSums:
 
     def test_work_cap(self, monkeypatch):
         # N times the number of points may reach the cap but not pass it.
-        monkeypatch.setattr(actions, "FOURIER_WORK_CAP", 1000)
+        monkeypatch.setattr(kernels, "SERIES_WORK_CAP", 1000)
         xs = [-1.0, 0.0, 0.5, 2.0]
         assert len(_fourier_partial_sums(1, 250, xs)) == 4
         for order, N in ((1, 251), (2, 251)):
@@ -672,13 +670,13 @@ class TestBatchedPartialSums:
     def test_work_cap_refuses_at_once(self):
         start = time.perf_counter()
         with pytest.raises(ValueError, match="work cap"):
-            _fourier_partial_sums(1, FOURIER_WORK_CAP // 4 + 1, [0.5, 1.0, 1.5, 2.0])
+            _fourier_partial_sums(1, SERIES_WORK_CAP // 4 + 1, [0.5, 1.0, 1.5, 2.0])
         assert time.perf_counter() - start < 1.0
 
     def test_work_cap_keeps_the_divisors_exact(self):
         # The cap bounds N on one point, so every n*n is an integer below
         # 2**53, exact in a float.
-        assert FOURIER_WORK_CAP**2 < 2**53
+        assert SERIES_WORK_CAP**2 < 2**53
 
     @given(
         st.sampled_from([0, 1, 2]),

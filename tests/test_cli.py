@@ -333,10 +333,12 @@ class TestUsageErrors:
             ["kernel", "--n", "5", "--xmin", "-inf"],
             ["sinc", "--n-max", "2", "--tol", "inf"],
             ["comb", "--phi", "gauss", "--center", "1e17", "--n", "5"],  # support rounds to a point
-            # 2 * 33554433 terms, two past FOURIER_WORK_CAP
+            # 2 * 33554433 terms, two past SERIES_WORK_CAP
             ["fourier", "--order", "1", "--n", "33554433", "--samples", "2", "--xmin", "0", "--xmax", "1"],
             ["kernel", "--n", "1" + "0" * 320, "--samples", "3"],  # past the work cap
             ["kernel", "--n", "100000000", "--samples", "3"],
+            # 65536 * 2048 terms: no two of these x share an |x|
+            ["kernel", "--n", "65536", "--samples", "2048", "--xmin", "0", "--xmax", "3"],
             # --tol belongs to the integrating subcommands only
             ["zeta", "--max-k", "2", "--tol", "1e-9"],
             ["kernel", "--n", "5", "--tol", "1e-9"],
@@ -357,7 +359,7 @@ class TestUsageErrors:
             # the closed form's floor times ceiling is past the float range
             (["fourier", "--order", "2", "--n", "7", "--samples", "4", "--xmin=-1e300", "--xmax", "1e300"],
              "error"),
-            (["kernel", "--n", "0", "--samples", "100000000"], "--samples"),  # order 0 still pays per sample
+            (["kernel", "--n", "0", "--samples", "100000000"], "--samples"),  # past SAMPLES_CAP at any order
             (["kernel", "--n", "0", "--samples", str(cli.SAMPLES_CAP + 1)], "--samples"),
             (["fourier", "--order", "1", "--n", "10", "--samples", str(cli.SAMPLES_CAP + 1),
               "--xmin", "0", "--xmax", "1"], "--samples"),

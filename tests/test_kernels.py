@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import sys
 import time
 import tracemalloc
@@ -13,8 +14,8 @@ from zetacomb.actions import deltaN_action
 import zetacomb.kernels as kernels
 from zetacomb.kernels import (
     EPS_SING,
-    KERNEL_WORK_CAP,
     SAMPLES_CAP,
+    SERIES_WORK_CAP,
     SampleTable,
     dirichlet_compact,
     dirichlet_sum,
@@ -84,6 +85,15 @@ class TestDirichletSum:
         monkeypatch.setitem(sys.modules, "numpy", None)
         for N, x in ((1, 0.5), (2000, -2.25), (2000, 0.0), (30000, 1e-3)):
             assert dirichlet_sum(N, x) == fsum_sum_form(N, x)
+
+    def test_work_cap(self):
+        # Inside the window the one series is priced as _trig_series prices
+        # it, and refused before its first term; outside it sums nothing.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="work cap"):
+            dirichlet_sum(SERIES_WORK_CAP + 1, 0.5)
+        assert time.perf_counter() - start < 0.25
+        assert dirichlet_sum(SERIES_WORK_CAP + 1, 4.0) == 0.0
 
 
 class TestDirichletCompact:
@@ -216,27 +226,39 @@ class TestKernelSamples:
                 assert c == (0.0 if abs(x) >= math.pi else dirichlet_compact(N, x))
 
     def test_work_cap(self, monkeypatch):
-        # max(N, 1) * count may reach the cap but not pass it, however few
-        # the samples.
-        monkeypatch.setattr(kernels, "KERNEL_WORK_CAP", 1000)
-        assert len(kernel_samples(3, 333).rows) == 333
-        assert len(kernel_samples(4, 250).rows) == 250
-        assert len(kernel_samples(500, 2).rows) == 2
-        assert len(kernel_samples(0, 1000).rows) == 1000
-        for N, count in ((3, 334), (4, 251), (501, 2), (0, 1001)):
-            with pytest.raises(ValueError):
-                kernel_samples(N, count)
-
-    def test_work_cap_refuses_at_once(self):
-        cases = (
-            (KERNEL_WORK_CAP // 3 + 1, 3),
-            (KERNEL_WORK_CAP // 1000 + 1, 1000),
-            (10**320, 3),
-            (0, KERNEL_WORK_CAP + 1),  # order 0 still pays for its samples
-        )
-        for N, count in cases:
+        # N times the distinct |x| inside the window may reach the cap but
+        # not pass it.  On [-pi, pi], 2k + 1 samples hold k of them: 0 and
+        # k - 1 more, as pi lies outside.
+        monkeypatch.setattr(kernels, "SERIES_WORK_CAP", 1000)
+        assert len(kernel_samples(1, 2001).rows) == 2001
+        assert len(kernel_samples(10, 201).rows) == 201
+        assert len(kernel_samples(1000, 3).rows) == 3
+        # Without symmetry every sample is a distinct |x|, so half as many
+        # samples reach the cap.
+        assert len(kernel_samples(1, 1000, 0.0, 3.0).rows) == 1000
+        for args in ((1, 2003), (1001, 3), (1, 1001, 0.0, 3.0)):
             with pytest.raises(ValueError, match="work cap"):
-                kernel_samples(N, count)
+                kernel_samples(*args)
+        # The window edges alone sum nothing, at any order.
+        for N in (1001, 10**320):
+            assert kernel_samples(N, 2).rows == ((-math.pi, (0.0, 0.0)), (math.pi, (0.0, 0.0)))
+
+    def test_work_cap_refuses_at_once(self, monkeypatch):
+        # Refused before numpy is imported or a block is reduced.
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        monkeypatch.setattr(kernels, "_exact_row_sums", None)
+        cases = (
+            (1, SERIES_WORK_CAP + 1, (3,)),
+            (1000, SERIES_WORK_CAP // 1000 + 1, (2001,)),
+            (2048, 1 << 16, (2048, 0.0, 3.0)),  # 2**27 terms, no |x| shared
+            (1, 10**320, (3,)),
+        )
+        for rows, N, args in cases:
+            start = time.perf_counter()
+            message = f"order {N} at {rows} rows is past the work cap: N * rows must be <= {SERIES_WORK_CAP}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                kernel_samples(N, *args)
+            assert time.perf_counter() - start < 0.25
 
     def test_samples_cap(self, monkeypatch):
         monkeypatch.setattr(kernels, "SAMPLES_CAP", 1000)
@@ -248,7 +270,7 @@ class TestKernelSamples:
         # Order 1 charges one term per sample, well within the work cap,
         # so only the samples cap stands between this call and its grid.
         count = SAMPLES_CAP + 1
-        assert count <= KERNEL_WORK_CAP
+        assert count <= SERIES_WORK_CAP
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="SAMPLES_CAP"):
@@ -283,6 +305,21 @@ class TestTrigSeries:
             got = wave(angles, out=np.empty(size))
             expected = np.array([libm(t) for t in angles.tolist()])
             assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+    def test_refuses_its_own_input(self, monkeypatch):
+        # Past the cap, or at an r whose n*r is nan or inf, the engine
+        # refuses before it imports numpy or reduces a block: a nan or inf
+        # term would never leave the extraction loop.
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        monkeypatch.setattr(kernels, "_exact_row_sums", None)
+        for order in (0, 1, 2):
+            with pytest.raises(ValueError, match="work cap"):
+                kernels._trig_series(order, SERIES_WORK_CAP // 2 + 1, [0.5, 1.0])
+            for bad in (math.nan, math.inf, 1e308):
+                with pytest.raises(ValueError, match=re.escape(f"|x| = {bad} is past the float range")):
+                    kernels._trig_series(order, 10, [0.5, bad, 1.0])
+        # No row, no term: nothing to refuse at any order.
+        assert kernels._trig_series(0, 10**320, []) == []
 
 
 class TestSampleTable:
