@@ -59,15 +59,45 @@ __all__ = [name for names in _EXPORTS.values() for name in names]
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 
 
-def _validate_order(N: int, least: int = 0) -> None:
-    """Refuse an order N that is not an int (bool included) or is below least.
+# The checks and the error below are defined here, not in a submodule, so
+# that kernels, quad and actions all reach them without loading each other.
 
-    Defined here, not in a submodule, so that kernels and quad both reach it
-    without loading each other.
-    """
+
+def _validate_order(N: int, least: int = 0) -> None:
+    """Refuse an order N that is not an int (bool included) or is below least."""
     if isinstance(N, bool) or not isinstance(N, int) or N < least:
         kind = "non-negative" if least == 0 else "positive"
         raise ValueError(f"N must be a {kind} integer, got {N!r}")
+
+
+def _validate_tol(tol: float) -> None:
+    """Refuse a tolerance that is not > 0 (nan included)."""
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol}")
+
+
+class QuadratureError(RuntimeError):
+    """Tolerance not reached: panel budget spent, or tol below the rounding floor.
+
+    Carries the best value obtained so that callers can inspect how far
+    off the run ended, rather than losing the work.  panels_used == 0 means
+    the run was refused up front because it would need more than the budget.
+    A route whose limit is not a panel budget passes its own message.
+    quad re-exports this class, and the cli catches it without loading quad.
+    """
+
+    def __init__(self, value: float, error_estimate: float, panels_used: int, message: str | None = None):
+        if message is None and panels_used == 0:
+            message = "quadrature not attempted: it would need more panels than the budget"
+        elif message is None:
+            message = (
+                f"quadrature tolerance not reached: estimate {error_estimate:.3e} "
+                f"after {panels_used} panels"
+            )
+        super().__init__(message)
+        self.value = value
+        self.error_estimate = error_estimate
+        self.panels_used = panels_used
 
 
 def __getattr__(name):

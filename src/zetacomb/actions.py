@@ -34,9 +34,8 @@ with an |x| past the float range, is refused before numpy loads.
 import math
 import sys
 
-from . import _validate_order
+from . import QuadratureError, _validate_order, _validate_tol
 from .kernels import _kernel_integral, _trig_series
-from .quad import QuadratureError
 
 __all__ = [
     "MODE_SAMPLE_CAP",
@@ -158,8 +157,7 @@ def delta0_partial_action(phi: "TestFunction", N: int, tol: float) -> float:
     phi would pass MODE_SAMPLE_CAP.
     """
     _validate_order(N)
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    _validate_tol(tol)
     return _mode_trapezoid(phi, N, tol)[0]
 
 
@@ -180,8 +178,7 @@ def deltaN_action(phi: "TestFunction", N: int, tol: float) -> float:
     to the support; converges to 2*pi*phi(0) as N grows.
     """
     _validate_order(N)
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    _validate_tol(tol)
     lo = max(-math.pi, phi.support[0])
     hi = min(math.pi, phi.support[1])
     if not lo < hi:

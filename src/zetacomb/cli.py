@@ -19,8 +19,10 @@ attributes of it all the same, resolved on first lookup (PEP 562) through
 the package's table of public names, and the handlers call them through
 this module, so a name patched here (by a test, or by perfbench/tracer.py)
 is the one that runs.  zeta loads zeta_ladder and exactalg; sinc loads
-quad; action and comb load actions, kernels, quad and testfn; kernel
-loads kernels alone, and fourier actions, kernels and quad.
+quad; action loads actions, kernels, quad and testfn, and comb the same
+but quad; kernel loads kernels alone, and fourier actions and kernels.
+QuadratureError, which exits 3, is defined in the package itself, so
+catching it loads nothing.
 The records are namedtuples, not dataclasses (which load inspect and
 ast), json and csv are imported only for their own --format, and numpy
 only by kernel and fourier grids of more than kernels._SCALAR_TERMS terms.
@@ -69,13 +71,6 @@ ZETA_MAX_K = 200
 
 class _NumericalFailure(Exception):
     pass
-
-
-def _numerical_failures() -> tuple:
-    """The exceptions that exit 3.  Only quad raises QuadratureError, so
-    until quad is loaded there is none to catch and no need to import it."""
-    quad = sys.modules.get(f"{__package__}.quad")
-    return (_NumericalFailure,) if quad is None else (_NumericalFailure, quad.QuadratureError)
 
 
 def _int(text: str) -> int:
@@ -349,7 +344,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         # argparse has already printed the diagnostic and usage synopsis
         return exc.code if isinstance(exc.code, int) else 2
-    except _numerical_failures() as exc:
+    except (_NumericalFailure, _package.QuadratureError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OverflowError) as exc:

@@ -26,9 +26,9 @@ unloaded; past it, error-free extraction (Rump, Ogita & Oishi, 2008) over
 numpy blocks on up to two threads.  numpy's sin and cos equal libm's on
 every argument tested, so both routes give the same bits.  Before numpy
 loads, the engine refuses more than SERIES_WORK_CAP terms, N times the
-rows, and an n*r past the float range.  A sample table sums the kernel's
-series once per distinct |x| inside the window, so a symmetric grid pays
-for half its points.
+rows, and an n*r past the float range.  dirichlet_sum is one row of it at
+order 0.  A sample table evaluates both forms once per distinct |x| inside
+the window, so a symmetric grid pays for half its points.
 
 Every integral of delta_N against a weight f goes through one route,
 _kernel_integral: the normalization takes f = 1 over the window, and the
@@ -46,7 +46,7 @@ import sys
 import threading
 from collections import namedtuple
 
-from . import _validate_order
+from . import _validate_order, _validate_tol
 
 __all__ = [
     "EPS_SING",
@@ -68,9 +68,10 @@ EPS_SING = 1e-6
 # It bounds N too, so every n*n is exact.
 SERIES_WORK_CAP = 1 << 26
 
-# Most samples one table may hold: each is a row of Python floats, and a
-# kernel table at the cap takes about 1.9 s and 110 MB (spawned at N = 1342,
-# on 2 vCPUs).
+# Most samples one table may hold: each is a row of Python floats.  A
+# kernel table at the cap with SERIES_WORK_CAP terms takes about 2.3 s and
+# 110 MB spawned on 2 vCPUs (medians of 3, N = 1342 on [-pi, pi] and
+# N = 671 on [0, 3]): about 1.2 s for the series, 0.7 s for a text table.
 SAMPLES_CAP = 100_000
 
 # Most terms, N times the rows, that _trig_series sums with math.fsum
@@ -208,25 +209,14 @@ def _series_row(order: int, N: int, r: float) -> float:
     return math.fsum(math.cos(n * r) / (n * n) for n in ns)
 
 
-def _check_series(N: int, rs) -> None:
-    """Refuse a series past SERIES_WORK_CAP terms, or an n*r past the float range."""
-    if N * len(rs) > SERIES_WORK_CAP:
-        raise ValueError(
-            f"order {N} at {len(rs)} rows is past the work cap: N * rows must be <= {SERIES_WORK_CAP}"
-        )
-    for r in rs:  # each r, as max(rs) would skip a nan
-        if not math.isfinite(N * r):
-            raise ValueError(f"n * |x| for n up to {N} at |x| = {r} is past the float range")
-
-
 def _trig_series(order: int, N: int, rs) -> list:
     """sum_{n=1}^{N} of the order's terms at each r >= 0 of rs, as floats.
 
     The terms are 2*cos(n*r) at order 0, sin(n*r)/(n/2) at order 1 and
     cos(n*r)/n**2 at order 2, and each sum is correctly rounded, the float
-    math.fsum of its N terms gives.  First _check_series raises ValueError
-    past SERIES_WORK_CAP terms or at an n*r past the float range, so every
-    term is finite and every n*n exact.  While N * len(rs) is at most
+    math.fsum of its N terms gives.  First it raises ValueError past
+    SERIES_WORK_CAP terms or at an n*r past the float range, so every term
+    is finite and every n*n exact.  While N * len(rs) is at most
     _SCALAR_TERMS (_SCALAR_TERMS_LOADED once numpy is loaded) each sum is
     _series_row, and numpy stays unloaded.  Past it the terms are cut into
     the fewest blocks of at most _BLOCK elements, each a few rows by one
@@ -238,7 +228,13 @@ def _trig_series(order: int, N: int, rs) -> list:
     of one block, and n comes from one shared, read-only index 0, 1, 2,
     ..., all made once per call, so no block allocates a large array.
     """
-    _check_series(N, rs)
+    if N * len(rs) > SERIES_WORK_CAP:
+        raise ValueError(
+            f"order {N} at {len(rs)} rows is past the work cap: N * rows must be <= {SERIES_WORK_CAP}"
+        )
+    for r in rs:  # each r, as max(rs) would skip a nan
+        if not math.isfinite(N * r):
+            raise ValueError(f"n * |x| for n up to {N} at |x| = {r} is past the float range")
     limit = _SCALAR_TERMS if sys.modules.get("numpy") is None else _SCALAR_TERMS_LOADED
     if N * len(rs) <= limit:
         return [_series_row(order, N, r) for r in rs]
@@ -288,16 +284,15 @@ def _trig_series(order: int, N: int, rs) -> list:
 def dirichlet_sum(N: int, x: float) -> float:
     """1 + 2*sum_{n=1}^{N} cos(n*x) for |x| < pi, else 0 (window boundary).
 
-    Its series rounded once by math.fsum, so numpy stays unloaded;
-    evaluated on |x| so the result is even bit-for-bit.  Inside the window
-    N may not pass SERIES_WORK_CAP, as in _trig_series.
+    One row of _trig_series at order 0, its series rounded once, on either
+    route; evaluated on |x| so the result is even bit-for-bit.  Inside the
+    window N may not pass SERIES_WORK_CAP.
     """
     _validate_order(N)
     r = abs(x)
     if r >= math.pi:
         return 0.0
-    _check_series(N, [r])
-    return math.fsum((1.0, _series_row(0, N, r)))
+    return math.fsum((1.0, _trig_series(0, N, [r])[0]))
 
 
 def dirichlet_compact(N: int, x: float) -> float:
@@ -331,10 +326,11 @@ def kernel_samples(N: int, count: int, xmin: float = -math.pi, xmax: float = mat
     The range must sit inside [-pi, pi].  At |x| >= pi both columns carry
     the windowed value 0.  A symmetric range (xmax == -xmin) produces a
     grid that is antisymmetric to the last bit, so table symmetry can be
-    asserted exactly rather than approximately.  The sum form is
-    _trig_series of order 0 over the distinct |x| inside the window, the
-    value dirichlet_sum gives at each, so N times the number of those |x|
-    may not pass SERIES_WORK_CAP.  count may not pass SAMPLES_CAP.
+    asserted exactly rather than approximately.  Both forms are evaluated
+    once per distinct |x| inside the window, the sum form as _trig_series
+    of order 0 over them all, the value dirichlet_sum gives at each, so N
+    times the number of those |x| may not pass SERIES_WORK_CAP.  count may
+    not pass SAMPLES_CAP.
     """
     _validate_order(N)
     if count < 2:
@@ -352,8 +348,11 @@ def kernel_samples(N: int, count: int, xmin: float = -math.pi, xmax: float = mat
         xs = [0.5 * (a - b) for a, b in zip(xs, reversed(xs))]
 
     rs = list(dict.fromkeys(r for r in map(abs, xs) if r < math.pi))
-    by_r = {r: math.fsum((1.0, series)) for r, series in zip(rs, _trig_series(0, N, rs))}
-    rows = tuple((x, (by_r.get(abs(x), 0.0), _windowed_compact(N, x))) for x in xs)
+    by_r = {
+        r: (math.fsum((1.0, series)), _windowed_compact(N, r))
+        for r, series in zip(rs, _trig_series(0, N, rs))
+    }
+    rows = tuple((x, by_r.get(abs(x), (0.0, 0.0))) for x in xs)
     return SampleTable(column_names=("x", "sum_form", "compact_form"), rows=rows)
 
 
@@ -386,8 +385,7 @@ def _kernel_integral(N: int, f, lo: float, hi: float, tol: float) -> "QuadResult
         raise quad.QuadratureError(math.nan, math.inf, 0) from None
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    _validate_tol(tol)
     # The lattice-seeded route's refusals, kept as the bound on the orders.
     period, lattice = quad._period_lattice(lo, hi, w)
     cuts = math.ceil(quad._FCC_MIN_ALPHA / math.pi)  # lattice points to the cut

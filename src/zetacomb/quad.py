@@ -46,7 +46,7 @@ from collections import namedtuple
 from collections.abc import Callable
 from operator import mul
 
-from . import _validate_order
+from . import QuadratureError, _validate_order, _validate_tol
 
 __all__ = [
     "QuadResult",
@@ -156,29 +156,6 @@ class QuadResult(namedtuple("QuadResult", "value error_estimate panels_used")):
         if panels_used < 1:
             raise ValueError("panels_used must be >= 1")
         return super().__new__(cls, value, error_estimate, panels_used)
-
-
-class QuadratureError(RuntimeError):
-    """Tolerance not reached: panel budget spent, or tol below the rounding floor.
-
-    Carries the best value obtained so that callers can inspect how far
-    off the run ended, rather than losing the work.  panels_used == 0 means
-    the run was refused up front because it would need more than the budget.
-    A route whose limit is not a panel budget passes its own message.
-    """
-
-    def __init__(self, value: float, error_estimate: float, panels_used: int, message: str | None = None):
-        if message is None and panels_used == 0:
-            message = "quadrature not attempted: it would need more panels than the budget"
-        elif message is None:
-            message = (
-                f"quadrature tolerance not reached: estimate {error_estimate:.3e} "
-                f"after {panels_used} panels"
-            )
-        super().__init__(message)
-        self.value = value
-        self.error_estimate = error_estimate
-        self.panels_used = panels_used
 
 
 def _kronrod_panel(f: Callable[[float], float], a: float, b: float):
@@ -436,8 +413,7 @@ def integrate_adaptive(
     """
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    _validate_tol(tol)
     if not osc_freq >= 0:
         raise ValueError(f"osc_freq must be >= 0, got {osc_freq}")
 
@@ -484,8 +460,7 @@ def sinc_table(n_max: int, tol: float) -> list[QuadResult]:
     evaluated inside [0, (N+1/2)pi].  Returns one QuadResult per N.
     """
     _validate_order(n_max)
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    _validate_tol(tol)
     if n_max + 1 > DEFAULT_PANEL_BUDGET:
         raise QuadratureError(math.nan, math.inf, 0)
     top = (n_max + 0.5) * math.pi

@@ -680,25 +680,56 @@ def test_cli_import_loads_no_library_module():
     assert modules_added_by("import zetacomb.cli", LIBRARY) == []
 
 
-@pytest.mark.parametrize(
-    "argv, loaded, unloaded",
-    [
-        (["zeta", "--max-k", "3", "--oracle"], ["exactalg", "zeta_ladder"], ["heapq"]),
-        (["sinc", "--n-max", "2"], ["quad"], ["fractions"]),
-        (["action", "--phi", "gauss", "--n-list", "10"], ["actions", "kernels", "quad", "testfn"], ["fractions"]),
-        (["comb", "--n", "5"], ["actions", "kernels", "quad", "testfn"], ["fractions"]),
-        (["kernel", "--n", "50"], ["kernels"], ["fractions", "heapq"]),
-        (["fourier", "--order", "1", "--n", "100", "--samples", "5", "--xmin", "-1", "--xmax", "1"],
-         ["actions", "kernels", "quad"], ["fractions"]),
-    ],
-    ids=["zeta", "sinc", "action", "comb", "kernel", "fourier"],
-)
-def test_each_subcommand_loads_only_its_own_modules(argv, loaded, unloaded):
+# Each subcommand's argv, the library modules it runs, and the modules of
+# WATCHED it loads besides.  The README's "Start-up" table lists the same
+# sets, and a test below holds it to this list.
+SUBCOMMAND_MODULES = {
+    "zeta": (["zeta", "--max-k", "3", "--oracle"], ["exactalg", "zeta_ladder"], ["decimal", "fractions", "numbers"]),
+    "sinc": (["sinc", "--n-max", "2"], ["quad"], ["heapq"]),
+    "action": (["action", "--phi", "gauss", "--n-list", "10"], ["actions", "kernels", "quad", "testfn"], ["heapq"]),
+    "comb": (["comb", "--n", "5"], ["actions", "kernels", "testfn"], []),
+    "kernel": (["kernel", "--n", "50"], ["kernels"], []),
+    "fourier": (
+        ["fourier", "--order", "1", "--n", "100", "--samples", "5", "--xmin", "-1", "--xmax", "1"],
+        ["actions", "kernels"],
+        [],
+    ),
+}
+WATCHED = ["decimal", "fractions", "heapq", "numbers"]
+
+
+@pytest.mark.parametrize("subcommand", SUBCOMMAND_MODULES)
+def test_each_subcommand_loads_only_its_own_modules(subcommand):
     # The whole set of library modules each subcommand loads, as the cli
     # docstring lists it.  The exact and numerical halves share no module,
     # so neither pays to compile the other.
-    added = modules_added_by(RUN_ARGV, [*LIBRARY, *unloaded], *argv)
-    assert added == ["0", *(f"zetacomb.{m}" for m in loaded)]
+    argv, loaded, others = SUBCOMMAND_MODULES[subcommand]
+    added = modules_added_by(RUN_ARGV, [*LIBRARY, *WATCHED], *argv)
+    assert added == ["0", *(f"zetacomb.{m}" for m in loaded), *others]
+
+
+def start_up_table():
+    """{subcommand: (library modules, other modules)}, each sorted, as the
+    README's "Start-up" table lists them: the names in backquotes."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    lines = re.search(r"\* Start-up:[\s\S]*?\n((?:[ \t]*\|.*\n)+)", readme).group(1).splitlines()
+    table = {}
+    for line in lines[2:]:  # after the header and its rule
+        names, library, others = (re.findall(r"`([^`]+)`", cell) for cell in line.strip().strip("|").split("|"))
+        for name in names:
+            table[name] = (sorted(library), sorted(others))
+    return table
+
+
+def test_readme_start_up_table_is_the_asserted_module_sets():
+    assert start_up_table() == {
+        name: (loaded, others) for name, (_, loaded, others) in SUBCOMMAND_MODULES.items()
+    }
+
+
+def test_comb_failure_exits_3_without_loading_quad():
+    # QuadratureError is the package's own, so catching it loads no module.
+    assert modules_added_by(RUN_ARGV, ["zetacomb.quad"], "comb", "--n", "5", "--tol", "1e-300") == ["3"]
 
 
 FOURIER_ARGV = ["fourier", "--n", "2", "--samples", "2", "--xmin", "0", "--xmax", "1"]

@@ -80,10 +80,21 @@ class TestDirichletSum:
                 dirichlet_sum(bad, 0.0)
 
     def test_is_the_fsum_oracle_without_numpy(self, monkeypatch):
-        # One x at a time takes math.fsum at any order, past the limit too.
-        monkeypatch.setattr(kernels, "_SCALAR_TERMS", 0)
+        # Up to the scalar limit one x takes math.fsum, and numpy stays unloaded.
         monkeypatch.setitem(sys.modules, "numpy", None)
-        for N, x in ((1, 0.5), (2000, -2.25), (2000, 0.0), (30000, 1e-3)):
+        for N, x in ((1, 0.5), (2000, -2.25), (2000, 0.0), (30000, 1e-3), (kernels._SCALAR_TERMS, 0.5)):
+            assert dirichlet_sum(N, x) == fsum_sum_form(N, x)
+
+    def test_is_the_fsum_oracle_on_the_numpy_blocks(self, monkeypatch):
+        # Past the limit, the loaded one set to 0 here and the unloaded one
+        # too, the one row is summed on the numpy blocks, with the same bits.
+        def refuse(*args):
+            raise AssertionError("a row past the limit took the scalar route")
+
+        monkeypatch.setattr(kernels, "_series_row", refuse)
+        monkeypatch.setattr(kernels, "_SCALAR_TERMS_LOADED", 0)
+        past = kernels._SCALAR_TERMS + 1
+        for N, x in ((1, 0.5), (2000, -2.25), (2000, 0.0), (30000, 1e-3), (past, 0.5), (past, -2.25), (2 * past, 1e-3)):
             assert dirichlet_sum(N, x) == fsum_sum_form(N, x)
 
     def test_work_cap(self):
