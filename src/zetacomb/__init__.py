@@ -77,24 +77,18 @@ def _validate_tol(tol: float) -> None:
 
 
 class QuadratureError(RuntimeError):
-    """Tolerance not reached: panel budget spent, or tol below the rounding floor.
+    """Tolerance not reached after evaluating panels: budget spent, or tol below the rounding floor.
 
     Carries the best value obtained so that callers can inspect how far
-    off the run ended, rather than losing the work.  panels_used == 0 means
-    the run was refused up front because it would need more than the budget.
-    A route whose limit is not a panel budget passes its own message.
-    quad re-exports this class, and the cli catches it without loading quad.
+    off the run ended, rather than losing the work.  A route whose work is
+    not counted in panels passes its own message.  A run refused before
+    its first panel raises ValueError instead.  quad re-exports this class, and the cli catches it without loading quad.
     """
 
     def __init__(self, value: float, error_estimate: float, panels_used: int, message: str | None = None):
-        if message is None and panels_used == 0:
-            message = "quadrature not attempted: it would need more panels than the budget"
-        elif message is None:
-            message = (
-                f"quadrature tolerance not reached: estimate {error_estimate:.3e} "
-                f"after {panels_used} panels"
-            )
-        super().__init__(message)
+        super().__init__(message or (
+            f"quadrature tolerance not reached: estimate {error_estimate:.3e} after {panels_used} panels"
+        ))
         self.value = value
         self.error_estimate = error_estimate
         self.panels_used = panels_used

@@ -52,7 +52,7 @@ _TWO_PI = 2.0 * math.pi
 
 # Most samples of phi one mode-route sum may take (about 2.5 s of Python):
 # M nodes times the number of periods the support spans, at least one.  The
-# sum starts at M >= 4N+4, so orders N >= 2**18 fail at once, and lower
+# sum starts at M >= 4N+4, so orders N >= 2**18 are refused at once, and lower
 # orders too when the support spans more than one period.
 MODE_SAMPLE_CAP = 1 << 20
 # The first comparison S_M vs S_{M/2} is trusted only if the coarse grid
@@ -115,8 +115,9 @@ def _mode_trapezoid(phi: "TestFunction", N: int, tol: float) -> tuple[float, flo
     onto the lattice points) that also puts several nodes of M/2 inside a
     narrow support, and doubles, reusing the old nodes, until the estimate
     max(|S_M - S_{M/2}|, 50*eps*(2*pi/M)*sum|terms|) is within tol.
-    Raises QuadratureError at once when the roundoff floor exceeds tol or
-    the samples of phi would pass MODE_SAMPLE_CAP.
+    Raises ValueError before sampling phi if the first sum would pass
+    MODE_SAMPLE_CAP, and QuadratureError (panels_used = M) when the
+    roundoff floor exceeds tol or the next doubling would pass the cap.
     """
     periods = (phi.support[1] - phi.support[0]) / _TWO_PI
     # Samples of phi at M nodes: one per node and period the support spans.
@@ -127,10 +128,8 @@ def _mode_trapezoid(phi: "TestFunction", N: int, tol: float) -> tuple[float, flo
     ):
         M *= 2
     if M * samples_per_node > MODE_SAMPLE_CAP:
-        raise QuadratureError(
-            math.nan, math.inf, 0,
-            f"mode sum not attempted: it would need more than "
-            f"MODE_SAMPLE_CAP = {MODE_SAMPLE_CAP} samples of phi",
+        raise ValueError(
+            f"the mode sum at order {N} needs more than MODE_SAMPLE_CAP = {MODE_SAMPLE_CAP} samples of phi"
         )
     terms = _trapezoid_terms(phi, N, M // 2, odd_only=False)
     coarse = _TWO_PI / (M // 2) * math.fsum(terms)
@@ -143,7 +142,8 @@ def _mode_trapezoid(phi: "TestFunction", N: int, tol: float) -> tuple[float, flo
         if estimate <= tol:
             return value, estimate, M
         if floor > tol or 2 * M * samples_per_node > MODE_SAMPLE_CAP:
-            raise QuadratureError(value, estimate, M)
+            message = f"mode sum tolerance not reached: estimate {estimate:.3e} after {M} nodes"
+            raise QuadratureError(value, estimate, M, message)
         M *= 2
         coarse = value
 
@@ -153,8 +153,8 @@ def delta0_partial_action(phi: "TestFunction", N: int, tol: float) -> float:
 
     One periodic trapezoid sum of phi_per*D_N (see _mode_trapezoid), which
     converges exponentially in the node count for smooth phi.  Raises
-    QuadratureError when tol is below the roundoff floor or the samples of
-    phi would pass MODE_SAMPLE_CAP.
+    ValueError before any work past MODE_SAMPLE_CAP samples of phi, and
+    QuadratureError when tol cannot be met.
     """
     _validate_order(N)
     _validate_tol(tol)

@@ -31,9 +31,11 @@ main(), the program's entry point, sets OPENBLAS_NUM_THREADS to 1 unless
 the caller has set it: no library module touches the environment.
 
 Exit codes: 0 success, 2 usage error (argparse's own convention; also an
-argument the library rejects with ValueError or OverflowError, and an --out
-path or a stdout that cannot be written), 3 numerical failure (a quadrature
-that cannot meet its tolerance, or an oracle mismatch).
+argument the library rejects with ValueError or OverflowError, work past a
+cap or budget refused before it starts among them, and an --out path or a
+stdout that cannot be written), 3 numerical failure (a quadrature or mode
+sum that evaluated panels or nodes and cannot meet its tolerance, or an
+oracle mismatch).
 """
 
 import argparse
@@ -298,12 +300,6 @@ _HANDLERS = {
 }
 
 
-def _format_cell(cell) -> str:
-    if isinstance(cell, float):
-        return repr(cell)
-    return str(cell)
-
-
 def _render(command: str, params: dict, columns: list, rows: list, fmt: str) -> str:
     if fmt == "json":
         import json
@@ -316,10 +312,9 @@ def _render(command: str, params: dict, columns: list, rows: list, fmt: str) -> 
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_format_cell(cell) for cell in row])
+        writer.writerows(rows)
         return buffer.getvalue()
-    cells = [columns] + [[_format_cell(cell) for cell in row] for row in rows]
+    cells = [columns] + [[str(cell) for cell in row] for row in rows]
     widths = [max(len(line[j]) for line in cells) for j in range(len(columns))]
     lines = [
         "  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip()

@@ -69,9 +69,9 @@ EPS_SING = 1e-6
 SERIES_WORK_CAP = 1 << 26
 
 # Most samples one table may hold: each is a row of Python floats.  A
-# kernel table at the cap with SERIES_WORK_CAP terms takes about 2.3 s and
-# 110 MB spawned on 2 vCPUs (medians of 3, N = 1342 on [-pi, pi] and
-# N = 671 on [0, 3]): about 1.2 s for the series, 0.7 s for a text table.
+# kernel table at the cap with SERIES_WORK_CAP terms takes about 2.1 s and
+# 110 MB spawned as text on 2 vCPUs (medians of 5, N = 1342 on [-pi, pi]
+# and N = 671 on [0, 3]): about 1.4 s to build, 0.7 s to render.
 SAMPLES_CAP = 100_000
 
 # Most terms, N times the rows, that _trig_series sums with math.fsum
@@ -372,17 +372,20 @@ def _kernel_integral(N: int, f, lo: float, hi: float, tol: float) -> "QuadResult
     _refine) serve both rules.  A window inside the cut, every N <= 15 on
     [-pi, pi], is all G7/K15 and gives integrate_adaptive's bits.
 
-    An order past the float range, or one whose period lattice on [lo, hi]
-    holds more points than the panel budget, raises QuadratureError with no
-    panels used.  The route would not need those panels; the bound keeps
-    the accepted orders where the lattice-seeded route had them.
+    An order whose N + 1/2 is past the float range, or whose period lattice
+    on [lo, hi] holds more points than the panel budget, raises ValueError
+    before any panel runs.  The route would not need those panels; the
+    bound keeps the accepted orders where the lattice-seeded route had them.
     """
     from . import quad
 
     try:
         w = N + 0.5
     except OverflowError:
-        raise quad.QuadratureError(math.nan, math.inf, 0) from None
+        raise ValueError(
+            f"N + 1/2 at an N of {N.bit_length()} bits is past the float range, "
+            f"whose largest value is {sys.float_info.max}"
+        ) from None
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     _validate_tol(tol)

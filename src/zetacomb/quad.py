@@ -14,10 +14,10 @@ drops below the requested tolerance, and the final value is a fixed-order
 (left-to-right) exact sum of panel results.  The loop takes the panel
 rule as an argument, so one heap, one budget and one floor rule serve
 every rule.  Everything is sequential and order-fixed, so identical
-inputs give bit-identical outputs.  A run fails fast: when the seed grid
-alone would pass the panel budget, or when the rounding floors of the
-panels (50*eps times the integral of |f|) add up to more than the
-tolerance, it raises at once instead of bisecting on.
+inputs give bit-identical outputs.  A run fails fast: a seed grid past
+the panel budget is a ValueError before any panel runs, and rounding
+floors of the panels (50*eps times the integral of |f|) that add up to
+more than the tolerance raise QuadratureError at once.
 
 Oscillatory integrands are handled by seeding: callers pass the highest
 angular frequency w present, and the initial edges are the points of the
@@ -377,17 +377,21 @@ def _lattice(a: float, b: float, period: float, shift: float = 0.0) -> range:
     return range(lo, hi + 1)
 
 
+def _past_budget(seeds: str) -> ValueError:
+    """The refusal of seeds past the panel budget, raised before any panel runs."""
+    return ValueError(f"{seeds} needs more than DEFAULT_PANEL_BUDGET = {DEFAULT_PANEL_BUDGET} seed panels")
+
+
 def _period_lattice(a: float, b: float, w: float) -> tuple[float, range]:
-    """(period, ks) of the lattice k*2*pi/w on (a, b); QuadratureError with no
-    panels used if its seeds would pass the budget, counted first in periods,
-    (b - a)*w/2pi, so that an infinite or huge count never reaches _lattice."""
-    if not (b - a) * w / (2.0 * math.pi) <= DEFAULT_PANEL_BUDGET:
-        raise QuadratureError(math.nan, math.inf, 0)
-    period = 2.0 * math.pi / w
-    ks = _lattice(a, b, period)
-    if len(ks) + 1 > DEFAULT_PANEL_BUDGET:
-        raise QuadratureError(math.nan, math.inf, 0)
-    return period, ks
+    """(period, ks) of the lattice k*2*pi/w on (a, b); ValueError if its seeds
+    would pass the budget, counted first in periods, (b - a)*w/2pi, so that
+    an infinite or huge count never reaches _lattice."""
+    if (b - a) * w / (2.0 * math.pi) <= DEFAULT_PANEL_BUDGET:
+        period = 2.0 * math.pi / w
+        ks = _lattice(a, b, period)
+        if len(ks) + 1 <= DEFAULT_PANEL_BUDGET:
+            return period, ks
+    raise _past_budget(f"the period lattice of frequency {w} on [{a}, {b}]")
 
 
 def integrate_adaptive(
@@ -406,10 +410,10 @@ def integrate_adaptive(
     every second zero of sin((N+1/2)*x) and its peak at 0.  Pass 0 for
     smooth integrands, seeded on an even grid of panels at most 2*pi wide.
     Every panel is G7/K15.
-    Raises QuadratureError, carrying the best value and estimate, if the
-    panel budget runs out or tol lies below the rounding floor of the
-    estimate; with panels_used 0 when the seed grid alone would pass the
-    budget.
+    Raises ValueError, before any panel runs, when the seed grid alone
+    would pass the panel budget, and QuadratureError, carrying the best
+    value and estimate, if the budget runs out or tol lies below the
+    rounding floor of the estimate.
     """
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
@@ -421,7 +425,7 @@ def integrate_adaptive(
     if osc_freq == 0:
         seed_width = min(width, 2.0 * math.pi)
         if width / seed_width > DEFAULT_PANEL_BUDGET:
-            raise QuadratureError(math.nan, math.inf, 0)
+            raise _past_budget(f"the even seed grid on [{a}, {b}]")
         n_seed = math.ceil(width / seed_width)
         edges = [a + width * (i / n_seed) for i in range(n_seed)] + [b]
     else:
@@ -457,12 +461,13 @@ def sinc_table(n_max: int, tol: float) -> list[QuadResult]:
     floor at large n_max).  Row N is twice the exact
     sum of the panels left of (N+1/2)pi, its estimate twice their summed
     estimates (at most tol), and its panels_used the number of panels
-    evaluated inside [0, (N+1/2)pi].  Returns one QuadResult per N.
+    evaluated inside [0, (N+1/2)pi].  Returns one QuadResult per N;
+    ValueError if the n_max + 1 seed panels pass the budget.
     """
     _validate_order(n_max)
     _validate_tol(tol)
     if n_max + 1 > DEFAULT_PANEL_BUDGET:
-        raise QuadratureError(math.nan, math.inf, 0)
+        raise _past_budget(f"n_max = {n_max}")
     top = (n_max + 0.5) * math.pi
     edges = [0.0] + [(N + 0.5) * math.pi for N in _lattice(0.0, top, math.pi, 0.5)] + [top]
     try:

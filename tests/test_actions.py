@@ -177,15 +177,21 @@ class TestModeTrapezoid:
             delta0_partial_action(gaussian_bump(0.0, 1.0), 5, 1e-300)
         assert time.perf_counter() - start < 1.0
         assert info.value.error_estimate > 1e-300
+        # The mode route has no panels: its failure counts the nodes M.
+        assert f"after {info.value.panels_used} nodes" in str(info.value)
+        assert "panel" not in str(info.value)
 
     def test_sample_cap_fails_fast(self):
+        calls = []
+        bump = gaussian_bump(0.0, 1.0)
+        spy = bump._replace(evaluator=lambda x: calls.append(x) or bump.evaluator(x))
         start = time.perf_counter()
-        with pytest.raises(QuadratureError) as info:
-            delta0_partial_action(gaussian_bump(0.0, 1.0), MODE_SAMPLE_CAP // 4, 1e-10)
+        with pytest.raises(ValueError) as info:
+            delta0_partial_action(spy, MODE_SAMPLE_CAP // 4, 1e-10)
         assert time.perf_counter() - start < 1.0
-        assert info.value.panels_used == 0
+        assert calls == []
         # The mode route has no panels; the message names its own limit.
-        assert "MODE_SAMPLE_CAP" in str(info.value)
+        assert f"MODE_SAMPLE_CAP = {MODE_SAMPLE_CAP}" in str(info.value)
         assert "panels" not in str(info.value)
 
 
@@ -299,9 +305,14 @@ class TestDeltaNAction:
             deltaN_action(g, True, 1e-10)
 
     def test_order_past_the_float_range_is_not_attempted(self):
-        with pytest.raises(QuadratureError) as info:
-            deltaN_action(gaussian_bump(0.0, 1.0), 10**320, 1e-10)
-        assert info.value.panels_used == 0
+        calls = []
+        bump = gaussian_bump(0.0, 1.0)
+        spy = bump._replace(evaluator=lambda x: calls.append(x) or bump.evaluator(x))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="N \\+ 1/2 .* past the float range"):
+            deltaN_action(spy, 10**320, 1e-10)
+        assert time.perf_counter() - start < 1.0
+        assert calls == []
 
 
 class TestFourierDelta1:

@@ -454,46 +454,68 @@ class TestUsageErrors:
             assert name not in err
 
 
-class TestNumericalFailure:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["comb", "--n", "5", "--tol", "1e-300"],  # below the roundoff floor
-            ["comb", "--n", str(MODE_SAMPLE_CAP // 4)],  # past the sample cap
-            ["comb", "--phi", "gauss", "--radius", "1e-300", "--n", "3"],  # support too narrow for the cap
-        ],
-    )
-    def test_comb_fails_fast(self, capsys, argv):
-        start = time.perf_counter()
-        code, out, err = run_text(capsys, argv)
-        assert time.perf_counter() - start < 1.0
-        assert code == 3
-        assert out == ""
+# Argvs past a limit, refused before any work (exit 2), and tolerances that
+# cannot be met once panels or nodes were evaluated (exit 3).  The README's
+# exit-code table lists the same rows, and a test below holds it to this list.
+FAILURE_EXIT_CODES = {
+    ("comb", "--n", "5", "--tol", "1e-300"): 3,  # below the roundoff floor
+    ("comb", "--n", str(MODE_SAMPLE_CAP // 4)): 2,  # past the sample cap
+    ("comb", "--phi", "gauss", "--radius", "1e-300", "--n", "3"): 2,  # support too narrow for the cap
+    ("sinc", "--n-max", "3", "--tol", "1e-300"): 3,  # below the rounding floor
+    ("action", "--n-list", "10", "--tol", "1e-300"): 3,
+    ("sinc", "--n-max", "100000000000"): 2,  # seed grid past the panel budget
+    ("action", "--n-list", "100000000000"): 2,
+    ("action", "--n-list", "1" + "0" * 320): 2,  # N + 1/2 past the float range
+}
+
+
+def fails_fast(capsys, argv):
+    """Run argv, which must end in under a second with its listed code and
+    no output; returns stderr."""
+    start = time.perf_counter()
+    code, out, err = run_text(capsys, list(argv))
+    assert time.perf_counter() - start < 1.0
+    assert code == FAILURE_EXIT_CODES[argv]
+    assert out == ""
+    assert "Traceback" not in err
+    if code == 2:
+        assert "usage" in err.lower()
+        assert "numerical failure" not in err
+    else:
         assert "numerical failure" in err
+    return err
+
+
+class TestNumericalFailure:
+    @pytest.mark.parametrize("argv", [argv for argv in FAILURE_EXIT_CODES if argv[0] == "comb"])
+    def test_comb_fails_fast(self, capsys, argv):
+        fails_fast(capsys, argv)
 
     def test_mode_route_refusal_names_its_cap(self, capsys):
-        code, _, err = run_text(capsys, ["comb", "--phi", "gauss", "--radius", "1e-300", "--n", "3"])
-        assert code == 3
-        assert "MODE_SAMPLE_CAP" in err
+        err = fails_fast(capsys, ("comb", "--phi", "gauss", "--radius", "1e-300", "--n", "3"))
+        assert f"MODE_SAMPLE_CAP = {MODE_SAMPLE_CAP}" in err
         assert "panels" not in err
 
+    def test_mode_route_failure_counts_nodes(self, capsys):
+        err = fails_fast(capsys, ("comb", "--n", "5", "--tol", "1e-300"))
+        assert re.search(r"after \d+ nodes", err)
+        assert "panel" not in err
+
     @pytest.mark.parametrize(
-        "argv",
+        "argv, limit",
         [
-            ["sinc", "--n-max", "3", "--tol", "1e-300"],  # below the rounding floor
-            ["action", "--n-list", "10", "--tol", "1e-300"],
-            ["sinc", "--n-max", "100000000000"],  # seed grid past the panel budget
-            ["action", "--n-list", "100000000000"],
-            ["action", "--n-list", "1" + "0" * 320],  # N + 1/2 past the float range
+            (("sinc", "--n-max", "100000000000"), r"n_max = 100000000000 .*DEFAULT_PANEL_BUDGET = 1000000 "),
+            (("action", "--n-list", "100000000000"), r"frequency 100000000000\.5 .*DEFAULT_PANEL_BUDGET = 1000000 "),
+            (("action", "--n-list", "1" + "0" * 320), r"N \+ 1/2 .*float range.* 1\.7976931348623157e\+308"),
         ],
+        ids=["sinc", "action", "float-range"],
     )
+    def test_refusal_names_its_limit_and_value(self, capsys, argv, limit):
+        assert re.search(limit, fails_fast(capsys, argv))
+
+    @pytest.mark.parametrize("argv", [argv for argv in FAILURE_EXIT_CODES if argv[0] != "comb"])
     def test_quadrature_fails_fast(self, capsys, argv):
-        start = time.perf_counter()
-        code, out, err = run_text(capsys, argv)
-        assert time.perf_counter() - start < 1.0
-        assert code == 3
-        assert out == ""
-        assert "numerical failure" in err
+        fails_fast(capsys, argv)
 
     def test_exit_code_three(self, capsys):
         code, out, err = run_text(capsys, ["sinc", "--n-max", "0", "--tol", "1e-300"])
@@ -725,6 +747,24 @@ def test_readme_start_up_table_is_the_asserted_module_sets():
     assert start_up_table() == {
         name: (loaded, others) for name, (_, loaded, others) in SUBCOMMAND_MODULES.items()
     }
+
+
+def exit_code_table():
+    """{argv: exit code} as the README's exit-code table lists them."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    lines = re.search(r"\n(\| argv \| exit code \|.*\n(?:\|.*\n)+)", readme).group(1).splitlines()
+    table = {}
+    for line in lines[2:]:  # after the header and its rule
+        argv, code = line.strip().strip("|").split("|")[:2]
+        table[tuple(argv.strip().strip("`").split())] = int(code)
+    return table
+
+
+def test_readme_exit_code_table_is_the_asserted_codes(capsys):
+    table = exit_code_table()
+    assert table == FAILURE_EXIT_CODES
+    for argv, code in table.items():
+        assert cli.run(list(argv)) == code
 
 
 def test_comb_failure_exits_3_without_loading_quad():
