@@ -35,7 +35,7 @@ import math
 import sys
 
 from . import QuadratureError, _validate_order, _validate_tol
-from .kernels import _kernel_integral, _trig_series
+from .kernels import _frequency, _kernel_integral, _trig_series
 
 __all__ = [
     "MODE_SAMPLE_CAP",
@@ -175,9 +175,10 @@ def deltaN_action(phi: "TestFunction", N: int, tol: float) -> float:
     """Action of the order-N windowed kernel: integral of delta_N * phi.
 
     The kernel integral (kernels._kernel_integral) over [-pi, pi] clipped
-    to the support; converges to 2*pi*phi(0) as N grows.
+    to the support, for N < 2**52 (kernels._frequency), else ValueError;
+    converges to 2*pi*phi(0) as N grows.
     """
-    _validate_order(N)
+    _frequency(N)
     _validate_tol(tol)
     lo = max(-math.pi, phi.support[0])
     hi = min(math.pi, phi.support[1])

@@ -129,8 +129,20 @@ def _n_list(text: str) -> list[int]:
     return values
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a token _finite_float accepts, as -1e-3, as a value: argparse's own
+    rule, on some Pythons, takes only negative numbers like -1 and -1.5."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            _finite_float(arg_string)
+        except argparse.ArgumentTypeError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zetacomb",
         description="Exact even zeta values and kernel/action verification tables.",
     )

@@ -31,12 +31,10 @@ order 0.  A sample table evaluates both forms once per distinct |x| inside
 the window, so a symmetric grid pays for half its points.
 
 Every integral of delta_N against a weight f goes through one route,
-_kernel_integral: the normalization takes f = 1 over the window, and the
-kernel action in actions takes f = phi over the clipped support.  It
-writes the integrand as sin((N+1/2)*x) times g(x) = f(x)/sin(x/2): G7/K15
-on the compact form times f on one-period panels within 8 periods of 0,
-where g is singular, and quad's Filon-Clenshaw-Curtis rule on g on
-geometric panels beyond, so its work grows like log N, not N.  quad is
+_kernel_integral (f = 1 over the window for the normalization, f = phi
+over the clipped support for the action in actions): G7/K15 within 8
+periods of 0 and quad's Filon-Clenshaw-Curtis rule on geometric panels
+beyond, so its work grows like log N, for every N < 2**52.  quad is
 imported there, on first use, so a sample table never loads it.
 """
 
@@ -299,12 +297,21 @@ def dirichlet_compact(N: int, x: float) -> float:
     """sin((N+1/2)*x) / sin(x/2), valid on |x| < pi; O(1) in N.
 
     The singularity at x=0 is removable: where (N+1/2)*|x| < 2^-27 the
-    value is 2N+1.  Shares no code with dirichlet_sum.
+    value is 2N+1.  Shares no code with dirichlet_sum.  N < 2**52 (_frequency).
     """
-    _validate_order(N)
+    _frequency(N)
     if abs(x) >= math.pi:
         raise ValueError(f"compact form is defined on |x| < pi, got x={x}")
     return _windowed_compact(N, x)
+
+
+def _frequency(N: int) -> float:
+    """w = N + 1/2, exact for every order N < 2**52; else ValueError, as past
+    it w is a neighbouring order's, a swap the limit 2*pi*phi(0) cannot show."""
+    _validate_order(N)
+    if N >= 1 << 52:
+        raise ValueError(f"N must be < 2**52, where N + 1/2 is a float; got an N of {N.bit_length()} bits")
+    return N + 0.5
 
 
 def _windowed_compact(N: int, x: float) -> float:
@@ -359,38 +366,25 @@ def kernel_samples(N: int, count: int, xmin: float = -math.pi, xmax: float = mat
 def _kernel_integral(N: int, f, lo: float, hi: float, tol: float) -> "QuadResult":
     """Integral of delta_N * f over [lo, hi] inside [-pi, pi]: the one kernel-integral route.
 
-    The integrand is sin(w*x)*g(x) with w = N + 1/2 and g(x) = f(x)/sin(x/2).
-    Near 0, on [-cut, cut], the seed edges are the period lattice k*2*pi/w
-    anchored at 0, one period per panel, as in integrate_adaptive.  cut is
-    the first lattice point at which the panel [cut, 2*cut] is wide enough
-    for the FCC rule, w*cut/2 >= quad._FCC_MIN_ALPHA: 8 periods.  Outward
-    the seeds are geometric, +-[cut, 2*cut], [2*cut, 4*cut], ..., so an
-    integral takes O(log N) panels, plus lo and hi.  A panel of half-width
-    h with w*h >= quad._FCC_MIN_ALPHA takes the FCC rule on g; any other,
-    a bisected FCC panel too narrow for it included, takes G7/K15 on the
-    O(1) compact form times f.  One heap, budget and floor rule (quad's
-    _refine) serve both rules.  A window inside the cut, every N <= 15 on
-    [-pi, pi], is all G7/K15 and gives integrate_adaptive's bits.
-
-    An order whose N + 1/2 is past the float range, or whose period lattice
-    on [lo, hi] holds more points than the panel budget, raises ValueError
-    before any panel runs.  The route would not need those panels; the
-    bound keeps the accepted orders where the lattice-seeded route had them.
+    The integrand is sin(w*x)*g(x) with w = N + 1/2 (_frequency: N < 2**52,
+    else ValueError before any panel runs) and g(x) = f(x)/sin(x/2).  The
+    seed edges are lo, hi, the period lattice k*2*pi/w for |k| <= 8, one
+    period per panel where g is singular, and outward from cut = 8 periods,
+    the first at which w*cut/2 >= quad._FCC_MIN_ALPHA, the geometric
+    +-2*cut, +-4*cut, ...: O(log N) panels, 113 seed edges on [-pi, pi] at
+    N = 2**51.  A panel of half-width h with w*h >= quad._FCC_MIN_ALPHA
+    takes the FCC rule on g; any other takes G7/K15 on the O(1) compact
+    form times f, under one heap, budget and floor rule (quad's _refine).
+    A window inside the cut, every N <= 15 on [-pi, pi], is all G7/K15 and
+    gives integrate_adaptive's bits.
     """
     from . import quad
 
-    try:
-        w = N + 0.5
-    except OverflowError:
-        raise ValueError(
-            f"N + 1/2 at an N of {N.bit_length()} bits is past the float range, "
-            f"whose largest value is {sys.float_info.max}"
-        ) from None
+    w = _frequency(N)
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     _validate_tol(tol)
-    # The lattice-seeded route's refusals, kept as the bound on the orders.
-    period, lattice = quad._period_lattice(lo, hi, w)
+    period = 2.0 * math.pi / w
     cuts = math.ceil(quad._FCC_MIN_ALPHA / math.pi)  # lattice points to the cut
     cut = cuts * period
     outward = []
@@ -401,7 +395,7 @@ def _kernel_integral(N: int, f, lo: float, hi: float, tol: float) -> "QuadResult
     edges = [
         lo,
         *(-x for x in reversed(outward) if lo < -x < hi),
-        *(k * period for k in range(max(lattice.start, -cuts), min(lattice.stop, cuts + 1))),
+        *(k * period for k in range(-cuts, cuts + 1) if lo < k * period < hi),
         *(x for x in outward if lo < x < hi),
         hi,
     ]
@@ -427,8 +421,7 @@ def kernel_normalization(N: int, tol: float) -> float:
 
     Every Fourier mode but n=0 has zero mean over the full window, so the
     constant term alone survives.  The kernel integral with the weight 1
-    (v * 1.0 == v, so this is the plain kernel's integral to the bit).
-    Quadrature failure propagates.
+    (v * 1.0 == v, so this is the plain kernel's integral to the bit), for
+    N < 2**52 (_frequency).  Quadrature failure propagates.
     """
-    _validate_order(N)
     return _kernel_integral(N, lambda x: 1.0, -math.pi, math.pi, tol).value

@@ -382,18 +382,6 @@ def _past_budget(seeds: str) -> ValueError:
     return ValueError(f"{seeds} needs more than DEFAULT_PANEL_BUDGET = {DEFAULT_PANEL_BUDGET} seed panels")
 
 
-def _period_lattice(a: float, b: float, w: float) -> tuple[float, range]:
-    """(period, ks) of the lattice k*2*pi/w on (a, b); ValueError if its seeds
-    would pass the budget, counted first in periods, (b - a)*w/2pi, so that
-    an infinite or huge count never reaches _lattice."""
-    if (b - a) * w / (2.0 * math.pi) <= DEFAULT_PANEL_BUDGET:
-        period = 2.0 * math.pi / w
-        ks = _lattice(a, b, period)
-        if len(ks) + 1 <= DEFAULT_PANEL_BUDGET:
-            return period, ks
-    raise _past_budget(f"the period lattice of frequency {w} on [{a}, {b}]")
-
-
 def integrate_adaptive(
     f: Callable[[float], float],
     a: float,
@@ -413,7 +401,8 @@ def integrate_adaptive(
     Raises ValueError, before any panel runs, when the seed grid alone
     would pass the panel budget, and QuadratureError, carrying the best
     value and estimate, if the budget runs out or tol lies below the
-    rounding floor of the estimate.
+    rounding floor of the estimate.  kernels._kernel_integral does not
+    come here, so this budget does not bound the kernel's orders.
     """
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
@@ -429,7 +418,11 @@ def integrate_adaptive(
         n_seed = math.ceil(width / seed_width)
         edges = [a + width * (i / n_seed) for i in range(n_seed)] + [b]
     else:
-        period, ks = _period_lattice(a, b, osc_freq)
+        period = 2.0 * math.pi / osc_freq
+        # Counted in periods first: an infinite or huge count never reaches _lattice.
+        ks = _lattice(a, b, period) if width * osc_freq / (2.0 * math.pi) <= DEFAULT_PANEL_BUDGET else None
+        if ks is None or len(ks) + 1 > DEFAULT_PANEL_BUDGET:
+            raise _past_budget(f"the period lattice of frequency {osc_freq} on [{a}, {b}]")
         edges = [a] + [k * period for k in ks] + [b]
     panels, total_err, panels_used = _refine(lambda lo, hi: _kronrod_panel(f, lo, hi), edges, tol)
     value = math.fsum(panel[2] for panel in panels)

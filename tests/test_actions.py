@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import zetacomb.cli as cli
 import zetacomb.kernels as kernels
 import zetacomb.quad as quad
 from zetacomb.actions import (
@@ -309,10 +310,61 @@ class TestDeltaNAction:
         bump = gaussian_bump(0.0, 1.0)
         spy = bump._replace(evaluator=lambda x: calls.append(x) or bump.evaluator(x))
         start = time.perf_counter()
-        with pytest.raises(ValueError, match="N \\+ 1/2 .* past the float range"):
+        with pytest.raises(ValueError, match=re.escape("N must be < 2**52, where N + 1/2 is a float")):
             deltaN_action(spy, 10**320, 1e-10)
         assert time.perf_counter() - start < 1.0
         assert calls == []
+
+
+# Orders far past the reach of the mode route (MODE_SAMPLE_CAP) and the
+# sigma route: there the reference is the limit 2*pi*phi(0) itself, which
+# these weights reach to rounding long before N = 10**5.
+LIMIT_PHIS = {"gauss(0.3, 1.2)": gaussian_bump(0.3, 1.2), "gauss(0, 1)": gaussian_bump(0.0, 1.0), "plateau": plateau()}
+LARGE_ORDERS = [10**7, 10**9, 10**12, 2**51]
+
+
+def clipped_kernel_integral(phi, N, tol):
+    """The QuadResult of deltaN_action(phi, N, tol)."""
+    lo = max(-math.pi, phi.support[0])
+    hi = min(math.pi, phi.support[1])
+    return kernels._kernel_integral(N, phi.evaluator, lo, hi, tol)
+
+
+class TestActionAtEveryFloatOrder:
+    @pytest.mark.parametrize(
+        "name, N, tol",
+        [
+            (name, N, tol)
+            for name in LIMIT_PHIS
+            for N in LARGE_ORDERS
+            for tol in (1e-10, 1e-12)
+            if not (name == "plateau" and tol == 1e-12 and N >= 2**47)
+        ],
+    )
+    def test_meets_the_limit(self, name, N, tol):
+        phi = LIMIT_PHIS[name]
+        result = clipped_kernel_integral(phi, N, tol)
+        assert abs(result.value - 2 * math.pi * phi(0.0)) <= result.error_estimate <= tol
+        assert result.value == deltaN_action(phi, N, tol)
+
+    @pytest.mark.parametrize("N", [2**47, 2**51])
+    def test_plateau_floor_passes_1e_12_from_2_47(self, N):
+        # The panels' summed rounding floors, about 1.4e-14 per FCC panel,
+        # pass 1e-12 here, though the true error is about 1e-15.
+        with pytest.raises(QuadratureError):
+            clipped_kernel_integral(plateau(), N, 1e-12)
+        assert clipped_kernel_integral(plateau(), 2**46, 1e-12).error_estimate <= 1e-12
+
+    @pytest.mark.parametrize("N", ["2000000", "1000000000000"])
+    def test_cli_runs_past_the_old_lattice_budget(self, capsys, N):
+        # Both exited 2 while the kernel's period lattice on the support had
+        # to fit DEFAULT_PANEL_BUDGET.
+        start = time.perf_counter()
+        assert cli.run(["action", "--n-list", N, "--format", "csv"]) == 0
+        assert time.perf_counter() - start < 1.0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[0] == N
+        assert float(row[3]) <= 1e-14
 
 
 class TestFourierDelta1:

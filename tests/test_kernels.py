@@ -148,9 +148,14 @@ class TestDirichletCompact:
     @pytest.mark.parametrize("x", [0.0, 1e-7, 0.5])
     def test_order_past_the_float_range_fails_at_once(self, x):
         start = time.perf_counter()
-        with pytest.raises(OverflowError):
+        with pytest.raises(ValueError, match=re.escape("N must be < 2**52")):
             dirichlet_compact(10**400, x)
         assert time.perf_counter() - start < 1.0
+
+    def test_neighbouring_orders_below_2_52_differ(self):
+        # From 2**52 on, N + 1/2 rounds, so 2**53 and 2**53 + 1 gave one value.
+        N = 2**52 - 1
+        assert dirichlet_compact(N, 0.1) != dirichlet_compact(N - 1, 0.1)
 
     def test_huge_order_near_zero_is_o1(self):
         start = time.perf_counter()
@@ -364,10 +369,14 @@ class TestNormalization:
         for rule in ("_kronrod_panel", "_fcc_panel"):
             monkeypatch.setattr(quad, rule, lambda *args: calls.append(args) or (0.0, 0.0, 0.0))
         start = time.perf_counter()
-        with pytest.raises(ValueError, match="N \\+ 1/2 .* past the float range"):
+        with pytest.raises(ValueError, match=re.escape("N must be < 2**52, where N + 1/2 is a float")):
             kernel_normalization(10**320, 1e-10)
         assert time.perf_counter() - start < 1.0
         assert calls == []
+
+    @pytest.mark.parametrize("N", [10**7, 10**9, 10**12, 2**51])
+    def test_normalization_at_every_float_order(self, N):
+        assert abs(kernel_normalization(N, 1e-10) - TWO_PI) <= 1e-10
 
     @pytest.mark.parametrize("N", [0, 1, 50, 5000])
     def test_is_the_plateau_action_to_the_bit(self, N):
@@ -375,6 +384,29 @@ class TestNormalization:
         # one kernel-integral route over [-pi, pi].
         plateau = bump_plateau(math.pi, 1.5 * math.pi)
         assert kernel_normalization(N, 1e-10) == deltaN_action(plateau, N, 1e-10)
+
+
+@pytest.mark.parametrize("N", [2**52, 10**320], ids=["2**52", "10**320"])
+def test_orders_from_2_52_are_refused_alike(monkeypatch, N):
+    # Past 2**52, N + 1/2 is the frequency of a neighbouring order: each
+    # entry point refuses the order with one message, before any work.
+    calls = []
+    for rule in ("_kronrod_panel", "_fcc_panel"):
+        monkeypatch.setattr(quad, rule, lambda *args: calls.append(args) or (0.0, 0.0, 0.0))
+    bump = gaussian_bump(0.0, 1.0)
+    spy = bump._replace(evaluator=lambda x: calls.append(x) or bump.evaluator(x))
+    message = f"N must be < 2**52, where N + 1/2 is a float; got an N of {N.bit_length()} bits"
+    start = time.perf_counter()
+    for refused in (
+        lambda: dirichlet_compact(N, 0.1),
+        lambda: deltaN_action(spy, N, 1e-10),
+        lambda: kernel_normalization(N, 1e-10),
+    ):
+        with pytest.raises(ValueError) as info:
+            refused()
+        assert str(info.value) == message
+    assert time.perf_counter() - start < 1.0
+    assert calls == []
 
 
 def seed_edges(monkeypatch):
@@ -444,6 +476,21 @@ class TestKernelIntegral:
             -1.0, *(-x for x in reversed(outward) if x < 1.0),
             *(k * period for k in range(-8, 9)), *outward, math.pi,
         ]]
+
+    def test_seeds_stay_logarithmic_at_the_largest_orders(self, monkeypatch):
+        # O(log N) edges: the 17 lattice points within the cut, the doublings
+        # of the cut out to pi on each side, and the ends.
+        edges = seed_edges(monkeypatch)
+        N = 2**51
+        kernels._kernel_integral(N, self.PLATEAU, -math.pi, math.pi, 1e-10)
+        period = 2 * math.pi / (N + 0.5)
+        cut = 8 * period
+        outward = [cut * 2**j for j in range(1, 64) if cut * 2**j < math.pi]
+        assert edges == [[
+            -math.pi, *(-x for x in reversed(outward)),
+            *(k * period for k in range(-8, 9)), *outward, math.pi,
+        ]]
+        assert len(edges[0]) <= 120
 
     def test_large_order_takes_few_panels(self):
         # 39,997 panels on the lattice-seeded route.
