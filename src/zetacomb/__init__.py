@@ -77,18 +77,15 @@ def _validate_tol(tol: float) -> None:
 
 
 class QuadratureError(RuntimeError):
-    """Tolerance not reached after evaluating panels: budget spent, or tol below the rounding floor.
+    """Tolerance not reached after evaluating panels or nodes; message names the cause.
 
     Carries the best value obtained so that callers can inspect how far
-    off the run ended, rather than losing the work.  A route whose work is
-    not counted in panels passes its own message.  A run refused before
+    off the run ended, rather than losing the work.  A run refused before
     its first panel raises ValueError instead.  quad re-exports this class, and the cli catches it without loading quad.
     """
 
-    def __init__(self, value: float, error_estimate: float, panels_used: int, message: str | None = None):
-        super().__init__(message or (
-            f"quadrature tolerance not reached: estimate {error_estimate:.3e} after {panels_used} panels"
-        ))
+    def __init__(self, value: float, error_estimate: float, panels_used: int, message: str):
+        super().__init__(message)
         self.value = value
         self.error_estimate = error_estimate
         self.panels_used = panels_used

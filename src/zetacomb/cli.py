@@ -43,6 +43,7 @@ import importlib
 import io
 import math
 import os
+import re
 import sys
 
 _cli = sys.modules[__name__]
@@ -130,15 +131,14 @@ def _n_list(text: str) -> list[int]:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads a token _finite_float accepts, as -1e-3, as a value: argparse's own
-    rule, on some Pythons, takes only negative numbers like -1 and -1.5."""
+    """Reads a token that is - and then a digit or ., as -1e-3, -.5 or -1,2, as
+    a value, which its option's type then checks: no option starts that way,
+    and argparse's own rule, on some Pythons, takes only -1 and -1.5."""
 
     def _parse_optional(self, arg_string):
-        try:
-            _finite_float(arg_string)
-        except argparse.ArgumentTypeError:
-            return super()._parse_optional(arg_string)
-        return None
+        if re.match("-[0-9.]", arg_string):
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -363,7 +363,7 @@ def kernel_samples(N: int, count: int, xmin: float = -math.pi, xmax: float = mat
     return SampleTable(column_names=("x", "sum_form", "compact_form"), rows=rows)
 
 
-def _kernel_integral(N: int, f, lo: float, hi: float, tol: float) -> "QuadResult":
+def _kernel_integral(N: int, f, lo: float, hi: float, tol: float):
     """Integral of delta_N * f over [lo, hi] inside [-pi, pi]: the one kernel-integral route.
 
     The integrand is sin(w*x)*g(x) with w = N + 1/2 (_frequency: N < 2**52,
@@ -374,7 +374,8 @@ def _kernel_integral(N: int, f, lo: float, hi: float, tol: float) -> "QuadResult
     +-2*cut, +-4*cut, ...: O(log N) panels, 113 seed edges on [-pi, pi] at
     N = 2**51.  A panel of half-width h with w*h >= quad._FCC_MIN_ALPHA
     takes the FCC rule on g; any other takes G7/K15 on the O(1) compact
-    form times f, under one heap, budget and floor rule (quad's _refine).
+    form times f, under one heap, budget and floor rule: quad's _refine,
+    which makes the result, or raises QuadratureError naming its cause.
     A window inside the cut, every N <= 15 on [-pi, pi], is all G7/K15 and
     gives integrate_adaptive's bits.
     """
@@ -411,9 +412,7 @@ def _kernel_integral(N: int, f, lo: float, hi: float, tol: float) -> "QuadResult
             return quad._fcc_panel(g, w, a, b)
         return quad._kronrod_panel(product, a, b)
 
-    panels, total_err, panels_used = quad._refine(panel, edges, tol)
-    value = math.fsum(p[2] for p in panels)
-    return quad.QuadResult(value=value, error_estimate=total_err, panels_used=panels_used)
+    return quad._refine(panel, edges, tol)[0]
 
 
 def kernel_normalization(N: int, tol: float) -> float:

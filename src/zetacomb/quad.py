@@ -11,13 +11,14 @@ so it gives their bits without their interpreter overhead.
 Refinement is globally adaptive: panels live in a priority queue keyed by
 error estimate, the worst panel is bisected until the summed estimate
 drops below the requested tolerance, and the final value is a fixed-order
-(left-to-right) exact sum of panel results.  The loop takes the panel
-rule as an argument, so one heap, one budget and one floor rule serve
-every rule.  Everything is sequential and order-fixed, so identical
-inputs give bit-identical outputs.  A run fails fast: a seed grid past
-the panel budget is a ValueError before any panel runs, and rounding
-floors of the panels (50*eps times the integral of |f|) that add up to
-more than the tolerance raise QuadratureError at once.
+(left-to-right) exact sum of panel results.  The loop, _refine, takes
+the panel rule as an argument, so one heap, one budget and one floor rule
+serve every rule; it makes every result and every QuadratureError, whose
+message names the cause.  Everything is sequential and order-fixed, so
+identical inputs give bit-identical outputs.  A run fails fast: a seed
+grid past the panel budget is a ValueError before any panel runs, and
+rounding floors of the panels (50*eps times the integral of |f|) that add
+up to more than the tolerance raise QuadratureError at once.
 
 Oscillatory integrands are handled by seeding: callers pass the highest
 angular frequency w present, and the initial edges are the points of the
@@ -35,8 +36,8 @@ the kernel's 1/sin(x/2) goes into g away from 0).
 
 The truncated sinc integrals for N = 0..n_max come from one G7/K15 run
 (the breakpoint idea of QUADPACK's dqagp): the seed panels end on the
-lattice of half-periods (k+1/2)*pi, so every row is a prefix sum of the
-accepted panels and no row integrates again from 0.
+half-periods (k+1/2)*pi, so every row is a prefix sum of the accepted
+panels and no row integrates again from 0.
 """
 
 import heapq
@@ -316,17 +317,16 @@ def _refine(panel: Callable, edges: list, tol: float):
     """Bisect the worst panel of the grid edges until the summed estimate is within tol.
 
     panel(lo, hi) is the panel rule: it returns (value, error, floor) for
-    [lo, hi], as _kronrod_panel and _fcc_panel do.  Returns the accepted
-    panels as (left, right, value, error) from left to right, the summed
-    estimate and the number of panels evaluated.  Raises QuadratureError,
-    carrying the best value, when the next bisection would pass
-    DEFAULT_PANEL_BUDGET (read at call time), or at once when the rounding
-    floors of the panels alone sum to more than tol, which no bisection
-    can bring down, or when the summed estimate is NaN.
+    [lo, hi], as _kronrod_panel and _fcc_panel do.  Every panel run ends
+    here: the accepted panels are sorted once and summed exactly from left
+    to right.  Returns the QuadResult and the accepted panels as heap
+    entries (-error, sequence number, left, right, value, floor), whose
+    sequence numbers fix the pop order whatever the heap's layout.  Else
+    raises QuadratureError with that sum and a message naming the cause: a
+    NaN summed estimate or rounding floors of the panels that alone sum to
+    more than tol (both at once, as no bisection brings them down), or a
+    next bisection that would pass DEFAULT_PANEL_BUDGET (read at call time).
     """
-    # Heap entries: (-error, sequence number, a, b, value, floor).  The
-    # sequence numbers are unique, so the pop order is fixed whatever the
-    # heap's layout.
     heap = []
     total_err = 0.0
     total_floor = 0.0
@@ -338,13 +338,17 @@ def _refine(panel: Callable, edges: list, tol: float):
     heapq.heapify(heap)
     panels_used = len(heap)
 
-    # Written so that a NaN estimate enters the loop and fails there: no
-    # bisection can bring it below tol.
+    # Written so that a NaN estimate enters the loop and fails there.
+    cause = None
     while not total_err <= tol:
-        if math.isnan(total_err) or total_floor > tol or panels_used + 2 > DEFAULT_PANEL_BUDGET:
-            accepted = sorted(heap, key=lambda e: e[2])
-            best = math.fsum(entry[4] for entry in accepted)
-            raise QuadratureError(best, total_err, panels_used)
+        if math.isnan(total_err):
+            cause = "the estimate is NaN"
+        elif total_floor > tol:
+            cause = f"the rounding floors of the panels sum to {total_floor:.3e}, above tol = {tol:.3e}"
+        elif panels_used + 2 > DEFAULT_PANEL_BUDGET:
+            cause = f"estimate {total_err:.3e}, and a bisection passes DEFAULT_PANEL_BUDGET = {DEFAULT_PANEL_BUDGET}"
+        if cause:
+            break
         neg_err, _, left, right, _, floor = heapq.heappop(heap)
         total_err += neg_err  # neg_err = -err of the popped panel
         total_floor -= floor
@@ -356,23 +360,28 @@ def _refine(panel: Callable, edges: list, tol: float):
             total_floor += floor
             panels_used += 1
 
-    accepted = sorted(heap, key=lambda e: e[2])
-    panels = [(left, right, value, -neg_err) for neg_err, _, left, right, value, _ in accepted]
-    return panels, total_err, panels_used
+    heap.sort(key=lambda e: e[2])
+    value = math.fsum(entry[4] for entry in heap)
+    if cause:
+        raise QuadratureError(
+            value, total_err, panels_used, f"quadrature tolerance not reached after {panels_used} panels: {cause}"
+        )
+    return QuadResult(value, total_err, panels_used), heap
 
 
-def _lattice(a: float, b: float, period: float, shift: float = 0.0) -> range:
-    """The integers k with a < (k + shift) * period < b, for period > 0.
+def _lattice(a: float, b: float, period: float) -> range:
+    """The integers k with a < k * period < b, for period > 0.
 
-    Seed edges go at (k + shift) * period, computed as written; the range
-    counts them before any list is built.  Its ends are trimmed against
-    those computed points, so rounding in a / period cannot add or drop one.
+    Seed edges go at k * period, computed as written; the range counts
+    them before any list is built.  Its ends are trimmed against those
+    computed points, so rounding in a / period cannot add or drop one.
+    They seed integrate_adaptive's oscillatory runs, which _refine finishes.
     """
-    lo = math.floor(a / period - shift) - 1
-    hi = math.ceil(b / period - shift) + 1
-    while lo < hi and (lo + shift) * period <= a:
+    lo = math.floor(a / period) - 1
+    hi = math.ceil(b / period) + 1
+    while lo < hi and lo * period <= a:
         lo += 1
-    while hi >= lo and (hi + shift) * period >= b:
+    while hi >= lo and hi * period >= b:
         hi -= 1
     return range(lo, hi + 1)
 
@@ -424,9 +433,7 @@ def integrate_adaptive(
         if ks is None or len(ks) + 1 > DEFAULT_PANEL_BUDGET:
             raise _past_budget(f"the period lattice of frequency {osc_freq} on [{a}, {b}]")
         edges = [a] + [k * period for k in ks] + [b]
-    panels, total_err, panels_used = _refine(lambda lo, hi: _kronrod_panel(f, lo, hi), edges, tol)
-    value = math.fsum(panel[2] for panel in panels)
-    return QuadResult(value=value, error_estimate=total_err, panels_used=panels_used)
+    return _refine(lambda lo, hi: _kronrod_panel(f, lo, hi), edges, tol)[0]
 
 
 def _sinc(x: float) -> float:
@@ -449,40 +456,36 @@ def sinc_table(n_max: int, tol: float) -> list[QuadResult]:
     doubled; this keeps the x=0 removable point at a panel edge.  The seed
     grid has one panel per half-period, [0, pi/2] and then
     [(k-1/2)pi, (k+1/2)pi], so every upper limit is a panel edge, and all
-    panels refine against one budget of tol/2 (an even split over the
-    half-periods would put the share of [0, pi/2] below its own rounding
-    floor at large n_max).  Row N is twice the exact
-    sum of the panels left of (N+1/2)pi, its estimate twice their summed
-    estimates (at most tol), and its panels_used the number of panels
-    evaluated inside [0, (N+1/2)pi].  Returns one QuadResult per N;
-    ValueError if the n_max + 1 seed panels pass the budget.
+    the doubled panels refine against one budget, tol (an even split over
+    the half-periods would put the share of [0, pi/2] below its own
+    rounding floor at large n_max).  Row N is the exact sum of the doubled
+    panels left of (N+1/2)pi, its estimate their summed estimates (at most
+    tol), and its panels_used the number of panels evaluated inside
+    [0, (N+1/2)pi].  Returns one QuadResult per N; ValueError if the
+    n_max + 1 seed panels pass the budget.
     """
     _validate_order(n_max)
     _validate_tol(tol)
     if n_max + 1 > DEFAULT_PANEL_BUDGET:
         raise _past_budget(f"n_max = {n_max}")
     top = (n_max + 0.5) * math.pi
-    edges = [0.0] + [(N + 0.5) * math.pi for N in _lattice(0.0, top, math.pi, 0.5)] + [top]
-    try:
-        panels, _, _ = _refine(lambda lo, hi: _kronrod_panel(_sinc, lo, hi), edges, 0.5 * tol)
-    except QuadratureError as exc:
-        raise QuadratureError(
-            2.0 * exc.value, 2.0 * exc.error_estimate, exc.panels_used
-        ) from None
+    edges = [0.0] + [(N + 0.5) * math.pi for N in range(n_max)] + [top]
+
+    def doubled(lo, hi):
+        # Exact: the run is that of [0, top] against tol/2, every sum doubled.
+        value, err, floor = _kronrod_panel(_sinc, lo, hi)
+        return 2.0 * value, 2.0 * err, 2.0 * floor
+
     rows = []
     total = 0
     error = 0.0
-    for accepted, (_, right, value, err) in enumerate(panels, start=1):
+    for accepted, (neg_err, _, _, right, value, _) in enumerate(_refine(doubled, edges, tol)[1], start=1):
         total += _fixed(value)
-        error += err
+        error -= neg_err
         if right == edges[len(rows) + 1]:
             # Bisection trees over the N+1 seed panels with `accepted`
             # leaves hold 2*accepted - (N+1) evaluated panels.
-            rows.append(QuadResult(
-                value=2.0 * (total / (1 << 1074)),
-                error_estimate=2.0 * error,
-                panels_used=2 * accepted - (len(rows) + 1),
-            ))
+            rows.append(QuadResult(total / (1 << 1074), error, 2 * accepted - (len(rows) + 1)))
     return rows
 
 

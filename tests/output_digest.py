@@ -1,0 +1,78 @@
+"""Exit code, sha256(stdout) and sha256(stderr) of a fixed list of argvs.
+
+Each argv runs as `python -m zetacomb.cli ...` in a fresh interpreter with
+the given source tree first on PYTHONPATH.  The list is every `$ zetacomb`
+line in the README's text blocks, every row of its exit-code table, the
+argv of every golden sha256 in tests/test_cli.py in text, csv and json,
+two large tables and a few refusals.  Run it on two trees and diff the
+outputs to see which argvs changed their bytes, e.g. from the repository
+root:
+
+    PYTHONPATH=src python tests/output_digest.py src > new.txt
+    PYTHONPATH=src python tests/output_digest.py /path/to/other/checkout/src > old.txt
+    diff old.txt new.txt
+
+The argv list comes from this checkout's README and tests, whichever tree
+runs.  Too long for the test suite (about a minute, most of it the
+10^6-row sinc table, which needs about 800 MB); pytest does not collect it.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from test_cli import exit_code_table, readme_examples  # noqa: E402
+
+GOLDEN = [
+    ["zeta", "--max-k", "100", "--oracle"],
+    ["zeta", "--max-k", "200", "--oracle"],
+    ["kernel", "--n", "1831", "--samples", "1330"],
+    ["kernel", "--n", "50"],
+    ["action", "--phi", "gauss", "--center", "0.3", "--radius", "1.2",
+     "--n-list", "0,1,37,500,12000", "--tol", "1e-12"],
+    ["action", "--phi", "plateau", "--n-list", "0,1,37,500,12000", "--tol", "1e-12"],
+    ["action", "--phi", "gauss", "--center", "0", "--radius", "1.2",
+     "--n-list", "0,1,37,500,12000", "--tol", "1e-12"],
+    ["comb", "--phi", "gauss", "--center", "-0.7", "--radius", "3", "--n", "239", "--tol", "1e-12"],
+    ["fourier", "--order", "1", "--n", "600001", "--samples", "7", "--xmin", "-6", "--xmax", "12"],
+    ["fourier", "--order", "2", "--n", "1048577", "--samples", "5", "--xmin", "-13", "--xmax", "4"],
+    ["fourier", "--order", "1", "--n", "100", "--samples", "9", "--xmin", "-3", "--xmax", "3"],
+    ["fourier", "--order", "2", "--n", "100", "--samples", "9", "--xmin", "-3", "--xmax", "3"],
+    ["sinc", "--n-max", "350", "--tol", "1e-12"],
+]
+
+EXTRA = [
+    ["sinc", "--n-max", "999999"],
+    ["kernel", "--n", "1342", "--samples", "100000"],
+    ["action", "--n-list", "140737488355328", "--tol", "1e-12"],  # the summed floors pass tol
+    ["action", "--n-list", "-1,2"],
+    ["kernel", "--n", "5", "--samples", "3", "--xmin", "-inf"],
+]
+
+
+def argvs() -> list:
+    return [
+        *(argv for argv, _ in readme_examples()),
+        *(list(argv) for argv in exit_code_table()),
+        *([*argv, "--format", fmt] for argv in GOLDEN for fmt in ("text", "csv", "json")),
+        *EXTRA,
+    ]
+
+
+def digest(src: str, argv: list) -> str:
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-m", "zetacomb.cli", *argv], env=env, capture_output=True)
+    out = hashlib.sha256(result.stdout).hexdigest()
+    err = hashlib.sha256(result.stderr).hexdigest()
+    return f"{result.returncode} {out} {err} {' '.join(argv)}"
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: python tests/output_digest.py SRC_DIR")
+    src = str(Path(sys.argv[1]).resolve())
+    for argv in argvs():
+        print(digest(src, argv), flush=True)

@@ -398,6 +398,8 @@ class TestUsageErrors:
             # x**2/2 is finite, but the closed form is inf
             (["fourier", "--order", "2", "--n", "1", "--samples", "2", "--xmin", "1e154", "--xmax", "1.5e154"],
              "--xmin/--xmax"),
+            # a value, not an option, though it starts with -
+            (["action", "--n-list", "-1,2"], "need non-negative integers, got '-1,2'"),
         ],
     )
     def test_range_and_work_errors_exit_two_at_once(self, capsys, argv, message):
@@ -539,7 +541,9 @@ class TestNumericalFailure:
 
     @pytest.mark.parametrize("argv", [argv for argv in FAILURE_EXIT_CODES if argv[0] != "comb"])
     def test_quadrature_fails_fast(self, capsys, argv):
-        fails_fast(capsys, argv)
+        err = fails_fast(capsys, argv)
+        if "1e-300" in argv:
+            assert re.search(r"the rounding floors of the panels sum to \S+, above tol = 1\.000e-300\n$", err)
 
     def test_exit_code_three(self, capsys):
         code, out, err = run_text(capsys, ["sinc", "--n-max", "0", "--tol", "1e-300"])

@@ -118,6 +118,7 @@ class TestIntegrateAdaptive:
         assert math.isfinite(err.value)
         assert err.error_estimate > 1e-13
         assert 1 <= err.panels_used <= 9
+        assert f"estimate {err.error_estimate:.3e}, and a bisection passes DEFAULT_PANEL_BUDGET = 9" in str(err)
 
     def test_unreachable_tolerance_fails_fast(self):
         # 50*eps*integral|f| is about 7e-14 here: no bisection gets below it
@@ -127,6 +128,8 @@ class TestIntegrateAdaptive:
         assert time.perf_counter() - start < 1.0
         assert info.value.panels_used == 1
         assert abs(info.value.value - TWO_PI) <= 1e-12
+        assert "after 1 panels: the rounding floors of the panels sum to 6.9" in str(info.value)
+        assert str(info.value).endswith("above tol = 1.000e-300")
 
     def test_nan_integrand_fails_at_once(self):
         with pytest.raises(QuadratureError) as info:
@@ -387,18 +390,13 @@ class TestFccPanel:
 
 
 class TestLattice:
-    @given(
-        st.floats(-1e6, 1e6),
-        st.floats(1e-3, 300.0),
-        st.floats(1e-2, 10.0),
-        st.sampled_from([0.0, 0.5]),
-    )
-    def test_exactly_the_points_strictly_inside(self, a, periods, period, shift):
+    @given(st.floats(-1e6, 1e6), st.floats(1e-3, 300.0), st.floats(1e-2, 10.0))
+    def test_exactly_the_points_strictly_inside(self, a, periods, period):
         b = a + periods * period
-        ks = _lattice(a, b, period, shift)
-        assert all(a < (k + shift) * period < b for k in ks)
-        assert not a < (ks.start - 1 + shift) * period < b
-        assert not a < (ks.stop + shift) * period < b
+        ks = _lattice(a, b, period)
+        assert all(a < k * period < b for k in ks)
+        assert not a < (ks.start - 1) * period < b
+        assert not a < ks.stop * period < b
 
     def test_ends_that_are_lattice_points_are_not_repeated(self):
         period = TWO_PI / 40
@@ -406,10 +404,20 @@ class TestLattice:
         assert _lattice(-3 * period, 3 * period, period) == range(-2, 3)
 
     @pytest.mark.parametrize("n_max", [0, 1, 2, 388, 100_000])
-    def test_sinc_edges_are_the_half_periods(self, n_max):
+    def test_sinc_edges_are_the_half_periods(self, monkeypatch, n_max):
+        seeds = []
+
+        def spy(panel, edges, tol):
+            seeds.append(edges)
+            return QuadResult(1.0, 0.0, 1), []
+
+        monkeypatch.setattr(quad, "_refine", spy)
+        sinc_table(n_max, 1e-10)
+        (edges,) = seeds
         top = (n_max + 0.5) * math.pi
-        ks = _lattice(0.0, top, math.pi, 0.5)
-        assert [(k + 0.5) * math.pi for k in ks] == [(N + 0.5) * math.pi for N in range(n_max)]
+        # every half-period (k + 1/2)*pi strictly inside (0, top), each once
+        inner = [(k + 0.5) * math.pi for k in range(-1, n_max + 2)]
+        assert edges == [0.0, *(x for x in inner if 0.0 < x < top), top]
 
 
 class TestQuadResult:
@@ -531,6 +539,10 @@ class TestSincTable:
         assert info.value.panels_used == 4
         # the best value is the whole table's last row, doubled like the rows
         assert abs(info.value.value - sinc_references(3)[3]) <= 1e-12
+        # so are the floors; the tolerance is the caller's
+        assert str(info.value).endswith(
+            f"the rounding floors of the panels sum to {info.value.error_estimate:.3e}, above tol = 1.000e-300"
+        )
 
     def test_seed_grid_past_budget_is_not_attempted(self, monkeypatch):
         calls = []
