@@ -116,8 +116,9 @@ def _mode_trapezoid(phi: "TestFunction", N: int, tol: float) -> tuple[float, flo
     narrow support, and doubles, reusing the old nodes, until the estimate
     max(|S_M - S_{M/2}|, 50*eps*(2*pi/M)*sum|terms|) is within tol.
     Raises ValueError before sampling phi if the first sum would pass
-    MODE_SAMPLE_CAP, and QuadratureError (panels_used = M) when the
-    roundoff floor exceeds tol or the next doubling would pass the cap.
+    MODE_SAMPLE_CAP, and QuadratureError (panels_used = M), its message
+    naming the cause, when the rounding floor exceeds tol or the next
+    doubling would pass the cap.
     """
     periods = (phi.support[1] - phi.support[0]) / _TWO_PI
     # Samples of phi at M nodes: one per node and period the support spans.
@@ -141,11 +142,15 @@ def _mode_trapezoid(phi: "TestFunction", N: int, tol: float) -> tuple[float, flo
         estimate = max(abs(value - coarse), floor)
         if estimate <= tol:
             return value, estimate, M
-        if floor > tol or 2 * M * samples_per_node > MODE_SAMPLE_CAP:
-            message = f"mode sum tolerance not reached: estimate {estimate:.3e} after {M} nodes"
-            raise QuadratureError(value, estimate, M, message)
+        if floor > tol:
+            cause = f"the rounding floor {floor:.3e} is above tol = {tol:.3e}"
+            break
+        if 2 * M * samples_per_node > MODE_SAMPLE_CAP:
+            cause = f"estimate {estimate:.3e}, and the next doubling passes MODE_SAMPLE_CAP = {MODE_SAMPLE_CAP} samples of phi"
+            break
         M *= 2
         coarse = value
+    raise QuadratureError(value, estimate, M, f"mode sum tolerance not reached after {M} nodes: {cause}")
 
 
 def delta0_partial_action(phi: "TestFunction", N: int, tol: float) -> float:

@@ -28,7 +28,10 @@ ast), json and csv are imported only for their own --format, and numpy
 only by kernel and fourier grids of more than kernels._SCALAR_TERMS terms.
 
 main(), the program's entry point, sets OPENBLAS_NUM_THREADS to 1 unless
-the caller has set it: no library module touches the environment.
+the caller has set it, turns the cyclic garbage collector off for run()
+and freezes the heap before exit, so a zetacomb process never runs a
+collection: no library module, and not run(), touches the environment or
+the collector, as tests and perfbench/tracer.py call run() in process.
 
 Exit codes: 0 success, 2 usage error (argparse's own convention; also an
 argument the library rejects with ValueError or OverflowError, work past a
@@ -381,7 +384,17 @@ def main() -> None:
     # Fourier partial sums' second worker needs.  A value the user set is
     # kept; other BLAS builds ignore the variable.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    sys.exit(run())
+    # An op's data is acyclic or bounded by the work caps, so reference
+    # counting frees it, and a cyclic collection would only walk the
+    # imported modules' objects: disable it for the run, then freeze
+    # everything left, so the full passes of interpreter shutdown find
+    # nothing to walk.
+    import gc
+
+    gc.disable()
+    code = run()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -116,31 +116,35 @@ def _exact_row_sums(terms, q) -> list:
     partials is the correctly rounded row sum, the float math.fsum gives.
 
     Error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
-    summation, Part I", SIAM J. Sci. Comput. 31(1), 2008): with
-    sigma = 2**k >= 2**M * max|row| and 2**M >= the row length, every
-    q = (sigma + t) - sigma is a multiple of ulp(sigma)/2 no larger than
-    sigma / 2**M, so the q of a row add up exactly in any order, and
-    t - q is exact.  Each pass moves the top bits of every term into one
-    exact partial, until the residue is all zero.  The partials of several
-    arrays that split one row add up exactly too, so math.fsum over all of
-    them is the row's correctly rounded sum.  terms is overwritten, and q,
-    an array of the same shape, is scratch.  Every term must be finite with
-    |t| <= 2, as series terms are; unchecked here, a nan or inf term would
-    never leave the loop, so _trig_series refuses such an r first.
+    summation, Part I", SIAM J. Sci. Comput. 31(1), 2008): with one
+    sigma = 2**k >= 2**M * max|t| over the whole block and 2**M >= the row
+    length, every q = (sigma + t) - sigma is a multiple of ulp(sigma)/2 no
+    larger than sigma / 2**M, so the q of each row add up exactly in any
+    order, and t - q is exact.  Each pass moves the top bits of every term
+    into one exact partial per row, until the residue is all zero; a row
+    far below the block's peak gets zero partials until the peak comes
+    down to it.  No bit depends on sigma being the block's and not each
+    row's, only the passes a block of mixed rows takes, and a scalar sigma
+    spares numpy a broadcast.  The partials of several arrays that split
+    one row add up exactly too, so math.fsum over all of them is the row's
+    correctly rounded sum.  terms is overwritten, and q, an array of the
+    same shape, is scratch.  Every term must be finite with |t| <= 2, as
+    series terms are; unchecked here, a nan or inf term would never leave
+    the loop, so _trig_series refuses such an r first.
     """
     import numpy as np
 
     lanes = 1 << max(1, (terms.shape[1] - 1).bit_length())  # a power of two >= cols, 2
-    peak = np.abs(terms, out=q).max(axis=1)
-    partials = [[] for _ in peak]
-    while peak.any():
-        sigma = np.ldexp(float(lanes), np.frexp(peak)[1])[:, None]
+    partials = [[] for _ in range(terms.shape[0])]
+    peak = float(np.abs(terms, out=q).max())
+    while peak:
+        sigma = math.ldexp(float(lanes), math.frexp(peak)[1])
         np.add(terms, sigma, out=q)
         q -= sigma
         terms -= q
         for row, part in zip(partials, q.sum(axis=1).tolist()):
             row.append(part)
-        peak = np.abs(terms, out=q).max(axis=1)
+        peak = float(np.abs(terms, out=q).max())
     return partials
 
 

@@ -4,16 +4,16 @@ Each argv runs as `python -m zetacomb.cli ...` in a fresh interpreter with
 the given source tree first on PYTHONPATH.  The list is every `$ zetacomb`
 line in the README's text blocks, every row of its exit-code table, the
 argv of every golden sha256 in tests/test_cli.py in text, csv and json,
-two large tables and a few refusals.  Run it on two trees and diff the
-outputs to see which argvs changed their bytes, e.g. from the repository
-root:
+two large tables, a few refusals, and the first cycle of each benchmark
+workload at seed 1.  Run it on two trees and diff the outputs to see
+which argvs changed their bytes, e.g. from the repository root:
 
     PYTHONPATH=src python tests/output_digest.py src > new.txt
     PYTHONPATH=src python tests/output_digest.py /path/to/other/checkout/src > old.txt
     diff old.txt new.txt
 
 The argv list comes from this checkout's README and tests, whichever tree
-runs.  Too long for the test suite (about a minute, most of it the
+runs.  Too long for the test suite (20 to 30 s a tree, half of it the
 10^6-row sinc table, which needs about 800 MB); pytest does not collect it.
 """
 
@@ -53,12 +53,54 @@ EXTRA = [
 ]
 
 
+# The first cycle of each benchmark workload at seed 1 (perfbench/run.py
+# --seed 1), written out so this script imports nothing from perfbench.
+BENCHMARK = [
+    ["zeta", "--max-k", "4", "--format", "text"],
+    ["zeta", "--max-k", "5", "--oracle", "--format", "csv"],
+    ["zeta", "--max-k", "15", "--format", "json"],
+    ["zeta", "--max-k", "17", "--oracle", "--format", "text"],
+    ["zeta", "--max-k", "27", "--format", "csv"],
+    ["zeta", "--max-k", "39", "--oracle", "--format", "json"],
+    ["zeta", "--max-k", "53", "--format", "text"],
+    ["zeta", "--max-k", "60", "--oracle", "--format", "csv"],
+    ["action", "--phi", "gauss", "--center", "-0.728", "--radius", "0.859",
+     "--n-list", "29,110,13062", "--tol", "1e-10", "--format", "text"],
+    ["action", "--phi", "plateau", "--n-list", "20,223,12461", "--tol", "1e-11", "--format", "csv"],
+    ["comb", "--phi", "gauss", "--center", "-0.434", "--radius", "5.42", "--n", "22",
+     "--tol", "1e-10", "--format", "json"],
+    ["comb", "--phi", "gauss", "--center", "-0.787", "--radius", "0.572", "--n", "78",
+     "--tol", "1e-10", "--format", "text"],
+    ["comb", "--phi", "gauss", "--center", "-0.663", "--radius", "2.169", "--n", "239",
+     "--tol", "1e-11", "--format", "csv"],
+    ["comb", "--phi", "plateau", "--n", "37", "--tol", "1e-10", "--format", "json"],
+    ["comb", "--phi", "plateau", "--n", "118", "--tol", "1e-10", "--format", "text"],
+    ["sinc", "--n-max", "20", "--tol", "1e-11", "--format", "csv"],
+    ["sinc", "--n-max", "128", "--tol", "1e-12", "--format", "json"],
+    ["sinc", "--n-max", "350", "--tol", "1e-10", "--format", "text"],
+    ["kernel", "--n", "124", "--samples", "410", "--format", "text"],
+    ["kernel", "--n", "680", "--samples", "723", "--format", "csv"],
+    ["kernel", "--n", "3040", "--samples", "1342", "--format", "json"],
+    ["fourier", "--order", "1", "--n", "2296", "--samples", "2001", "--xmin", "-4.743", "--xmax", "0.377",
+     "--format", "text"],
+    ["fourier", "--order", "2", "--n", "2362", "--samples", "1700", "--xmin", "-2.468", "--xmax", "7.368",
+     "--format", "csv"],
+    ["fourier", "--order", "1", "--n", "10840", "--samples", "405", "--xmin", "-4.266", "--xmax", "4.008",
+     "--format", "json"],
+    ["fourier", "--order", "2", "--n", "260345", "--samples", "18", "--xmin", "-3.132", "--xmax", "0.267",
+     "--format", "text"],
+    ["fourier", "--order", "1", "--n", "845435", "--samples", "5", "--xmin", "-10.665", "--xmax", "1.038",
+     "--format", "csv"],
+]
+
+
 def argvs() -> list:
     return [
         *(argv for argv, _ in readme_examples()),
         *(list(argv) for argv in exit_code_table()),
         *([*argv, "--format", fmt] for argv in GOLDEN for fmt in ("text", "csv", "json")),
         *EXTRA,
+        *BENCHMARK,
     ]
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import zetacomb.actions as actions
 import zetacomb.cli as cli
 import zetacomb.kernels as kernels
 import zetacomb.quad as quad
@@ -178,9 +179,26 @@ class TestModeTrapezoid:
             delta0_partial_action(gaussian_bump(0.0, 1.0), 5, 1e-300)
         assert time.perf_counter() - start < 1.0
         assert info.value.error_estimate > 1e-300
-        # The mode route has no panels: its failure counts the nodes M.
-        assert f"after {info.value.panels_used} nodes" in str(info.value)
-        assert "panel" not in str(info.value)
+        # The mode route has no panels: its failure counts the nodes M and
+        # names the cause, the floor that the first comparison already passes.
+        message = str(info.value)
+        assert f"after {info.value.panels_used} nodes: the rounding floor " in message
+        assert message.endswith(" is above tol = 1.000e-300")
+        assert "panel" not in message
+
+    def test_cap_on_the_next_doubling_is_named(self, monkeypatch):
+        # N = 5 starts at M = 32 nodes on a support inside one period and
+        # wide enough for 16 nodes of them, so a cap of 32 samples lets the
+        # first sum run and refuses the doubling.
+        monkeypatch.setattr(actions, "MODE_SAMPLE_CAP", 32)
+        with pytest.raises(QuadratureError) as info:
+            delta0_partial_action(gaussian_bump(0.0, 3.0), 5, 1e-10)
+        assert info.value.panels_used == 32
+        assert info.value.error_estimate > 1e-10
+        assert str(info.value) == (
+            f"mode sum tolerance not reached after 32 nodes: estimate {info.value.error_estimate:.3e},"
+            " and the next doubling passes MODE_SAMPLE_CAP = 32 samples of phi"
+        )
 
     def test_sample_cap_fails_fast(self):
         calls = []

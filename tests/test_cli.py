@@ -524,8 +524,18 @@ class TestNumericalFailure:
 
     def test_mode_route_failure_counts_nodes(self, capsys):
         err = fails_fast(capsys, ("comb", "--n", "5", "--tol", "1e-300"))
-        assert re.search(r"after \d+ nodes", err)
+        assert re.search(r"after \d+ nodes: the rounding floor \S+ is above tol = 1\.000e-300$", err)
         assert "panel" not in err
+
+    def test_mode_route_failure_names_the_cap(self, capsys, monkeypatch):
+        # On a support inside one period, the first sum of order 5 takes 32
+        # samples of phi, and the doubling would pass the cap.
+        monkeypatch.setattr(importlib.import_module("zetacomb.actions"), "MODE_SAMPLE_CAP", 32)
+        code, out, err = run_text(capsys, ["comb", "--phi", "gauss", "--radius", "3", "--n", "5", "--tol", "1e-10"])
+        assert (code, out) == (3, "")
+        assert re.search(
+            r"after 32 nodes: estimate \S+, and the next doubling passes MODE_SAMPLE_CAP = 32 samples of phi$", err
+        )
 
     @pytest.mark.parametrize(
         "argv, limit",
@@ -905,3 +915,54 @@ def test_library_leaves_the_environment_alone():
     env = src_env()
     env.pop("OPENBLAS_NUM_THREADS", None)
     assert run_probe(code, env) == ["True", "True"]
+
+
+def test_run_leaves_the_collector_alone():
+    # run() is what tests and perfbench/tracer.py call in process: it keeps
+    # the collector on and freezes nothing, on an op that loads numpy too.
+    code = (
+        "import gc, os, sys, zetacomb.cli as cli\n"
+        "codes = [\n"
+        "    cli.run([*" + repr(NUMPY_FOURIER_ARGV) + ", '--order', '1', '--out', os.devnull]),\n"
+        "    cli.run(['zeta', '--max-k', '60', '--oracle', '--out', os.devnull]),\n"
+        "]\n"
+        "print(*codes, 'numpy' in sys.modules, gc.isenabled(), gc.get_freeze_count())"
+    )
+    assert run_probe(code, src_env()) == ["0", "0", "True", "True", "0"]
+
+
+def test_main_runs_no_collection():
+    code = (
+        "import gc, os, sys, zetacomb.cli as cli\n"
+        "sys.argv = ['zetacomb', 'zeta', '--max-k', '60', '--oracle', '--out', os.devnull]\n"
+        "collections = []\n"
+        "gc.callbacks.append(lambda phase, info: collections.append(info['generation']))\n"
+        "try:\n"
+        "    cli.main()\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, gc.isenabled(), gc.get_freeze_count() > 0, collections)"
+    )
+    assert run_probe(code, src_env()) == ["0", "False", "True", "[]"]
+
+
+# One argv per subcommand, each run in every format.
+SUBCOMMAND_ARGVS = [
+    ["zeta", "--max-k", "12", "--oracle"],
+    ["kernel", "--n", "7", "--samples", "9"],
+    ["action", "--phi", "gauss", "--n-list", "0,3,40"],
+    ["comb", "--n", "4"],
+    ["fourier", "--order", "2", "--n", "50", "--samples", "5", "--xmin", "-3", "--xmax", "3"],
+    ["sinc", "--n-max", "5"],
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("argv", SUBCOMMAND_ARGVS, ids=[argv[0] for argv in SUBCOMMAND_ARGVS])
+def test_main_writes_the_bytes_run_writes(capsys, argv, fmt):
+    argv = [*argv, "--format", fmt]
+    code, out, _ = run_text(capsys, argv)
+    result = subprocess.run(
+        [sys.executable, "-m", "zetacomb.cli", *argv], env=src_env(PYTHONIOENCODING="utf-8"), capture_output=True
+    )
+    assert (result.returncode, result.stdout) == (code, out.encode("utf-8"))
+    assert code == 0
