@@ -20,11 +20,12 @@ Integrated term by term, the comb's partial sum 1 + 2*sum cos(n*x) gives
 the series x + 2*sum sin(n*x)/n and x**2/2 - 2*sum cos(n*x)/n**2 that
 actions compares with closed forms.  _trig_series sums all three, orders
 0, 1 and 2, by one rule: each series is the correctly rounded sum of its
-N terms.  Up to _SCALAR_TERMS terms (far fewer once numpy is loaded)
-that is math.fsum of terms from math.sin and math.cos, and numpy stays
-unloaded; past it, error-free extraction (Rump, Ogita & Oishi, 2008) over
-numpy blocks on up to two threads.  numpy's sin and cos equal libm's on
-every argument tested, so both routes give the same bits.  Before numpy
+N terms.  Up to _SCALAR_TERMS terms, N times the rows, whatever the
+process has imported, that is math.fsum of terms from math.sin and
+math.cos, and numpy stays unloaded; past it, error-free extraction
+(Rump, Ogita & Oishi, 2008) over numpy blocks on up to two threads.
+numpy's sin and cos equal libm's on every argument tested, so both
+routes give the same bits.  Before numpy
 loads, the engine refuses more than SERIES_WORK_CAP terms, N times the
 rows, and an n*r past the float range.  dirichlet_sum is one row of it at
 order 0.  A sample table evaluates both forms once per distinct |x| inside
@@ -40,7 +41,6 @@ imported there, on first use, so a sample table never loads it.
 
 import math
 import os
-import sys
 import threading
 from collections import namedtuple
 
@@ -72,15 +72,11 @@ SERIES_WORK_CAP = 1 << 26
 # and N = 671 on [0, 3]): about 1.4 s to build, 0.7 s to render.
 SAMPLES_CAP = 100_000
 
-# Most terms, N times the rows, that _trig_series sums with math.fsum
-# while numpy is not loaded; above it the numpy blocks win even after
-# paying for importing numpy (measured crossover 4.5e5 to 6e5 terms over
-# the three orders, spawned, on 2 vCPUs).
+# Most terms, N times the rows, that _trig_series sums with math.fsum,
+# whatever the process has imported; above it the numpy blocks win even
+# after paying for importing numpy (measured crossover 4.5e5 to 6e5 terms
+# over the three orders, spawned, on 2 vCPUs).
 _SCALAR_TERMS = 5 * 10**5
-# The same limit once numpy is loaded, as in a caller that already uses
-# it: the blocks win from a few hundred terms (measured crossover 300 to
-# 600 terms over the three orders and 1 to 4 rows, in process, on 2 vCPUs).
-_SCALAR_TERMS_LOADED = 400
 
 # The most elements one block of _trig_series may hold.  It does not set
 # their bits; it keeps a block's arrays (512 KiB each) inside a core's L2
@@ -219,8 +215,8 @@ def _trig_series(order: int, N: int, rs) -> list:
     math.fsum of its N terms gives.  First it raises ValueError past
     SERIES_WORK_CAP terms or at an n*r past the float range, so every term
     is finite and every n*n exact.  While N * len(rs) is at most
-    _SCALAR_TERMS (_SCALAR_TERMS_LOADED once numpy is loaded) each sum is
-    _series_row, and numpy stays unloaded.  Past it the terms are cut into
+    _SCALAR_TERMS each sum is _series_row, whatever the process has
+    imported, and numpy stays unloaded.  Past it the terms are cut into
     the fewest blocks of at most _BLOCK elements, each a few rows by one
     range of n: every row is split into the same column ranges.  The
     blocks run on up to _worker_count() threads (_map_on_workers), each
@@ -237,8 +233,7 @@ def _trig_series(order: int, N: int, rs) -> list:
     for r in rs:  # each r, as max(rs) would skip a nan
         if not math.isfinite(N * r):
             raise ValueError(f"n * |x| for n up to {N} at |x| = {r} is past the float range")
-    limit = _SCALAR_TERMS if sys.modules.get("numpy") is None else _SCALAR_TERMS_LOADED
-    if N * len(rs) <= limit:
+    if N * len(rs) <= _SCALAR_TERMS:
         return [_series_row(order, N, r) for r in rs]
     import numpy as np
 
@@ -304,7 +299,7 @@ def dirichlet_compact(N: int, x: float) -> float:
     value is 2N+1.  Shares no code with dirichlet_sum.  N < 2**52 (_frequency).
     """
     _frequency(N)
-    if abs(x) >= math.pi:
+    if not abs(x) < math.pi:
         raise ValueError(f"compact form is defined on |x| < pi, got x={x}")
     return _windowed_compact(N, x)
 

@@ -369,23 +369,6 @@ def _refine(panel: Callable, edges: list, tol: float):
     return QuadResult(value, total_err, panels_used), heap
 
 
-def _lattice(a: float, b: float, period: float) -> range:
-    """The integers k with a < k * period < b, for period > 0.
-
-    Seed edges go at k * period, computed as written; the range counts
-    them before any list is built.  Its ends are trimmed against those
-    computed points, so rounding in a / period cannot add or drop one.
-    They seed integrate_adaptive's oscillatory runs, which _refine finishes.
-    """
-    lo = math.floor(a / period) - 1
-    hi = math.ceil(b / period) + 1
-    while lo < hi and lo * period <= a:
-        lo += 1
-    while hi >= lo and hi * period >= b:
-        hi -= 1
-    return range(lo, hi + 1)
-
-
 def _past_budget(seeds: str) -> ValueError:
     """The refusal of seeds past the panel budget, raised before any panel runs."""
     return ValueError(f"{seeds} needs more than DEFAULT_PANEL_BUDGET = {DEFAULT_PANEL_BUDGET} seed panels")
@@ -404,7 +387,8 @@ def integrate_adaptive(
     frequency w in f (N + 1/2 for the order-N kernel) and the seed edges
     are a, the points k*2*pi/w of the period lattice anchored at 0 inside
     (a, b), and b, one period per panel; for the order-N kernel they are
-    every second zero of sin((N+1/2)*x) and its peak at 0.  Pass 0 for
+    every second zero of sin((N+1/2)*x) and its peak at 0.  A w so small
+    that 2*pi/w overflows has no such point, and seeds [a, b].  Pass 0 for
     smooth integrands, seeded on an even grid of panels at most 2*pi wide.
     Every panel is G7/K15.
     Raises ValueError, before any panel runs, when the seed grid alone
@@ -428,11 +412,17 @@ def integrate_adaptive(
         edges = [a + width * (i / n_seed) for i in range(n_seed)] + [b]
     else:
         period = 2.0 * math.pi / osc_freq
-        # Counted in periods first: an infinite or huge count never reaches _lattice.
-        ks = _lattice(a, b, period) if width * osc_freq / (2.0 * math.pi) <= DEFAULT_PANEL_BUDGET else None
-        if ks is None or len(ks) + 1 > DEFAULT_PANEL_BUDGET:
-            raise _past_budget(f"the period lattice of frequency {osc_freq} on [{a}, {b}]")
-        edges = [a] + [k * period for k in ks] + [b]
+        seeds = f"the period lattice of frequency {osc_freq} on [{a}, {b}]"
+        # Counted in periods first: an infinite or huge count builds no list.
+        if width * osc_freq / (2.0 * math.pi) > DEFAULT_PANEL_BUDGET:
+            raise _past_budget(seeds)
+        # The points are filtered as computed, so rounding in a / period
+        # cannot add or drop one, and a NaN point (0 * inf, where the
+        # period overflows) fails the comparison.
+        ks = range(math.floor(a / period) - 1, math.ceil(b / period) + 2)
+        edges = [a, *(k * period for k in ks if a < k * period < b), b]
+        if len(edges) - 1 > DEFAULT_PANEL_BUDGET:
+            raise _past_budget(seeds)
     return _refine(lambda lo, hi: _kronrod_panel(f, lo, hi), edges, tol)[0]
 
 

@@ -88,7 +88,7 @@ def sigma_eval(x: float) -> float:
     Below 2**-26 the true value 1 + x**2/24 + ... rounds to 1.0, which is
     returned, so x = 0 or a subnormal x never divides.
     """
-    if abs(x) > _SIGMA_DOMAIN:
+    if not abs(x) <= _SIGMA_DOMAIN:
         raise ValueError(f"sigma is defined on |x| <= 3*pi/2, got {x}")
     if abs(x) < 2**-26:
         return 1.0

@@ -35,6 +35,8 @@ from zetacomb.kernels import SERIES_WORK_CAP, _exact_row_sums, _trig_series, dir
 from zetacomb.quad import QuadratureError, integrate_adaptive
 from zetacomb.testfn import bump_plateau, gaussian_bump, phi_tilde
 
+from test_kernels import fsum_sum_form
+
 TWO_PI = 2 * math.pi
 PI2 = math.pi**2
 
@@ -563,17 +565,16 @@ ROUTE_LIMITS = (0, 10**18)  # every grid on the numpy blocks, every grid on math
 
 
 def route(set_attribute, limit):
-    """Set both scalar limits of _trig_series, numpy loaded or not, to limit."""
+    """Set the scalar limit of _trig_series to limit."""
     set_attribute(kernels, "_SCALAR_TERMS", limit)
-    set_attribute(kernels, "_SCALAR_TERMS_LOADED", limit)
 
 
-def test_loaded_numpy_sends_a_long_row_to_the_blocks(monkeypatch):
-    # This module imports numpy, so one row of 10**5 terms, below the limit
-    # of a process without numpy, is past the loaded one; both routes give
-    # the same bits.
+def test_terms_alone_pick_the_route_with_numpy_loaded(monkeypatch):
+    # This module imports numpy, and still every grid of at most
+    # _SCALAR_TERMS terms, N times the rows, takes math.fsum, as in a
+    # process without numpy, and one term more takes the blocks.
     assert sys.modules.get("numpy") is not None
-    assert 10**5 <= kernels._SCALAR_TERMS
+    limit = kernels._SCALAR_TERMS
     shapes = []
     extract = kernels._exact_row_sums
 
@@ -583,12 +584,17 @@ def test_loaded_numpy_sends_a_long_row_to_the_blocks(monkeypatch):
 
     monkeypatch.setattr(kernels, "_exact_row_sums", spy)
     xs = [0.3, 1.0, 2.5, 5.9]
-    blocks = [fourier_partial_delta1(10**5, x) for x in xs]
+    assert [fourier_partial_delta1(10**5, x) for x in xs] == [fsum_partial(1, 10**5, x) for x in xs]
+    assert _fourier_partial_sums(1, limit // 4, xs) == [fsum_partial(1, limit // 4, x) for x in xs]
+    assert dirichlet_sum(limit, 0.5) == fsum_sum_form(limit, 0.5)
+    assert shapes == []
+    N = (limit + 1) // 3
+    assert 3 * N == limit + 1
+    assert _fourier_partial_sums(1, N, xs[:3]) == [fsum_partial(1, N, x) for x in xs[:3]]
     assert shapes
     shapes.clear()
-    monkeypatch.setattr(kernels, "_SCALAR_TERMS_LOADED", kernels._SCALAR_TERMS)
-    assert [fourier_partial_delta1(10**5, x) for x in xs] == blocks
-    assert shapes == []
+    assert dirichlet_sum(limit + 1, 0.5) == fsum_sum_form(limit + 1, 0.5)
+    assert shapes
 
 
 def partial_sums(order, N, xs):
@@ -772,7 +778,6 @@ class TestBatchedPartialSums:
         for limit in ROUTE_LIMITS:
             for workers in (1, 2):
                 with mock.patch.object(kernels, "_SCALAR_TERMS", limit), \
-                        mock.patch.object(kernels, "_SCALAR_TERMS_LOADED", limit), \
                         mock.patch.object(kernels, "_BLOCK", 64), \
                         mock.patch.object(kernels, "_worker_count", lambda: workers):
                     assert partial_sums(order, N, xs) == expected

@@ -823,6 +823,24 @@ def test_readme_examples_are_the_commands_output(capsys):
         assert run_text(capsys, argv)[:2] == (0, output), argv
 
 
+def test_readme_python_quick_start_runs_as_commented(capsys):
+    # Both python blocks run in one fresh namespace; the first three prints
+    # are the values their comments give, and the action's value starts
+    # with the digits of 2*pi its comment gives.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(block, namespace)
+    commented = re.findall(r"^print\(.*\)\s+# (.*)$", blocks[0], re.M)[:3]
+    assert commented == ["691/638512875 π^12", "Fraction(691, 638512875)", "1.000246086553308"]
+    assert capsys.readouterr().out.splitlines()[:3] == commented
+    ((action, digits),) = re.findall(r"^(deltaN_action\(.*\))\s+# -> ([0-9.]+)\.\.\.", blocks[1], re.M)
+    assert (action, digits) == ("deltaN_action(phi, 500, 1e-10)", "6.2831853071795")
+    assert repr(eval(action, namespace)).startswith(digits)
+
+
 def test_comb_failure_exits_3_without_loading_quad():
     # QuadratureError is the package's own, so catching it loads no module.
     assert modules_added_by(RUN_ARGV, ["zetacomb.quad"], "comb", "--n", "5", "--tol", "1e-300") == ["3"]

@@ -86,14 +86,14 @@ class TestDirichletSum:
             assert dirichlet_sum(N, x) == fsum_sum_form(N, x)
 
     def test_is_the_fsum_oracle_on_the_numpy_blocks(self, monkeypatch):
-        # Past the limit, the loaded one set to 0 here and the unloaded one
-        # too, the one row is summed on the numpy blocks, with the same bits.
+        # Past the limit, set to 0 here, and past the real one, the one row
+        # is summed on the numpy blocks, with the same bits.
         def refuse(*args):
             raise AssertionError("a row past the limit took the scalar route")
 
-        monkeypatch.setattr(kernels, "_series_row", refuse)
-        monkeypatch.setattr(kernels, "_SCALAR_TERMS_LOADED", 0)
         past = kernels._SCALAR_TERMS + 1
+        monkeypatch.setattr(kernels, "_series_row", refuse)
+        monkeypatch.setattr(kernels, "_SCALAR_TERMS", 0)
         for N, x in ((1, 0.5), (2000, -2.25), (2000, 0.0), (30000, 1e-3), (past, 0.5), (past, -2.25), (2 * past, 1e-3)):
             assert dirichlet_sum(N, x) == fsum_sum_form(N, x)
 
@@ -175,8 +175,9 @@ class TestDirichletCompact:
             assert abs(dirichlet_sum(N, x) - dirichlet_compact(N, x)) <= budget
 
     def test_domain_error_outside_window(self):
-        for x in (math.pi, -math.pi, 3.5):
-            with pytest.raises(ValueError):
+        # A NaN x lies outside the window too, as dirichlet_sum refuses it.
+        for x in (math.pi, -math.pi, 3.5, -math.inf, math.nan):
+            with pytest.raises(ValueError, match=re.escape("compact form is defined on |x| < pi")):
                 dirichlet_compact(5, x)
 
 
@@ -226,13 +227,12 @@ class TestKernelSamples:
         ],
     )
     def test_both_routes_equal_the_fsum_oracle(self, monkeypatch, N, count, xmin, xmax):
-        # Limits of 0 send every order but 0 to the numpy blocks, huge ones
-        # keep every table on math.fsum, numpy loaded or not.
+        # A limit of 0 sends every order but 0 to the numpy blocks, a huge
+        # one keeps every table on math.fsum.
         xs = [x for x, _ in kernel_samples(N, count, xmin, xmax).rows]
         expected = [fsum_sum_form(N, x) for x in xs]
         for limit in (0, 10**18):
             monkeypatch.setattr(kernels, "_SCALAR_TERMS", limit)
-            monkeypatch.setattr(kernels, "_SCALAR_TERMS_LOADED", limit)
             assert [s for _, (s, _) in kernel_samples(N, count, xmin, xmax).rows] == expected
 
     def test_compact_column_is_the_compact_form(self):

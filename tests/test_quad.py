@@ -3,6 +3,7 @@ import random
 import struct
 import sys
 import time
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -15,7 +16,6 @@ from zetacomb.quad import (
     DEFAULT_PANEL_BUDGET,
     QuadResult,
     QuadratureError,
-    _lattice,
     integrate_adaptive,
     sinc_table,
     sinc_truncated,
@@ -168,19 +168,10 @@ class TestIntegrateAdaptive:
         assert time.perf_counter() - start < 1.0
         assert calls == []
 
-    def test_seed_edges_sit_on_the_period_lattice(self, monkeypatch):
-        seeds = []
-        refine = quad._refine
-
-        def spy(panel, edges, tol):
-            seeds.append(edges)
-            return refine(panel, edges, tol)
-
-        monkeypatch.setattr(quad, "_refine", spy)
+    def test_seed_edges_sit_on_the_period_lattice(self):
         N = 37
         period = 4 * math.pi / (2 * N + 1)
-        integrate_adaptive(lambda x: _windowed_compact(N, x), -0.9, 1.5, 1e-10, osc_freq=N + 0.5)
-        (edges,) = seeds
+        _, edges = seeded(-0.9, 1.5, N + 0.5, lambda x: _windowed_compact(N, x))
         inner = edges[1:-1]
         assert edges[0] == -0.9 and edges[-1] == 1.5
         # every k*period inside (-0.9, 1.5), the peak at 0 among them
@@ -389,19 +380,56 @@ class TestFccPanel:
         assert error > 1e-12
 
 
+def seeded(a, b, osc_freq, f=lambda x: 0.0):
+    """integrate_adaptive's result on [a, b] at osc_freq, and the seed edges
+    it hands to _refine."""
+    seeds = []
+    refine = quad._refine
+
+    def spy(panel, edges, tol):
+        seeds.append(edges)
+        return refine(panel, edges, tol)
+
+    with mock.patch.object(quad, "_refine", spy):
+        result = integrate_adaptive(f, a, b, 1e-10, osc_freq=osc_freq)
+    (edges,) = seeds
+    return result, edges
+
+
 class TestLattice:
     @given(st.floats(-1e6, 1e6), st.floats(1e-3, 300.0), st.floats(1e-2, 10.0))
-    def test_exactly_the_points_strictly_inside(self, a, periods, period):
+    def test_exactly_the_points_strictly_inside(self, a, periods, spacing):
+        osc_freq = TWO_PI / spacing
+        period = TWO_PI / osc_freq
         b = a + periods * period
-        ks = _lattice(a, b, period)
-        assert all(a < k * period < b for k in ks)
-        assert not a < (ks.start - 1) * period < b
-        assert not a < ks.stop * period < b
+        assume(a < b)
+        _, edges = seeded(a, b, osc_freq)
+        inner = edges[1:-1]
+        assert edges[0] == a and edges[-1] == b
+        if inner:
+            first = round(inner[0] / period)
+            assert inner == [k * period for k in range(first, first + len(inner))]
+            assert all(a < x < b for x in inner)
+            assert not a < (first - 1) * period < b
+            assert not a < (first + len(inner)) * period < b
+        else:
+            near = range(math.floor(a / period) - 2, math.ceil(b / period) + 3)
+            assert not any(a < k * period < b for k in near)
 
     def test_ends_that_are_lattice_points_are_not_repeated(self):
         period = TWO_PI / 40
-        assert _lattice(0.0, 40 * period, period) == range(1, 40)
-        assert _lattice(-3 * period, 3 * period, period) == range(-2, 3)
+        assert seeded(0.0, 40 * period, 40.0)[1] == [k * period for k in range(41)]
+        assert seeded(-3 * period, 3 * period, 40.0)[1] == [k * period for k in range(-3, 4)]
+
+    @pytest.mark.parametrize("osc_freq, inner", [(5e-324, []), (1e-308, []), (2.5e-308, []), (1e-300, [0.0])])
+    def test_a_frequency_whose_period_overflows_seeds_the_interval(self, osc_freq, inner):
+        # Where 2*pi/w overflows to inf the lattice has no finite point
+        # inside, and 0 * inf is NaN, which no seed edge may be; at 1e-300
+        # the period is finite and 0 is its one point inside.
+        result, edges = seeded(-1.0, 1.0, osc_freq, lambda x: 1.0)
+        assert result.value == 2.0
+        assert edges == [-1.0, *inner, 1.0]
+        assert all(map(math.isfinite, edges))
 
     @pytest.mark.parametrize("n_max", [0, 1, 2, 388, 100_000])
     def test_sinc_edges_are_the_half_periods(self, monkeypatch, n_max):
