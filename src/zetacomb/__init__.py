@@ -14,6 +14,7 @@ against floor/ceiling closed forms, and the truncated sinc integral.
 """
 
 import importlib
+import sys
 
 __version__ = "0.1.0"
 
@@ -59,8 +60,8 @@ __all__ = [name for names in _EXPORTS.values() for name in names]
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 
 
-# The checks and the error below are defined here, not in a submodule, so
-# that kernels, quad and actions all reach them without loading each other.
+# The checks, the floor and the error below are defined here, not in a
+# submodule, so that kernels, quad and actions reach them without loading each other.
 
 
 def _validate_order(N: int, least: int = 0) -> None:
@@ -74,6 +75,14 @@ def _validate_tol(tol: float) -> None:
     """Refuse a tolerance that is not > 0 (nan included)."""
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
+
+
+def _rounding_floor(mass: float) -> float:
+    """50*eps*mass, the least estimate of a run on an integral of |f| of mass;
+    0.0 below sys.float_info.min / (50*eps) or at a NaN mass (QUADPACK, 1983).
+    quad's panels and actions' mode sum take their floor from here."""
+    eps = sys.float_info.epsilon
+    return eps * 50.0 * mass if mass > sys.float_info.min / (50.0 * eps) else 0.0
 
 
 class QuadratureError(RuntimeError):

@@ -28,13 +28,13 @@ kernels._trig_series at order 1 or 2, correctly rounded on either of its
 routes, and one more math.fsum adds it to |x| (or x**2/2), so results are
 deterministic; odd sums are computed on |x| and sign-flipped so
 antisymmetry holds bit-for-bit.  A grid past the engine's work cap, or
-with an |x| past the float range, is refused before numpy loads.
+with an |x| that is NaN or past the float range, is refused before numpy
+loads; the closed forms refuse a NaN or infinite x.
 """
 
 import math
-import sys
 
-from . import QuadratureError, _validate_order, _validate_tol
+from . import QuadratureError, _rounding_floor, _validate_order, _validate_tol
 from .kernels import _frequency, _kernel_integral, _trig_series
 
 __all__ = [
@@ -58,7 +58,6 @@ MODE_SAMPLE_CAP = 1 << 20
 # The first comparison S_M vs S_{M/2} is trusted only if the coarse grid
 # puts at least this many nodes inside a support narrower than 2*pi.
 _MIN_SUPPORT_NODES = 8
-_EPS = sys.float_info.epsilon
 
 
 def _dirichlet_periodic(N: int, m: int, M: int) -> float:
@@ -114,11 +113,11 @@ def _mode_trapezoid(phi: "TestFunction", N: int, tol: float) -> tuple[float, flo
     M starts at a power of two >= 4N+4 (at M = 2N+1 the sum would collapse
     onto the lattice points) that also puts several nodes of M/2 inside a
     narrow support, and doubles, reusing the old nodes, until the estimate
-    max(|S_M - S_{M/2}|, 50*eps*(2*pi/M)*sum|terms|) is within tol.
+    max(|S_M - S_{M/2}|, _rounding_floor((2*pi/M)*sum|terms|)) is within tol.
     Raises ValueError before sampling phi if the first sum would pass
     MODE_SAMPLE_CAP, and QuadratureError (panels_used = M), its message
-    naming the cause, when the rounding floor exceeds tol or the next
-    doubling would pass the cap.
+    naming the cause, checked in quad._refine's order: a NaN estimate, the
+    rounding floor above tol, or a next doubling that would pass the cap.
     """
     periods = (phi.support[1] - phi.support[0]) / _TWO_PI
     # Samples of phi at M nodes: one per node and period the support spans.
@@ -138,10 +137,13 @@ def _mode_trapezoid(phi: "TestFunction", N: int, tol: float) -> tuple[float, flo
         terms += _trapezoid_terms(phi, N, M, odd_only=True)
         h = _TWO_PI / M
         value = h * math.fsum(terms)
-        floor = 50.0 * _EPS * h * math.fsum(abs(t) for t in terms)
+        floor = _rounding_floor(h * math.fsum(abs(t) for t in terms))
         estimate = max(abs(value - coarse), floor)
         if estimate <= tol:
             return value, estimate, M
+        if math.isnan(estimate):
+            cause = "the estimate is NaN"
+            break
         if floor > tol:
             cause = f"the rounding floor {floor:.3e} is above tol = {tol:.3e}"
             break
@@ -159,7 +161,7 @@ def delta0_partial_action(phi: "TestFunction", N: int, tol: float) -> float:
     One periodic trapezoid sum of phi_per*D_N (see _mode_trapezoid), which
     converges exponentially in the node count for smooth phi.  Raises
     ValueError before any work past MODE_SAMPLE_CAP samples of phi, and
-    QuadratureError when tol cannot be met.
+    QuadratureError when tol cannot be met, at once on a NaN estimate.
     """
     _validate_order(N)
     _validate_tol(tol)
@@ -199,8 +201,8 @@ def _fourier_partial_sums(order: int, N: int, xs) -> list:
     n = 1 .. N, is kernels._trig_series: correctly rounded, the float
     math.fsum of its N terms gives.  One more math.fsum adds it to |x| (or
     x**2/2).  At order 2 every x**2/2 must be finite, and the engine refuses
-    N * len(xs) past kernels.SERIES_WORK_CAP and an N*|x| past the float
-    range: else ValueError, before numpy loads.
+    N * len(xs) past kernels.SERIES_WORK_CAP, a NaN x and an N*|x| past the
+    float range: else ValueError, before numpy loads.
     """
     _validate_order(N, least=1)
     rs = [abs(x) for x in xs]
@@ -224,33 +226,46 @@ def fourier_partial_delta1(N: int, x: float) -> float:
     """x + 2*sum_{n=1}^{N} sin(n*x)/n.
 
     Odd in x by construction: the positive-axis value is computed and the
-    sign flipped, so f(-x) == -f(x) to the last bit.
+    sign flipped, so f(-x) == -f(x) to the last bit.  A NaN x is refused as
+    not a number, an N*|x| past the float range as such (ValueError).
     """
     return _fourier_partial_sums(1, N, [x])[0]
 
 
 def fourier_partial_delta2(N: int, x: float) -> float:
-    """x**2/2 - 2*sum_{n=1}^{N} cos(n*x)/n**2, even in x bit-for-bit."""
+    """x**2/2 - 2*sum_{n=1}^{N} cos(n*x)/n**2, even in x bit-for-bit.
+
+    A NaN x is refused as not a number, an x**2/2 or N*|x| past the float
+    range as such (ValueError).
+    """
     return _fourier_partial_sums(2, N, [x])[0]
 
 
+def _floor_ceil(x: float) -> tuple[int, int]:
+    """floor(u) and ceil(u), u = x/2pi; ValueError naming x if x is NaN or infinite."""
+    if not math.isfinite(x):
+        raise ValueError(f"the closed forms need a finite x, got x = {x}")
+    u = x / _TWO_PI
+    return math.floor(u), math.ceil(u)
+
+
 def delta1_closed(x: float) -> float:
-    """pi * (floor(x/2pi) + ceil(x/2pi)).
+    """pi * (floor(x/2pi) + ceil(x/2pi)), for finite x (_floor_ceil).
 
     Equals pi*sign(x) off the lattice within (-2pi, 2pi); at a lattice
     point 2*pi*n the floor and ceiling agree and the formula itself
     yields 2*pi*n, no special-casing.
     """
-    u = x / _TWO_PI
-    return math.pi * (math.floor(u) + math.ceil(u))
+    fl, ce = _floor_ceil(x)
+    return math.pi * (fl + ce)
 
 
 def delta2_closed(x: float) -> float:
     """pi*x*(floor(u)+ceil(u)) - 2*pi**2*ceil(u)*floor(u) - pi**2/3, u = x/2pi.
 
-    Continuous everywhere, piecewise affine between lattice points.
+    Continuous everywhere, piecewise affine between lattice points.  For
+    finite x (_floor_ceil); OverflowError where ceil(u)*floor(u) is past
+    the float range.
     """
-    u = x / _TWO_PI
-    fl = math.floor(u)
-    ce = math.ceil(u)
+    fl, ce = _floor_ceil(x)
     return math.pi * x * (fl + ce) - 2.0 * math.pi**2 * (ce * fl) - math.pi**2 / 3.0

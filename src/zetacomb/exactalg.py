@@ -16,7 +16,8 @@ _PI_RATIONAL = Fraction(_PI_LITERAL)
 
 
 class PiNumber:
-    """The exact value ``q * pi**j``: rational ``q``, integer grade ``j >= 0``.
+    """The exact value ``q * pi**j``: rational ``q``, integer grade ``j >= 0``
+    (an ``int``, not a ``bool``).
 
     Zero compares and hashes equal at every grade.  Addition and subtraction
     are defined within one grade, and with zero of any grade; adding two
@@ -26,7 +27,7 @@ class PiNumber:
     __slots__ = ("_j", "_q")
 
     def __init__(self, j: int = 0, q=0):
-        if not isinstance(j, int) or j < 0:
+        if isinstance(j, bool) or not isinstance(j, int) or j < 0:
             raise ValueError(f"pi-exponent must be a non-negative integer, got {j!r}")
         if not isinstance(q, (int, Fraction)):
             raise TypeError(f"expected an exact rational, got {type(q).__name__}")

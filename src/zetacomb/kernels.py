@@ -213,12 +213,12 @@ def _trig_series(order: int, N: int, rs) -> list:
     The terms are 2*cos(n*r) at order 0, sin(n*r)/(n/2) at order 1 and
     cos(n*r)/n**2 at order 2, and each sum is correctly rounded, the float
     math.fsum of its N terms gives.  First it raises ValueError past
-    SERIES_WORK_CAP terms or at an n*r past the float range, so every term
-    is finite and every n*n exact.  While N * len(rs) is at most
-    _SCALAR_TERMS each sum is _series_row, whatever the process has
-    imported, and numpy stays unloaded.  Past it the terms are cut into
-    the fewest blocks of at most _BLOCK elements, each a few rows by one
-    range of n: every row is split into the same column ranges.  The
+    SERIES_WORK_CAP terms, at a NaN r (as not a number) or at an n*r past
+    the float range, so every term is finite and every n*n exact.  While
+    N * len(rs) is at most _SCALAR_TERMS each sum is _series_row, whatever
+    the process has imported, and numpy stays unloaded.  Past it the terms
+    are cut into the fewest blocks of at most _BLOCK elements, each a few
+    rows by one range of n: every row is split into the same column ranges.  The
     blocks run on up to _worker_count() threads (_map_on_workers), each
     reduced to exact partials per row, and math.fsum of all the partials
     a row gets is its sum.  Each worker fills its blocks from three
@@ -231,6 +231,8 @@ def _trig_series(order: int, N: int, rs) -> list:
             f"order {N} at {len(rs)} rows is past the work cap: N * rows must be <= {SERIES_WORK_CAP}"
         )
     for r in rs:  # each r, as max(rs) would skip a nan
+        if math.isnan(r):
+            raise ValueError(f"|x| = {r} is not a number")
         if not math.isfinite(N * r):
             raise ValueError(f"n * |x| for n up to {N} at |x| = {r} is past the float range")
     if N * len(rs) <= _SCALAR_TERMS:
@@ -283,7 +285,7 @@ def dirichlet_sum(N: int, x: float) -> float:
 
     One row of _trig_series at order 0, its series rounded once, on either
     route; evaluated on |x| so the result is even bit-for-bit.  Inside the
-    window N may not pass SERIES_WORK_CAP.
+    window N may not pass SERIES_WORK_CAP; a NaN x is refused as not a number.
     """
     _validate_order(N)
     r = abs(x)
@@ -336,11 +338,11 @@ def kernel_samples(N: int, count: int, xmin: float = -math.pi, xmax: float = mat
     once per distinct |x| inside the window, the sum form as _trig_series
     of order 0 over them all, the value dirichlet_sum gives at each, so N
     times the number of those |x| may not pass SERIES_WORK_CAP.  count may
-    not pass SAMPLES_CAP.
+    not pass SAMPLES_CAP, and must be an int (not a bool).
     """
     _validate_order(N)
-    if count < 2:
-        raise ValueError(f"need at least 2 sample points, got {count}")
+    if isinstance(count, bool) or not isinstance(count, int) or count < 2:
+        raise ValueError(f"need an integer number of sample points, at least 2, got {count!r}")
     if count > SAMPLES_CAP:
         raise ValueError(f"need at most SAMPLES_CAP = {SAMPLES_CAP} sample points, got {count}")
     if not xmin < xmax:

@@ -16,9 +16,10 @@ the panel rule as an argument, so one heap, one budget and one floor rule
 serve every rule; it makes every result and every QuadratureError, whose
 message names the cause.  Everything is sequential and order-fixed, so
 identical inputs give bit-identical outputs.  A run fails fast: a seed
-grid past the panel budget is a ValueError before any panel runs, and
-rounding floors of the panels (50*eps times the integral of |f|) that add
-up to more than the tolerance raise QuadratureError at once.
+grid past the panel budget is a ValueError before any panel runs, and a
+NaN estimate, or rounding floors of the panels (zetacomb._rounding_floor,
+which the mode sum shares) that add up to more than the tolerance, raise
+QuadratureError at once.
 
 Oscillatory integrands are handled by seeding: callers pass the highest
 angular frequency w present, and the initial edges are the points of the
@@ -42,12 +43,11 @@ panels and no row integrates again from 0.
 
 import heapq
 import math
-import sys
 from collections import namedtuple
 from collections.abc import Callable
 from operator import mul
 
-from . import QuadratureError, _validate_order, _validate_tol
+from . import QuadratureError, _rounding_floor, _validate_order, _validate_tol
 
 __all__ = [
     "QuadResult",
@@ -90,9 +90,6 @@ _WG = (
 _X0, _X1, _X2, _X3, _X4, _X5, _X6 = _XGK[:7]
 _WK0, _WK1, _WK2, _WK3, _WK4, _WK5, _WK6, _WK7 = _WGK
 _WG0, _WG1, _WG2, _WG3 = _WG
-
-_EPMACH = sys.float_info.epsilon
-_UFLOW = sys.float_info.min
 
 # The FCC rule (QUADPACK dqc25f) on the Chebyshev points t_j = cos(j*pi/24),
 # j = 0..24, of [-1, 1]: the degree-24 interpolant uses them all, the
@@ -162,8 +159,8 @@ class QuadResult(namedtuple("QuadResult", "value error_estimate panels_used")):
 def _kronrod_panel(f: Callable[[float], float], a: float, b: float):
     """One G7/K15 application on [a, b]; returns (value, error_estimate, floor).
 
-    floor is the rounding floor 50*eps*resabs that error_estimate never
-    goes below (0 when resabs is too small for it to apply).  Straight-line
+    floor is _rounding_floor(resabs), which error_estimate never goes
+    below (0, and no lift, when resabs is tiny or NaN).  Straight-line
     dqk15: node k sits at centr -+ hlgth*_XGK[k], and the sums run in
     QUADPACK's order, resg, resk and resabs over the Gauss pairs 1, 3, 5
     and then the Kronrod pairs 0, 2, 4, 6, resasc over the centre and then
@@ -229,9 +226,8 @@ def _kronrod_panel(f: Callable[[float], float], a: float, b: float):
     abserr = abs((resk - resg) * hlgth)
     if resasc != 0.0 and abserr != 0.0:
         abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)
-    floor = 0.0
-    if resabs > _UFLOW / (50.0 * _EPMACH):
-        floor = _EPMACH * 50.0 * resabs
+    floor = _rounding_floor(resabs)
+    if floor:
         abserr = max(floor, abserr)
     return result, abserr, floor
 
@@ -272,8 +268,8 @@ def _fcc_panel(g: Callable[[float], float], w: float, a: float, b: float):
     _fcc_moments.  The estimate is the larger of their difference and
     2*h*(|c_22| + |c_23| + |c_24|), the last three coefficients of the
     degree-24 interpolant: the difference alone reads low on some panels.
-    The rounding floor is 50*eps times the panel's integral of |g|, scaled
-    by 2/pi, the mean of |sin|, so that it prices the integral of
+    The rounding floor is _rounding_floor of the panel's integral of |g|
+    scaled by 2/pi, the mean of |sin|, so that it prices the integral of
     |g*sin(w*x)|; error_estimate never goes below it.
     """
     centr = 0.5 * (a + b)
@@ -306,9 +302,8 @@ def _fcc_panel(g: Callable[[float], float], w: float, a: float, b: float):
         + sum(map(mul, _CC_W, map(abs, right)))
         + sum(map(mul, _CC_W, map(abs, left)))
     ) * (2.0 / math.pi)
-    floor = 0.0
-    if resabs > _UFLOW / (50.0 * _EPMACH):
-        floor = _EPMACH * 50.0 * resabs
+    floor = _rounding_floor(resabs)
+    if floor:
         abserr = max(floor, abserr)
     return result, abserr, floor
 

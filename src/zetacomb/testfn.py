@@ -61,9 +61,10 @@ def bump_plateau(inner: float, outer: float) -> TestFunction:
     """Even bump: exactly 1 on [-inner, inner], 0 outside (-outer, outer).
 
     The shoulder on each side is the smooth step traversed in (inner, outer).
+    A NaN or infinite inner or outer is refused with ValueError.
     """
-    if not 0 < inner < outer:
-        raise ValueError(f"need 0 < inner < outer, got inner={inner}, outer={outer}")
+    if not 0 < inner < outer < math.inf:
+        raise ValueError(f"need 0 < inner < outer < inf, got inner={inner}, outer={outer}")
     scale = outer - inner
 
     def evaluator(x: float) -> float:
@@ -99,9 +100,12 @@ def gaussian_bump(center: float, radius: float) -> TestFunction:
     """Standard mollifier exp(-1/(1-u^2)), u = (x-center)/radius.
 
     Peak value exp(-1) at the center; support [center-radius, center+radius].
+    A NaN or infinite center or radius is refused with ValueError.
     """
-    if not radius > 0:
-        raise ValueError(f"radius must be > 0, got {radius}")
+    if not math.isfinite(center):
+        raise ValueError(f"center must be finite, got {center}")
+    if not 0 < radius < math.inf:
+        raise ValueError(f"radius must be > 0 and finite, got {radius}")
 
     def evaluator(x: float) -> float:
         u = (x - center) / radius

@@ -205,9 +205,9 @@ def _top_rung(order: int) -> _Rung:
 
 
 def ladder_states(order: int) -> tuple[LadderState, ...]:
-    """States of orders 1..order, built from the cached integer rung."""
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
+    """States of orders 1..order, built from the cached integer rung; order an int >= 1."""
+    if isinstance(order, bool) or not isinstance(order, int) or order < 1:
+        raise ValueError(f"order must be an integer >= 1, got {order!r}")
     rung = _top_rung(order)
     return tuple(LadderState(order=n, coeffs=rung.coeffs(n)) for n in range(1, order + 1))
 
@@ -263,10 +263,11 @@ def bernoulli_number(m: int) -> Fraction:
 
     The tangent numbers T_k come from the derivatives of tan, a route that
     shares no arithmetic with the ladder's mean matching.  Their table is
-    kept and, when too short, rebuilt at least twice as long.
+    kept and, when too short, rebuilt at least twice as long.  m must be an
+    int (not a bool), else ValueError.
     """
-    if m < 0:
-        raise ValueError(f"index must be >= 0, got {m}")
+    if isinstance(m, bool) or not isinstance(m, int) or m < 0:
+        raise ValueError(f"index must be an integer >= 0, got {m!r}")
     if m < 2:
         return Fraction(1) if m == 0 else Fraction(-1, 2)
     if m % 2:

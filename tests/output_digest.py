@@ -5,12 +5,17 @@ the given source tree first on PYTHONPATH.  The list is every `$ zetacomb`
 line in the README's text blocks, every row of its exit-code table, the
 argv of every golden sha256 in tests/test_cli.py in text, csv and json,
 two large tables, a few refusals, and the first cycle of each benchmark
-workload at seed 1.  Run it on two trees and diff the outputs to see
-which argvs changed their bytes, e.g. from the repository root:
+workload at seed 1.  From the repository root, one tree prints the line
+of every argv:
 
-    PYTHONPATH=src python tests/output_digest.py src > new.txt
-    PYTHONPATH=src python tests/output_digest.py /path/to/other/checkout/src > old.txt
-    diff old.txt new.txt
+    PYTHONPATH=src python tests/output_digest.py src
+
+Two trees, say a `git archive` copy of another commit and this one, run
+each argv on the old tree and then on the new, argv by argv, and print
+only the argvs whose exit code, stdout digest or stderr digest differ, as
+an `old` and a `new` line each; the exit code is 1 if any differs:
+
+    PYTHONPATH=src python tests/output_digest.py /path/to/old/src src
 
 The argv list comes from this checkout's README and tests, whichever tree
 runs.  Too long for the test suite (20 to 30 s a tree, half of it the
@@ -112,9 +117,24 @@ def digest(src: str, argv: list) -> str:
     return f"{result.returncode} {out} {err} {' '.join(argv)}"
 
 
+def compare(old: str, new: str) -> int:
+    """Print the argvs whose lines differ between the two trees; 1 if any does."""
+    runs = argvs()
+    differ = 0
+    for argv in runs:
+        before, after = digest(old, argv), digest(new, argv)
+        if before != after:
+            differ += 1
+            print(f"old {before}\nnew {after}", flush=True)
+    print(f"{differ} of {len(runs)} argvs differ", file=sys.stderr)
+    return 1 if differ else 0
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit("usage: python tests/output_digest.py SRC_DIR")
-    src = str(Path(sys.argv[1]).resolve())
+    if len(sys.argv) not in (2, 3):
+        sys.exit("usage: python tests/output_digest.py SRC_DIR, or OLD_SRC_DIR NEW_SRC_DIR")
+    trees = [str(Path(arg).resolve()) for arg in sys.argv[1:]]
+    if len(trees) == 2:
+        sys.exit(compare(*trees))
     for argv in argvs():
-        print(digest(src, argv), flush=True)
+        print(digest(trees[0], argv), flush=True)

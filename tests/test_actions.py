@@ -188,6 +188,17 @@ class TestModeTrapezoid:
         assert message.endswith(" is above tol = 1.000e-300")
         assert "panel" not in message
 
+    def test_nan_estimate_stops_at_once(self):
+        # phi is NaN on its support, so the first comparison is NaN: the run
+        # stops there, as quad._refine does, and does not double to the cap.
+        nan_phi = gaussian_bump(0.0, 1.0)._replace(evaluator=lambda x: math.nan)
+        start = time.perf_counter()
+        with pytest.raises(QuadratureError) as info:
+            delta0_partial_action(nan_phi, 5, 1e-10)
+        assert time.perf_counter() - start < 0.05
+        assert info.value.panels_used == 64
+        assert str(info.value).endswith("after 64 nodes: the estimate is NaN")
+
     def test_cap_on_the_next_doubling_is_named(self, monkeypatch):
         # N = 5 starts at M = 32 nodes on a support inside one period and
         # wide enough for 16 nodes of them, so a cap of 32 samples lets the
@@ -418,22 +429,26 @@ class TestFourierDelta1:
             fourier_partial_delta1(True, 1.0)
 
     def test_terms_past_the_float_range_are_refused(self):
-        # n*|x| overflows for n near 10, or is nan: refused, not summed into nan
+        # n*|x| overflows for n near 10, or x is nan: refused, not summed into nan
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for x in (1e308, -1e308, math.inf, math.nan):
+            for x in (1e308, -1e308, math.inf):
                 with pytest.raises(ValueError, match="float range"):
                     fourier_partial_delta1(10, x)
+            with pytest.raises(ValueError, match="nan is not a number"):
+                fourier_partial_delta1(10, math.nan)
             assert fourier_partial_delta1(10, 1e300) == 1e300  # the sine terms vanish beside x
 
 
 class TestFourierDelta2:
     def test_square_past_the_float_range_is_refused(self):
         # n*|x| stays finite here, but x**2/2 does not: refused, not summed
-        # into inf.  A nan x is refused too.
-        for x in (1e200, -1e200, 1.9e154, math.nan):
+        # into inf.  A nan x is refused too, as not a number.
+        for x in (1e200, -1e200, 1.9e154):
             with pytest.raises(ValueError, match="float range"):
                 fourier_partial_delta2(10, x)
+        with pytest.raises(ValueError, match="nan is not a number"):
+            fourier_partial_delta2(10, math.nan)
         assert math.isfinite(fourier_partial_delta2(10, 1.8e154))
 
     def test_single_term_at_origin(self):
@@ -701,7 +716,8 @@ class TestBatchedPartialSums:
         # here it fails at once instead.
         monkeypatch.setattr(kernels, "_exact_row_sums", None)
         for order, bad in ((1, math.nan), (1, -1e307), (1, math.inf), (2, math.nan), (2, 1e200)):
-            with pytest.raises(ValueError, match=re.escape(f"|x| = {abs(bad)} is past the float range")):
+            reason = "is not a number" if math.isnan(bad) else "is past the float range"
+            with pytest.raises(ValueError, match=re.escape(f"|x| = {abs(bad)} {reason}")):
                 _fourier_partial_sums(order, 100, [0.5, -2.0, bad, 3.0])
 
     def test_failing_block_reaches_the_caller_after_the_workers_stop(self, monkeypatch):

@@ -323,7 +323,7 @@ class TestTrigSeries:
             assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
     def test_refuses_its_own_input(self, monkeypatch):
-        # Past the cap, or at an r whose n*r is nan or inf, the engine
+        # Past the cap, at a nan r, or at an r whose n*r is inf, the engine
         # refuses before it imports numpy or reduces a block: a nan or inf
         # term would never leave the extraction loop.
         monkeypatch.setitem(sys.modules, "numpy", None)
@@ -331,9 +331,11 @@ class TestTrigSeries:
         for order in (0, 1, 2):
             with pytest.raises(ValueError, match="work cap"):
                 kernels._trig_series(order, SERIES_WORK_CAP // 2 + 1, [0.5, 1.0])
-            for bad in (math.nan, math.inf, 1e308):
+            for bad in (math.inf, 1e308):
                 with pytest.raises(ValueError, match=re.escape(f"|x| = {bad} is past the float range")):
                     kernels._trig_series(order, 10, [0.5, bad, 1.0])
+            with pytest.raises(ValueError, match=re.escape("|x| = nan is not a number")):
+                kernels._trig_series(order, 10, [0.5, math.nan, 1.0])
         # No row, no term: nothing to refuse at any order.
         assert kernels._trig_series(0, 10**320, []) == []
 

@@ -2,6 +2,7 @@
 the object its submodule defines."""
 
 import importlib
+import math
 import subprocess
 import sys
 
@@ -43,3 +44,25 @@ def test_bare_import_loads_no_submodule_and_still_resolves_one():
 def test_unknown_attribute_raises_naming_it():
     with pytest.raises(AttributeError, match="no_such_name"):
         zetacomb.no_such_name
+
+
+# QUADPACK's guard: below it 50*eps*mass would leave the normal floats.
+GUARD = sys.float_info.min / (50.0 * sys.float_info.epsilon)
+ABOVE = math.nextafter(GUARD, math.inf)
+
+
+@pytest.mark.parametrize(
+    "mass, floor",
+    [
+        (math.nextafter(GUARD, 0.0), 0.0),
+        (GUARD, 0.0),
+        (ABOVE, sys.float_info.epsilon * 50.0 * ABOVE),
+        (1.0, 50.0 * 2.0**-52),
+        (0.0, 0.0),
+        (math.nan, 0.0),
+    ],
+    ids=["below", "at", "above", "one", "zero", "nan"],
+)
+def test_rounding_floor_applies_only_above_the_guard(mass, floor):
+    assert zetacomb._rounding_floor(mass) == floor
+    assert (floor > 0) == (mass > GUARD)

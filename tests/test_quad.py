@@ -254,8 +254,8 @@ def loop_panel(f, a, b):
     if resasc != 0.0 and abserr != 0.0:
         abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)
     floor = 0.0
-    if resabs > quad._UFLOW / (50.0 * quad._EPMACH):
-        floor = quad._EPMACH * 50.0 * resabs
+    if resabs > sys.float_info.min / (50.0 * sys.float_info.epsilon):
+        floor = sys.float_info.epsilon * 50.0 * resabs
         abserr = max(floor, abserr)
     return result, abserr, floor
 
@@ -264,7 +264,7 @@ def bits(triple):
     return struct.pack("<3d", *triple)
 
 
-# Below _UFLOW / (50*eps), about 2e-294, resabs gets no rounding floor.
+# Below sys.float_info.min / (50*eps), about 2e-294, resabs gets no rounding floor.
 TINY = 1e-296
 
 GAUSS = gaussian_bump(0.3, 1.2)
