@@ -23,13 +23,12 @@ floor/ceiling closed forms.  The order-1 series converges only pointwise
 clear of lattice points; the order-2 series converges absolutely with
 tail below 2/N, so it is compared everywhere.
 
-The partial sums run over a whole x grid at once.  Each row's series is
-kernels._trig_series at order 1 or 2, correctly rounded on either of its
-routes, and one more math.fsum adds it to |x| (or x**2/2), so results are
-deterministic; odd sums are computed on |x| and sign-flipped so
-antisymmetry holds bit-for-bit.  A grid past the engine's work cap, or
-with an |x| that is NaN or past the float range, is refused before numpy
-loads; the closed forms refuse a NaN or infinite x.
+The partial sums run over a whole x grid at once: they are the whole
+partial sums of kernels._trig_series at order 1 or 2, each series
+correctly rounded and added to |x| (or x**2/2) by one more math.fsum, so
+results are deterministic; odd sums are computed on |x| and sign-flipped
+so antisymmetry holds bit-for-bit.  The engine refuses every x it cannot
+sum before numpy loads; the closed forms refuse a NaN or infinite x.
 """
 
 import math
@@ -105,6 +104,14 @@ def _trapezoid_terms(phi: "TestFunction", N: int, M: int, odd_only: bool) -> lis
     return [v * _dirichlet_periodic(N, m, M) for m, v in per.items()]
 
 
+def _float_sum(terms: list) -> float:
+    """math.fsum(terms), or the plain float sum, NaN or inf, where it raises (inf - inf, overflow)."""
+    try:
+        return math.fsum(terms)
+    except (ValueError, OverflowError):
+        return sum(terms)
+
+
 def _mode_trapezoid(phi: "TestFunction", N: int, tol: float) -> tuple[float, float, int]:
     """(value, error estimate, node count M) of the periodic trapezoid sum.
 
@@ -118,6 +125,7 @@ def _mode_trapezoid(phi: "TestFunction", N: int, tol: float) -> tuple[float, flo
     MODE_SAMPLE_CAP, and QuadratureError (panels_used = M), its message
     naming the cause, checked in quad._refine's order: a NaN estimate, the
     rounding floor above tol, or a next doubling that would pass the cap.
+    Terms math.fsum cannot sum are summed by _float_sum, so they stop it too.
     """
     periods = (phi.support[1] - phi.support[0]) / _TWO_PI
     # Samples of phi at M nodes: one per node and period the support spans.
@@ -132,12 +140,12 @@ def _mode_trapezoid(phi: "TestFunction", N: int, tol: float) -> tuple[float, flo
             f"the mode sum at order {N} needs more than MODE_SAMPLE_CAP = {MODE_SAMPLE_CAP} samples of phi"
         )
     terms = _trapezoid_terms(phi, N, M // 2, odd_only=False)
-    coarse = _TWO_PI / (M // 2) * math.fsum(terms)
+    coarse = _TWO_PI / (M // 2) * _float_sum(terms)
     while True:
         terms += _trapezoid_terms(phi, N, M, odd_only=True)
         h = _TWO_PI / M
-        value = h * math.fsum(terms)
-        floor = _rounding_floor(h * math.fsum(abs(t) for t in terms))
+        value = h * _float_sum(terms)
+        floor = _rounding_floor(h * _float_sum(list(map(abs, terms))))
         estimate = max(abs(value - coarse), floor)
         if estimate <= tol:
             return value, estimate, M
@@ -195,31 +203,11 @@ def deltaN_action(phi: "TestFunction", N: int, tol: float) -> float:
 
 
 def _fourier_partial_sums(order: int, N: int, xs) -> list:
-    """The order-1 or order-2 partial sums at every x of xs, as floats.
-
-    The series, the sum of 2*sin(n*|x|)/n or of cos(n*|x|)/n**2 over
-    n = 1 .. N, is kernels._trig_series: correctly rounded, the float
-    math.fsum of its N terms gives.  One more math.fsum adds it to |x| (or
-    x**2/2).  At order 2 every x**2/2 must be finite, and the engine refuses
-    N * len(xs) past kernels.SERIES_WORK_CAP, a NaN x and an N*|x| past the
-    float range: else ValueError, before numpy loads.
-    """
+    """The order-1 or order-2 partial sums at every x of xs, as floats: the
+    whole partial sums of kernels._trig_series, which refuses every input it
+    cannot sum (ValueError, before numpy loads), at N >= 1."""
     _validate_order(N, least=1)
-    rs = [abs(x) for x in xs]
-    if order == 2:
-        for r in rs:
-            if 0.5 * r * r == math.inf:
-                raise ValueError(f"x**2/2 at |x| = {r} is past the float range")
-    sums = []
-    for x, r, series in zip(xs, rs, _trig_series(order, N, rs)):
-        if order == 2:
-            sums.append(math.fsum((0.5 * r * r, -2.0 * series)))
-        elif x == 0.0:
-            sums.append(0.0)
-        else:
-            core = math.fsum((r, series))
-            sums.append(core if x > 0 else -core)
-    return sums
+    return _trig_series(order, N, xs)
 
 
 def fourier_partial_delta1(N: int, x: float) -> float:

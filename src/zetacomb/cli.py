@@ -11,7 +11,8 @@ Output is a single table in text, CSV, or JSON.  Formatting is fixed so
 that identical invocations are byte-identical: floats print via repr
 (shortest round-trip), exact values print as "num/den π^k", CSV is UTF-8
 with LF endings, and JSON is one object {command, params, columns, rows}
-with rows as arrays.
+with rows as arrays.  A handler returns only its columns and rows; run()
+takes the params from the parsed options, so none is written twice.
 
 Each invocation loads only the library modules its subcommand runs:
 this module imports none at module level.  The library names it uses are
@@ -55,7 +56,7 @@ _package = sys.modules[__package__]
 # The library names this module takes that the package does not export,
 # and their modules.  Every other library name is resolved through the
 # package's own table of public names.
-_PRIVATE = {"_fourier_partial_sums": "actions", "SAMPLES_CAP": "kernels"}
+_PRIVATE = {"_fourier_partial_sums": "actions", "SAMPLES_CAP": "kernels", "_uniform_grid": "kernels"}
 
 
 def __getattr__(name):
@@ -210,15 +211,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_phi(args: argparse.Namespace) -> "tuple[TestFunction, dict]":
-    """The test function that --phi, --center and --radius name, and its params."""
+def _build_phi(args: argparse.Namespace) -> "TestFunction":
+    """The test function that --phi, --center and --radius name; a gauss bump's
+    unset center and radius go into args as 0.0 and 1.0, which the params name."""
     if args.phi == "plateau":
         if args.center is not None or args.radius is not None:
             raise ValueError("--center/--radius apply only to --phi gauss")
-        return _cli.bump_plateau(math.pi, 1.5 * math.pi), {"phi": "plateau"}
-    center = 0.0 if args.center is None else args.center
-    radius = 1.0 if args.radius is None else args.radius
-    return _cli.gaussian_bump(center, radius), {"phi": "gauss", "center": center, "radius": radius}
+        return _cli.bump_plateau(math.pi, 1.5 * math.pi)
+    args.center = 0.0 if args.center is None else args.center
+    args.radius = 1.0 if args.radius is None else args.radius
+    return _cli.gaussian_bump(args.center, args.radius)
 
 
 def _cmd_zeta(args):
@@ -238,34 +240,31 @@ def _cmd_zeta(args):
                 )
             row.append(str(oracle))
         rows.append(row)
-    return {"max_k": args.max_k, "oracle": args.oracle}, columns, rows
+    return columns, rows
 
 
 def _cmd_kernel(args):
     table = _cli.kernel_samples(args.n, args.samples, args.xmin, args.xmax)
     rows = [[x, values[0], values[1]] for x, values in table.rows]
-    params = {"n": args.n, "samples": args.samples, "xmin": args.xmin, "xmax": args.xmax}
-    return params, list(table.column_names), rows
+    return list(table.column_names), rows
 
 
 def _cmd_action(args):
-    phi, phi_params = _build_phi(args)
+    phi = _build_phi(args)
     reference = 2.0 * math.pi * phi(0.0)
     rows = []
     for N in args.n_list:
         value = _cli.deltaN_action(phi, N, args.tol)
         rows.append([N, value, reference, abs(value - reference)])
-    params = {**phi_params, "n_list": args.n_list, "tol": args.tol}
-    return params, ["N", "value", "reference", "abs_error"], rows
+    return ["N", "value", "reference", "abs_error"], rows
 
 
 def _cmd_comb(args):
-    phi, phi_params = _build_phi(args)
+    phi = _build_phi(args)
     partial = _cli.delta0_partial_action(phi, args.n, args.tol)
     comb = _cli.delta0_comb_action(phi)
     rows = [[args.n, partial, comb, abs(partial - comb)]]
-    params = {**phi_params, "n": args.n, "tol": args.tol}
-    return params, ["N", "partial_action", "comb_action", "abs_diff"], rows
+    return ["N", "partial_action", "comb_action", "abs_diff"], rows
 
 
 def _cmd_fourier(args):
@@ -274,8 +273,7 @@ def _cmd_fourier(args):
     if not math.isfinite(args.xmax - args.xmin):
         raise ValueError(f"the span of [{args.xmin}, {args.xmax}] is past the float range")
     closed = _cli.delta1_closed if args.order == 1 else _cli.delta2_closed
-    step = (args.xmax - args.xmin) / (args.samples - 1)
-    xs = [args.xmin + i * step for i in range(args.samples - 1)] + [args.xmax]
+    xs = _cli._uniform_grid(args.xmin, args.xmax, args.samples)
     # The closed forms are cheap, so they are checked before the sums,
     # which check their own float range.
     try:
@@ -289,11 +287,7 @@ def _cmd_fourier(args):
         )
     sums = _cli._fourier_partial_sums(args.order, args.n, xs)
     rows = [[x, p, c, abs(p - c)] for x, p, c in zip(xs, sums, closed_forms)]
-    params = {
-        "order": args.order, "n": args.n, "samples": args.samples,
-        "xmin": args.xmin, "xmax": args.xmax,
-    }
-    return params, ["x", "partial_sum", "closed_form", "abs_error"], rows
+    return ["x", "partial_sum", "closed_form", "abs_error"], rows
 
 
 def _cmd_sinc(args):
@@ -301,8 +295,7 @@ def _cmd_sinc(args):
         [N, result.value, abs(result.value - math.pi)]
         for N, result in enumerate(_cli.sinc_table(args.n_max, args.tol))
     ]
-    params = {"n_max": args.n_max, "tol": args.tol}
-    return params, ["N", "value", "abs_error_vs_pi"], rows
+    return ["N", "value", "abs_error_vs_pi"], rows
 
 
 _HANDLERS = {
@@ -350,7 +343,7 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        params, columns, rows = _HANDLERS[args.subcommand](args)
+        columns, rows = _HANDLERS[args.subcommand](args)
     except SystemExit as exc:
         # argparse has already printed the diagnostic and usage synopsis
         return exc.code if isinstance(exc.code, int) else 2
@@ -360,6 +353,11 @@ def run(argv=None) -> int:
     except (ValueError, OverflowError) as exc:
         # an argument that parses but that the library rejects
         return _usage_error(parser, exc)
+    # The parsed options in the parser's order, less the output's own and any left unset.
+    params = {
+        key: value for key, value in vars(args).items()
+        if value is not None and key not in ("subcommand", "format", "out")
+    }
     text = _render(args.subcommand, params, columns, rows, args.format)
     try:
         if args.out is None:

@@ -18,18 +18,18 @@ rounded value there, so x = 0 never divides.
 
 Integrated term by term, the comb's partial sum 1 + 2*sum cos(n*x) gives
 the series x + 2*sum sin(n*x)/n and x**2/2 - 2*sum cos(n*x)/n**2 that
-actions compares with closed forms.  _trig_series sums all three, orders
-0, 1 and 2, by one rule: each series is the correctly rounded sum of its
-N terms.  Up to _SCALAR_TERMS terms, N times the rows, whatever the
-process has imported, that is math.fsum of terms from math.sin and
-math.cos, and numpy stays unloaded; past it, error-free extraction
-(Rump, Ogita & Oishi, 2008) over numpy blocks on up to two threads.
-numpy's sin and cos equal libm's on every argument tested, so both
-routes give the same bits.  Before numpy
-loads, the engine refuses more than SERIES_WORK_CAP terms, N times the
-rows, and an n*r past the float range.  dirichlet_sum is one row of it at
-order 0.  A sample table evaluates both forms once per distinct |x| inside
-the window, so a symmetric grid pays for half its points.
+actions compares with closed forms.  _trig_series returns all three whole
+partial sums, orders 0, 1 and 2, by one rule: each series is the
+correctly rounded sum of its N terms, added to 1, |x| or x**2/2 by one
+more math.fsum.  Up to _SCALAR_TERMS terms, N times the rows, the series
+is math.fsum of terms from math.sin and math.cos, and numpy stays
+unloaded; past it, error-free extraction (Rump, Ogita & Oishi, 2008)
+over numpy blocks on up to two threads, with the same bits.  Before
+numpy loads, the engine refuses every input it cannot sum.
+dirichlet_sum is one row of it at order 0, and actions' Fourier partial
+sums are its orders 1 and 2.  A sample table evaluates both forms once
+per distinct |x| inside the window, so a symmetric grid pays for half
+its points.
 
 Every integral of delta_N against a weight f goes through one route,
 _kernel_integral (f = 1 over the window for the normalization, f = phi
@@ -196,47 +196,59 @@ def _map_on_workers(func, jobs: list, workers: int) -> list:
 
 
 def _series_row(order: int, N: int, r: float) -> float:
-    """One sum of _trig_series, math.fsum of terms from math.sin and math.cos."""
-    r = float(r)
+    """One series of _trig_series, math.fsum of terms from math.sin and math.cos."""
     ns = range(1, N + 1)
     if order == 0:
-        # Doubling is exact, so the doubled sum is the sum of the doubled terms.
-        return 2.0 * math.fsum(math.cos(n * r) for n in ns)
+        return math.fsum(math.cos(n * r) for n in ns)
     if order == 1:
         return math.fsum(math.sin(n * r) / (n / 2) for n in ns)
     return math.fsum(math.cos(n * r) / (n * n) for n in ns)
 
 
-def _trig_series(order: int, N: int, rs) -> list:
-    """sum_{n=1}^{N} of the order's terms at each r >= 0 of rs, as floats.
+def _whole_sums(order: int, xs, rs: list, series: list) -> list:
+    """The whole partial sums of _trig_series from the series s at each x, r = |x|."""
+    if order == 0:
+        return [math.fsum((1.0, 2.0 * s)) for s in series]
+    if order == 2:
+        return [math.fsum((0.5 * r * r, -2.0 * s)) for r, s in zip(rs, series)]
+    # Odd: the sum on |x| times the sign of x, which is exact, and 0.0 at x = +-0.
+    return [math.fsum((r, s)) * math.copysign(1.0, x) if x else 0.0 for x, r, s in zip(xs, rs, series)]
 
-    The terms are 2*cos(n*r) at order 0, sin(n*r)/(n/2) at order 1 and
-    cos(n*r)/n**2 at order 2, and each sum is correctly rounded, the float
-    math.fsum of its N terms gives.  First it raises ValueError past
-    SERIES_WORK_CAP terms, at a NaN r (as not a number) or at an n*r past
-    the float range, so every term is finite and every n*n exact.  While
-    N * len(rs) is at most _SCALAR_TERMS each sum is _series_row, whatever
+
+def _trig_series(order: int, N: int, xs) -> list:
+    """The order's whole partial sum at each x of xs, as floats.
+
+    Let s be the sum over n = 1 .. N of cos(n*r), sin(n*r)/(n/2) or
+    cos(n*r)/n**2 at r = |x|, correctly rounded as math.fsum of its N terms
+    is.  Order 0, 1 or 2 returns math.fsum((1.0, 2.0*s)), the sign of x
+    times math.fsum((r, s)) (0.0 at x = +-0), or math.fsum((x**2/2, -2.0*s)).
+    First it raises ValueError past SERIES_WORK_CAP terms, at a NaN x (as
+    not a number), at order 2 at an x**2/2 past the float range, or at an
+    n*r past it, so every term is finite and every n*n exact.  While
+    N * len(xs) is at most _SCALAR_TERMS each s is _series_row, whatever
     the process has imported, and numpy stays unloaded.  Past it the terms
     are cut into the fewest blocks of at most _BLOCK elements, each a few
-    rows by one range of n: every row is split into the same column ranges.  The
-    blocks run on up to _worker_count() threads (_map_on_workers), each
-    reduced to exact partials per row, and math.fsum of all the partials
-    a row gets is its sum.  Each worker fills its blocks from three
-    buffers of its own, terms, the extraction's scratch and the orders n
-    of one block, and n comes from one shared, read-only index 0, 1, 2,
-    ..., all made once per call, so no block allocates a large array.
+    rows by one range of n, every row split into the same column ranges,
+    run on up to _worker_count() threads (_map_on_workers) and reduced to
+    exact partials per row, whose math.fsum is the row's s.  Each worker
+    fills its blocks from three buffers of its own, terms, the
+    extraction's scratch and the orders n of one block, and n comes from
+    one shared, read-only index 0, 1, 2, ..., all made once per call.
     """
-    if N * len(rs) > SERIES_WORK_CAP:
+    if N * len(xs) > SERIES_WORK_CAP:
         raise ValueError(
-            f"order {N} at {len(rs)} rows is past the work cap: N * rows must be <= {SERIES_WORK_CAP}"
+            f"order {N} at {len(xs)} rows is past the work cap: N * rows must be <= {SERIES_WORK_CAP}"
         )
+    rs = [abs(float(x)) for x in xs]
     for r in rs:  # each r, as max(rs) would skip a nan
         if math.isnan(r):
             raise ValueError(f"|x| = {r} is not a number")
+        if order == 2 and 0.5 * r * r == math.inf:
+            raise ValueError(f"x**2/2 at |x| = {r} is past the float range")
         if not math.isfinite(N * r):
             raise ValueError(f"n * |x| for n up to {N} at |x| = {r} is past the float range")
     if N * len(rs) <= _SCALAR_TERMS:
-        return [_series_row(order, N, r) for r in rs]
+        return _whole_sums(order, xs, rs, [_series_row(order, N, r) for r in rs])
     import numpy as np
 
     # Rows cut into p column ranges of cols elements, height rows to a
@@ -276,22 +288,20 @@ def _trig_series(order: int, N: int, rs) -> list:
     for (i, _), block_rows in zip(jobs, _map_on_workers(block_partials, jobs, len(buffers))):
         for row, partials in zip(parts[i:i + height], block_rows):
             row.extend(partials)
-    scale = 2.0 if order == 0 else 1.0  # as in _series_row
-    return [scale * math.fsum(row) for row in parts]
+    return _whole_sums(order, xs, rs, [math.fsum(row) for row in parts])
 
 
 def dirichlet_sum(N: int, x: float) -> float:
     """1 + 2*sum_{n=1}^{N} cos(n*x) for |x| < pi, else 0 (window boundary).
 
     One row of _trig_series at order 0, its series rounded once, on either
-    route; evaluated on |x| so the result is even bit-for-bit.  Inside the
+    route, and even bit-for-bit, as the engine sums on |x|.  Inside the
     window N may not pass SERIES_WORK_CAP; a NaN x is refused as not a number.
     """
     _validate_order(N)
-    r = abs(x)
-    if r >= math.pi:
+    if abs(x) >= math.pi:
         return 0.0
-    return math.fsum((1.0, _trig_series(0, N, [r])[0]))
+    return _trig_series(0, N, [x])[0]
 
 
 def dirichlet_compact(N: int, x: float) -> float:
@@ -328,6 +338,12 @@ def _windowed_compact(N: int, x: float) -> float:
     return math.sin(u) / math.sin(0.5 * r)
 
 
+def _uniform_grid(xmin: float, xmax: float, count: int) -> list:
+    """The count points xmin + i*step, i < count - 1, and then xmax itself."""
+    step = (xmax - xmin) / (count - 1)
+    return [xmin + i * step for i in range(count - 1)] + [xmax]
+
+
 def kernel_samples(N: int, count: int, xmin: float = -math.pi, xmax: float = math.pi) -> SampleTable:
     """Uniform grid table with columns x, sum-form value, compact-form value.
 
@@ -350,16 +366,12 @@ def kernel_samples(N: int, count: int, xmin: float = -math.pi, xmax: float = mat
     if xmin < -math.pi or xmax > math.pi:
         raise ValueError(f"range [{xmin}, {xmax}] must lie inside [-pi, pi]")
 
-    step = (xmax - xmin) / (count - 1)
-    xs = [xmin + i * step for i in range(count - 1)] + [xmax]
+    xs = _uniform_grid(xmin, xmax, count)
     if xmax == -xmin:
         xs = [0.5 * (a - b) for a, b in zip(xs, reversed(xs))]
 
     rs = list(dict.fromkeys(r for r in map(abs, xs) if r < math.pi))
-    by_r = {
-        r: (math.fsum((1.0, series)), _windowed_compact(N, r))
-        for r, series in zip(rs, _trig_series(0, N, rs))
-    }
+    by_r = {r: (value, _windowed_compact(N, r)) for r, value in zip(rs, _trig_series(0, N, rs))}
     rows = tuple((x, by_r.get(abs(x), (0.0, 0.0))) for x in xs)
     return SampleTable(column_names=("x", "sum_form", "compact_form"), rows=rows)
 

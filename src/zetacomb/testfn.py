@@ -35,8 +35,8 @@ class TestFunction(namedtuple("TestFunction", "evaluator support label")):
     __slots__ = ()
 
     def __new__(cls, evaluator: Callable[[float], float], support: tuple[float, float], label: str):
-        if not support[0] < support[1]:
-            raise ValueError(f"empty support interval {support}")
+        if not -math.inf < support[0] < support[1] < math.inf:
+            raise ValueError(f"support {support} must be a non-empty interval with finite ends")
         return super().__new__(cls, evaluator, support, label)
 
     def __call__(self, x: float) -> float:

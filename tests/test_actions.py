@@ -199,6 +199,25 @@ class TestModeTrapezoid:
         assert info.value.panels_used == 64
         assert str(info.value).endswith("after 64 nodes: the estimate is NaN")
 
+    @pytest.mark.parametrize(
+        "value, N, cause",
+        [
+            (math.inf, 5, "the estimate is NaN"),  # terms of both signs of inf
+            (-1e308, 5, "the estimate is NaN"),  # terms past the float range, of both signs
+            (1.5e307, 0, "the estimate is NaN"),  # every term is phi: their sum passes the float range
+            (1e300, 5, "the rounding floor 1.031e+287 is above tol = 1.000e-10"),
+        ],
+    )
+    def test_unsummable_terms_are_a_quadrature_error(self, value, N, cause):
+        # math.fsum raises at an inf - inf and at a running sum past the
+        # float range; the mode sum takes the plain float sum there, NaN or
+        # inf, and refuses as deltaN_action does, naming the cause in
+        # quad._refine's order.
+        phi = gaussian_bump(0.0, 1.0)._replace(evaluator=lambda x: value)
+        with pytest.raises(QuadratureError) as info:
+            delta0_partial_action(phi, N, 1e-10)
+        assert str(info.value).endswith(f"after {info.value.panels_used} nodes: {cause}")
+
     def test_cap_on_the_next_doubling_is_named(self, monkeypatch):
         # N = 5 starts at M = 32 nodes on a support inside one period and
         # wide enough for 16 nodes of them, so a cap of 32 samples lets the
@@ -616,7 +635,7 @@ def partial_sums(order, N, xs):
     """_fourier_partial_sums, or at order 0 the kernel's sum form from the same engine."""
     if order:
         return _fourier_partial_sums(order, N, xs)
-    return [math.fsum((1.0, series)) for series in _trig_series(0, N, [abs(x) for x in xs])]
+    return _trig_series(0, N, xs)
 
 
 class TestBatchedPartialSums:

@@ -984,3 +984,33 @@ def test_main_writes_the_bytes_run_writes(capsys, argv, fmt):
     )
     assert (result.returncode, result.stdout) == (code, out.encode("utf-8"))
     assert code == 0
+
+
+def subparser(name: str) -> argparse.ArgumentParser:
+    (subparsers,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return subparsers.choices[name]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [*SUBCOMMAND_ARGVS, ["action", "--n-list", "3"], ["comb", "--phi", "gauss", "--n", "4"]],
+    ids=[argv[0] for argv in SUBCOMMAND_ARGVS] + ["action-plateau", "comb-gauss"],
+)
+def test_json_params_name_every_option(capsys, argv):
+    # The params are the parsed options, in the parser's order, but
+    # --format and --out: an option added to a subparser reaches them.  A
+    # plateau has no --center or --radius; a gauss bump names the defaults
+    # it was built with.
+    code, out, _ = run_text(capsys, [*argv, "--format", "json"])
+    assert code == 0
+    params = json.loads(out)["params"]
+    options = [
+        a.dest for a in subparser(argv[0])._actions if a.option_strings and a.dest not in ("help", "format", "out")
+    ]
+    if argv[0] in ("action", "comb"):
+        assert params["phi"] == ("gauss" if "gauss" in argv else "plateau")
+        if params["phi"] == "plateau":
+            options = [dest for dest in options if dest not in ("center", "radius")]
+        else:
+            assert (params["center"], params["radius"]) == (0.0, 1.0)
+    assert list(params) == options

@@ -33,6 +33,7 @@ CASES = [
     (gaussian_bump, (0.0, INF), "radius must be > 0 and finite, got inf"),
     (gaussian_bump, (NAN, 1.0), "center must be finite, got nan"),
     (gaussian_bump, (-INF, 1.0), "center must be finite, got -inf"),
+    (gaussian_bump, (1e308, 1e308), "support (0.0, inf) must be a non-empty interval with finite ends"),
     (bernoulli_number, (True,), "got True"),
     (bernoulli_number, (2.0,), "got 2.0"),
     (ladder_states, (True,), "got True"),
