@@ -60,8 +60,9 @@ __all__ = [name for names in _EXPORTS.values() for name in names]
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 
 
-# The checks, the floor and the error below are defined here, not in a
-# submodule, so that kernels, quad and actions reach them without loading each other.
+# The checks, the floor, the error and the record base below are defined
+# here, not in a submodule, so that the submodules reach them without
+# loading each other.
 
 
 def _validate_order(N: int, least: int = 0) -> None:
@@ -98,6 +99,17 @@ class QuadratureError(RuntimeError):
         self.value = value
         self.error_estimate = error_estimate
         self.panels_used = panels_used
+
+
+class _Record:
+    """First base of a namedtuple record whose __new__ checks its fields:
+    _make, and so _replace, builds through cls(*fields), so it checks them too."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def __getattr__(name):

@@ -28,13 +28,16 @@ partial sums of kernels._trig_series at order 1 or 2, each series
 correctly rounded and added to |x| (or x**2/2) by one more math.fsum, so
 results are deterministic; odd sums are computed on |x| and sign-flipped
 so antisymmetry holds bit-for-bit.  The engine refuses every x it cannot
-sum before numpy loads; the closed forms refuse a NaN or infinite x.
+sum before numpy loads; the closed forms refuse, naming it, every x at
+which their value would not be a finite float.
+
+kernels is imported by the two functions that run it, deltaN_action and
+the partial sums, so the comb's two routes never load it.
 """
 
 import math
 
 from . import QuadratureError, _rounding_floor, _validate_order, _validate_tol
-from .kernels import _frequency, _kernel_integral, _trig_series
 
 __all__ = [
     "MODE_SAMPLE_CAP",
@@ -52,7 +55,8 @@ _TWO_PI = 2.0 * math.pi
 # Most samples of phi one mode-route sum may take (about 2.5 s of Python):
 # M nodes times the number of periods the support spans, at least one.  The
 # sum starts at M >= 4N+4, so orders N >= 2**18 are refused at once, and lower
-# orders too when the support spans more than one period.
+# orders too when the support spans more than one period.  The lattice route
+# may take as many, one per lattice point of the support.
 MODE_SAMPLE_CAP = 1 << 20
 # The first comparison S_M vs S_{M/2} is trusted only if the coarse grid
 # puts at least this many nodes inside a support narrower than 2*pi.
@@ -177,12 +181,21 @@ def delta0_partial_action(phi: "TestFunction", N: int, tol: float) -> float:
 
 
 def delta0_comb_action(phi: "TestFunction") -> float:
-    """Lattice route: 2*pi * sum of phi(2*pi*n) over 2*pi*n in support(phi)."""
+    """Lattice route: 2*pi * sum of phi(2*pi*n) over 2*pi*n in support(phi).
+
+    Raises ValueError before evaluating phi if the support holds more than
+    MODE_SAMPLE_CAP lattice points.
+    """
     lo, hi = phi.support
     n_lo = math.ceil(lo / _TWO_PI)
     n_hi = math.floor(hi / _TWO_PI)
     if n_lo > n_hi:
         return 0.0
+    if n_hi - n_lo + 1 > MODE_SAMPLE_CAP:
+        raise ValueError(
+            f"the lattice sum over {phi.support} needs {n_hi - n_lo + 1} samples of phi,"
+            f" more than MODE_SAMPLE_CAP = {MODE_SAMPLE_CAP}"
+        )
     return _TWO_PI * math.fsum(phi(_TWO_PI * n) for n in range(n_lo, n_hi + 1))
 
 
@@ -193,6 +206,8 @@ def deltaN_action(phi: "TestFunction", N: int, tol: float) -> float:
     to the support, for N < 2**52 (kernels._frequency), else ValueError;
     converges to 2*pi*phi(0) as N grows.
     """
+    from .kernels import _frequency, _kernel_integral
+
     _frequency(N)
     _validate_tol(tol)
     lo = max(-math.pi, phi.support[0])
@@ -206,6 +221,8 @@ def _fourier_partial_sums(order: int, N: int, xs) -> list:
     """The order-1 or order-2 partial sums at every x of xs, as floats: the
     whole partial sums of kernels._trig_series, which refuses every input it
     cannot sum (ValueError, before numpy loads), at N >= 1."""
+    from .kernels import _trig_series
+
     _validate_order(N, least=1)
     return _trig_series(order, N, xs)
 
@@ -252,8 +269,11 @@ def delta2_closed(x: float) -> float:
     """pi*x*(floor(u)+ceil(u)) - 2*pi**2*ceil(u)*floor(u) - pi**2/3, u = x/2pi.
 
     Continuous everywhere, piecewise affine between lattice points.  For
-    finite x (_floor_ceil); OverflowError where ceil(u)*floor(u) is past
-    the float range.
+    finite x (_floor_ceil); ValueError naming x where the value would not be
+    finite, from |x| of about 1.34e154, where its first term passes the float range.
     """
     fl, ce = _floor_ceil(x)
-    return math.pi * x * (fl + ce) - 2.0 * math.pi**2 * (ce * fl) - math.pi**2 / 3.0
+    first = math.pi * x * (fl + ce)  # >= 0, as x and fl + ce share a sign
+    if first == math.inf:  # else the value, about first/2, is finite
+        raise ValueError(f"the order-2 closed form at x = {x} is past the float range")
+    return first - 2.0 * math.pi**2 * (ce * fl) - math.pi**2 / 3.0

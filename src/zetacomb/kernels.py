@@ -44,7 +44,7 @@ import os
 import threading
 from collections import namedtuple
 
-from . import _validate_order, _validate_tol
+from . import _Record, _validate_order, _validate_tol
 
 __all__ = [
     "EPS_SING",
@@ -84,7 +84,7 @@ _SCALAR_TERMS = 5 * 10**5
 _BLOCK = 1 << 16
 
 
-class SampleTable(namedtuple("SampleTable", "column_names rows")):
+class SampleTable(_Record, namedtuple("SampleTable", "column_names rows")):
     """Columns of values over a strictly increasing x grid."""
 
     __slots__ = ()
@@ -339,7 +339,13 @@ def _windowed_compact(N: int, x: float) -> float:
 
 
 def _uniform_grid(xmin: float, xmax: float, count: int) -> list:
-    """The count points xmin + i*step, i < count - 1, and then xmax itself."""
+    """The count points xmin + i*step, i < count - 1, and then xmax itself;
+    the grid of kernel_samples and of the cli's fourier table.  ValueError
+    unless xmin < xmax (so at a NaN end) and xmax - xmin is finite."""
+    if not xmin < xmax:
+        raise ValueError(f"need xmin < xmax, got [{xmin}, {xmax}]")
+    if not math.isfinite(xmax - xmin):
+        raise ValueError(f"the span of [{xmin}, {xmax}] is past the float range")
     step = (xmax - xmin) / (count - 1)
     return [xmin + i * step for i in range(count - 1)] + [xmax]
 
@@ -361,12 +367,10 @@ def kernel_samples(N: int, count: int, xmin: float = -math.pi, xmax: float = mat
         raise ValueError(f"need an integer number of sample points, at least 2, got {count!r}")
     if count > SAMPLES_CAP:
         raise ValueError(f"need at most SAMPLES_CAP = {SAMPLES_CAP} sample points, got {count}")
-    if not xmin < xmax:
-        raise ValueError(f"need xmin < xmax, got [{xmin}, {xmax}]")
+    xs = _uniform_grid(xmin, xmax, count)
     if xmin < -math.pi or xmax > math.pi:
         raise ValueError(f"range [{xmin}, {xmax}] must lie inside [-pi, pi]")
 
-    xs = _uniform_grid(xmin, xmax, count)
     if xmax == -xmin:
         xs = [0.5 * (a - b) for a, b in zip(xs, reversed(xs))]
 

@@ -47,7 +47,7 @@ from collections import namedtuple
 from collections.abc import Callable
 from operator import mul
 
-from . import QuadratureError, _rounding_floor, _validate_order, _validate_tol
+from . import QuadratureError, _Record, _rounding_floor, _validate_order, _validate_tol
 
 __all__ = [
     "QuadResult",
@@ -143,7 +143,7 @@ _CHEB12_EVEN, _CHEB12_ODD = _cheb_rows(12)
 DEFAULT_PANEL_BUDGET = 1_000_000
 
 
-class QuadResult(namedtuple("QuadResult", "value error_estimate panels_used")):
+class QuadResult(_Record, namedtuple("QuadResult", "value error_estimate panels_used")):
     """An integral's value, its error estimate (never NaN) and the panels it took."""
 
     __slots__ = ()

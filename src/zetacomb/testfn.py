@@ -18,6 +18,8 @@ import math
 from collections import namedtuple
 from collections.abc import Callable
 
+from . import _Record
+
 __all__ = [
     "TestFunction",
     "bump_plateau",
@@ -29,7 +31,7 @@ __all__ = [
 _SIGMA_DOMAIN = 1.5 * math.pi
 
 
-class TestFunction(namedtuple("TestFunction", "evaluator support label")):
+class TestFunction(_Record, namedtuple("TestFunction", "evaluator support label")):
     """Smooth function vanishing identically outside [support[0], support[1]]."""
 
     __slots__ = ()

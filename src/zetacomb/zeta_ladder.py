@@ -39,6 +39,7 @@ import threading
 from collections import namedtuple
 from fractions import Fraction
 
+from . import _Record
 from .exactalg import PiNumber
 
 __all__ = [
@@ -96,7 +97,7 @@ class LadderState(namedtuple("LadderState", "order coeffs")):
         return " + ".join(parts) or "0"
 
 
-class ZetaValue(namedtuple("ZetaValue", "two_k value")):
+class ZetaValue(_Record, namedtuple("ZetaValue", "two_k value")):
     """zeta(two_k) as an exact positive rational multiple of pi**two_k."""
 
     __slots__ = ()

@@ -55,6 +55,12 @@ EXTRA = [
     ["action", "--n-list", "140737488355328", "--tol", "1e-12"],  # the summed floors pass tol
     ["action", "--n-list", "-1,2"],
     ["kernel", "--n", "5", "--samples", "3", "--xmin", "-inf"],
+    # grids the library's closed forms or grid rule refuse
+    ["fourier", "--order", "2", "--n", "1", "--samples", "2", "--xmin", "1e154", "--xmax", "1.5e154"],
+    ["fourier", "--order", "2", "--n", "7", "--samples", "4", "--xmin=-1e300", "--xmax", "1e300"],
+    ["fourier", "--order", "1", "--n", "3", "--samples", "3", "--xmin", "2", "--xmax", "1"],
+    ["fourier", "--order", "1", "--n", "3", "--samples", "3", "--xmin=-1.7e308", "--xmax", "1.7e308"],
+    ["kernel", "--n", "5", "--samples", "3", "--xmin=-1.7e308", "--xmax", "1.7e308"],
 ]
 
 

@@ -65,6 +65,22 @@ class TestCombAction:
     def test_no_lattice_point_in_support(self):
         assert delta0_comb_action(gaussian_bump(11 * math.pi, 1.0)) == 0.0
 
+    def test_support_past_the_cap_is_refused_before_phi_runs(self):
+        # about 3.2e8 lattice points
+        wide = gaussian_bump(0.0, 1e9)._replace(evaluator=mock.Mock(return_value=0.0))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"more than MODE_SAMPLE_CAP = {MODE_SAMPLE_CAP}"):
+            delta0_comb_action(wide)
+        assert time.perf_counter() - start < 1.0
+        wide.evaluator.assert_not_called()
+
+    def test_the_cap_counts_lattice_points(self, monkeypatch):
+        monkeypatch.setattr(actions, "MODE_SAMPLE_CAP", 3)
+        three = gaussian_bump(TWO_PI, 7.0)  # 0, 2*pi and 4*pi
+        assert delta0_comb_action(three) == TWO_PI * math.fsum(three(TWO_PI * n) for n in range(3))
+        with pytest.raises(ValueError, match="needs 4 samples of phi, more than MODE_SAMPLE_CAP = 3"):
+            delta0_comb_action(gaussian_bump(3 * math.pi, 10.0))  # 0 to 6*pi
+
 
 class TestPartialAction:
     def test_order_zero_is_plain_integral(self):

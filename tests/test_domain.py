@@ -1,7 +1,8 @@
 """The domain contract of the public functions: a float parameter that is
-NaN or infinite, or an integer parameter that is a bool or a float, is
-refused with a ValueError whose message names the value, never answered
-with a wrong value or a bare TypeError or OverflowError."""
+NaN or infinite, or whose result would be, and an integer parameter that
+is a bool or a float, is refused with a ValueError whose message names
+the value, never answered with a wrong value or a bare TypeError or
+OverflowError."""
 
 import math
 
@@ -20,6 +21,7 @@ from zetacomb import (
     kernel_samples,
     ladder_states,
 )
+from zetacomb.kernels import _uniform_grid
 
 NAN, INF = math.nan, math.inf
 
@@ -29,6 +31,9 @@ CASES = [
     (fourier_partial_delta1, (5, NAN), "|x| = nan is not a number"),
     (fourier_partial_delta2, (5, NAN), "|x| = nan is not a number"),
     *((closed, (x,), f"got x = {x}") for closed in (delta1_closed, delta2_closed) for x in (NAN, INF, -INF)),
+    # finite x where the order-2 closed form's float value would be inf or
+    # nan, or its floor(u)*ceil(u) past the float range
+    *((delta2_closed, (x,), f"at x = {x} is past the float range") for x in (1.35e154, 1.9e154, -1.9e154, 1e300)),
     (bump_plateau, (1.0, INF), "outer=inf"),
     (gaussian_bump, (0.0, INF), "radius must be > 0 and finite, got inf"),
     (gaussian_bump, (NAN, 1.0), "center must be finite, got nan"),
@@ -39,6 +44,17 @@ CASES = [
     (ladder_states, (True,), "got True"),
     (ladder_states, (2.0,), "got 2.0"),
     (kernel_samples, (5, 2.0), "got 2.0"),
+    # the grid of kernel and fourier: ends in order, and a finite span
+    *(
+        case
+        for ends, names_it in (
+            ((1.0, 1.0), "need xmin < xmax, got [1.0, 1.0]"),
+            ((2.0, -2.0), "need xmin < xmax, got [2.0, -2.0]"),
+            ((NAN, 1.0), "need xmin < xmax, got [nan, 1.0]"),
+            ((-1.7e308, 1.7e308), "the span of [-1.7e+308, 1.7e+308] is past the float range"),
+        )
+        for case in ((kernel_samples, (5, 3, *ends), names_it), (_uniform_grid, (*ends, 3), names_it))
+    ),
     (PiNumber.pi_power, (True, 1), "got True"),
 ]
 

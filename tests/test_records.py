@@ -69,21 +69,39 @@ class TestRecordContract:
         assert repr(record(**fields)) == text
 
 
-@pytest.mark.parametrize(
-    "record, fields",
-    [
-        (QuadResult, {"value": 1.0, "error_estimate": -1e-3, "panels_used": 5}),
-        (QuadResult, {"value": 1.0, "error_estimate": 0.0, "panels_used": 0}),
-        # a row narrower than the columns, then an x grid that does not increase
-        (SampleTable, {"column_names": ("x", "a", "b"), "rows": ((0.0, (1.0,)),)}),
-        (SampleTable, {"column_names": ("x", "v"), "rows": ((0.0, (1.0,)), (0.0, (1.0,)))}),
-        (SmoothFunction, {"evaluator": math.sin, "support": (1.0, 1.0), "label": "empty"}),
-        (ZetaValue, {"two_k": 2, "value": PiNumber.zero()}),
-        (ZetaValue, {"two_k": 2, "value": PiNumber.pi_power(2, Fraction(-1, 6))}),
-    ],
-)
+INVALID = [
+    (QuadResult, {"value": 1.0, "error_estimate": -1e-3, "panels_used": 5}),
+    (QuadResult, {"value": 1.0, "error_estimate": 0.0, "panels_used": 0}),
+    # a row narrower than the columns, then an x grid that does not increase
+    (SampleTable, {"column_names": ("x", "a", "b"), "rows": ((0.0, (1.0,)),)}),
+    (SampleTable, {"column_names": ("x", "v"), "rows": ((0.0, (1.0,)), (0.0, (1.0,)))}),
+    (SmoothFunction, {"evaluator": math.sin, "support": (1.0, 1.0), "label": "empty"}),
+    (ZetaValue, {"two_k": 2, "value": PiNumber.zero()}),
+    (ZetaValue, {"two_k": 2, "value": PiNumber.pi_power(2, Fraction(-1, 6))}),
+]
+VALID = {record: fields for record, fields, _ in RECORDS}
+
+
+@pytest.mark.parametrize("record, fields", INVALID)
 def test_invalid_fields_are_refused(record, fields):
     with pytest.raises(ValueError):
         record(*fields.values())
     with pytest.raises(ValueError):
         record(**fields)
+
+
+def refused(build):
+    try:
+        build()
+    except ValueError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("record, fields", INVALID)
+def test_replace_checks_the_fields_as_construction_does(record, fields):
+    valid = record(**VALID[record])
+    assert refused(lambda: valid._replace(**fields))
+    for name, value in fields.items():  # one field at a time: refused exactly when construction is
+        alone = {**VALID[record], name: value}
+        assert refused(lambda: valid._replace(**{name: value})) == refused(lambda: record(**alone))

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mpf
 
-from zetacomb import actions, kernels
+from zetacomb import kernels
 from zetacomb.actions import _mode_trapezoid, deltaN_action
 from zetacomb.quad import QuadratureError, sinc_table
 from zetacomb.testfn import bump_plateau, gaussian_bump
@@ -65,12 +65,13 @@ def true_error(value, exact):
 def action_result(phi, N, tol):
     """The QuadResult behind deltaN_action(phi, N, tol), by its own call."""
     results = []
+    kernel_integral = kernels._kernel_integral
 
     def spy(*args, **kwargs):
-        results.append(kernels._kernel_integral(*args, **kwargs))
+        results.append(kernel_integral(*args, **kwargs))
         return results[-1]
 
-    with mock.patch.object(actions, "_kernel_integral", spy):
+    with mock.patch.object(kernels, "_kernel_integral", spy):
         value = deltaN_action(phi, N, tol)
     (result,) = results
     assert result.value == value
