@@ -14,6 +14,7 @@ against floor/ceiling closed forms, and the truncated sinc integral.
 """
 
 import importlib
+import math
 import sys
 
 __version__ = "0.1.0"
@@ -65,17 +66,17 @@ _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 # loading each other.
 
 
-def _validate_order(N: int, least: int = 0) -> None:
-    """Refuse an order N that is not an int (bool included) or is below least."""
-    if isinstance(N, bool) or not isinstance(N, int) or N < least:
-        kind = "non-negative" if least == 0 else "positive"
-        raise ValueError(f"N must be a {kind} integer, got {N!r}")
+def _validate_order(value: int, name: str, least: int) -> None:
+    """Refuse a value of the integer argument name that is not an int (bool
+    included) or is below least, naming the value."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _validate_tol(tol: float) -> None:
-    """Refuse a tolerance that is not > 0 (nan included)."""
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    """Refuse a tolerance that is not finite and > 0 (nan included)."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
 
 
 def _rounding_floor(mass: float) -> float:

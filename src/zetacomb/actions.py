@@ -25,8 +25,8 @@ tail below 2/N, so it is compared everywhere.
 
 The partial sums run over a whole x grid at once: they are the whole
 partial sums of kernels._trig_series at order 1 or 2, each series
-correctly rounded and added to |x| (or x**2/2) by one more math.fsum, so
-results are deterministic; odd sums are computed on |x| and sign-flipped
+correctly rounded and added to |x| (or x**2/2) by one float addition,
+itself correctly rounded, so results are deterministic; odd sums are computed on |x| and sign-flipped
 so antisymmetry holds bit-for-bit.  The engine refuses every x it cannot
 sum before numpy loads; the closed forms refuse, naming it, every x at
 which their value would not be a finite float.
@@ -175,7 +175,7 @@ def delta0_partial_action(phi: "TestFunction", N: int, tol: float) -> float:
     ValueError before any work past MODE_SAMPLE_CAP samples of phi, and
     QuadratureError when tol cannot be met, at once on a NaN estimate.
     """
-    _validate_order(N)
+    _validate_order(N, "N", 0)
     _validate_tol(tol)
     return _mode_trapezoid(phi, N, tol)[0]
 
@@ -223,7 +223,7 @@ def _fourier_partial_sums(order: int, N: int, xs) -> list:
     cannot sum (ValueError, before numpy loads), at N >= 1."""
     from .kernels import _trig_series
 
-    _validate_order(N, least=1)
+    _validate_order(N, "N", 1)
     return _trig_series(order, N, xs)
 
 

@@ -14,6 +14,14 @@ with LF endings, and JSON is one object {command, params, columns, rows}
 with rows as arrays.  A handler returns only its columns and rows; run()
 takes the params from the parsed options, so none is written twice.
 
+The parser only converts text: int, float, the --n-list list of
+non-negative integers and the fixed choices.  Every other rule on an
+argument, its range, its cap and its finiteness, is the library's, stated
+once where the work is, and a value it refuses exits 2 through run()'s
+ValueError: the sample count and SAMPLES_CAP in kernels._uniform_grid, the
+orders and ORDER_CAP in zeta_ladder, --tol in _validate_tol.  zeta asks
+for row K first, so a K past the cap is refused before any row is built.
+
 Each invocation loads only the library modules its subcommand runs:
 this module imports none at module level.  The library names it uses are
 attributes of it all the same, resolved on first lookup (PEP 562) through
@@ -56,7 +64,7 @@ _package = sys.modules[__package__]
 # The library names this module takes that the package does not export,
 # and their modules.  Every other library name is resolved through the
 # package's own table of public names.
-_PRIVATE = {"_fourier_partial_sums": "actions", "SAMPLES_CAP": "kernels", "_uniform_grid": "kernels"}
+_PRIVATE = {"_fourier_partial_sums": "actions", "_uniform_grid": "kernels"}
 
 
 def __getattr__(name):
@@ -70,58 +78,11 @@ def __getattr__(name):
     return value
 
 
-__all__ = ["build_parser", "run", "main", "SAMPLES_CAP", "ZETA_MAX_K"]
-
-# Largest accepted --max-k: 2k = 400 takes about 0.1 s with --oracle.
-ZETA_MAX_K = 200
+__all__ = ["build_parser", "run", "main"]
 
 
 class _NumericalFailure(Exception):
     pass
-
-
-def _int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-
-
-def _int_in(least: int, cap: int | None = None):
-    """An argparse type: an integer >= least and, given a cap, <= cap."""
-
-    def convert(text: str) -> int:
-        value = _int(text)
-        if value < least:
-            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
-        if cap is not None and value > cap:
-            raise argparse.ArgumentTypeError(f"must be <= {cap}, got {value}")
-        return value
-
-    return convert
-
-
-def _samples(text: str) -> int:
-    """The --samples type: an integer in [2, SAMPLES_CAP], the cap looked up
-    here so that building the parser does not import kernels."""
-    return _int_in(2, _cli.SAMPLES_CAP)(text)
-
-
-def _finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
-    return value
-
-
-def _pos_float(text: str) -> float:
-    value = _finite_float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
-    return value
 
 
 def _n_list(text: str) -> list[int]:
@@ -160,30 +121,30 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", metavar="PATH", help="write to PATH instead of stdout")
         if tol:
             p.add_argument(
-                "--tol", type=_pos_float, default=1e-10,
+                "--tol", type=float, default=1e-10,
                 help="quadrature tolerance (default: 1e-10)",
             )
 
     p = sub.add_parser("zeta", help="exact zeta(2k) as rational multiples of pi^2k")
-    p.add_argument("--max-k", type=_int_in(1, ZETA_MAX_K), required=True, metavar="K",
-                   help=f"emit rows for 2k = 2..2K, K <= {ZETA_MAX_K}")
+    p.add_argument("--max-k", type=int, required=True, metavar="K",
+                   help="emit rows for 2k = 2..2K, 2K at most the ladder's order cap")
     p.add_argument("--oracle", action="store_true",
                    help="add the Bernoulli-formula column; values must match")
     common(p)
 
     p = sub.add_parser("kernel", help="sample the order-N kernel in both forms")
-    p.add_argument("--n", type=_int_in(0), required=True, metavar="N")
-    p.add_argument("--samples", type=_samples, default=2001, metavar="M")
-    p.add_argument("--xmin", type=_finite_float, default=-math.pi)
-    p.add_argument("--xmax", type=_finite_float, default=math.pi)
+    p.add_argument("--n", type=int, required=True, metavar="N")
+    p.add_argument("--samples", type=int, default=2001, metavar="M")
+    p.add_argument("--xmin", type=float, default=-math.pi)
+    p.add_argument("--xmax", type=float, default=math.pi)
     common(p)
 
     def phi_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--phi", choices=("plateau", "gauss"), default="plateau",
                        help="test function family (default: plateau)")
-        p.add_argument("--center", type=_finite_float, default=None,
+        p.add_argument("--center", type=float, default=None,
                        help="gauss only: bump center (default 0)")
-        p.add_argument("--radius", type=_pos_float, default=None,
+        p.add_argument("--radius", type=float, default=None,
                        help="gauss only: bump radius (default 1)")
 
     p = sub.add_parser("action", help="kernel action vs 2*pi*phi(0) over a list of N")
@@ -193,19 +154,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("comb", help="partial action vs lattice sum at one N")
     phi_args(p)
-    p.add_argument("--n", type=_int_in(0), required=True, metavar="N")
+    p.add_argument("--n", type=int, required=True, metavar="N")
     common(p, tol=True)
 
     p = sub.add_parser("fourier", help="partial sum vs closed form on a grid")
     p.add_argument("--order", type=int, choices=(1, 2), required=True)
-    p.add_argument("--n", type=_int_in(1), required=True, metavar="N")
-    p.add_argument("--samples", type=_samples, required=True, metavar="M")
-    p.add_argument("--xmin", type=_finite_float, required=True)
-    p.add_argument("--xmax", type=_finite_float, required=True)
+    p.add_argument("--n", type=int, required=True, metavar="N")
+    p.add_argument("--samples", type=int, required=True, metavar="M")
+    p.add_argument("--xmin", type=float, required=True)
+    p.add_argument("--xmax", type=float, required=True)
     common(p)
 
     p = sub.add_parser("sinc", help="truncated sinc integral for N = 0..n_max")
-    p.add_argument("--n-max", type=_int_in(0), required=True, metavar="N")
+    p.add_argument("--n-max", type=int, required=True, metavar="N")
     common(p, tol=True)
 
     return parser
@@ -227,6 +188,8 @@ def _cmd_zeta(args):
     columns = ["two_k", "zeta"]
     if args.oracle:
         columns.append("bernoulli")
+    # Row K first: the library refuses a K past its cap before any row is built.
+    _cli.zeta_even(2 * args.max_k)
     rows = []
     for k in range(1, args.max_k + 1):
         two_k = 2 * k

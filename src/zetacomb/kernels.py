@@ -21,12 +21,12 @@ the series x + 2*sum sin(n*x)/n and x**2/2 - 2*sum cos(n*x)/n**2 that
 actions compares with closed forms.  _trig_series returns all three whole
 partial sums, orders 0, 1 and 2, by one rule: each series is the
 correctly rounded sum of its N terms, added to 1, |x| or x**2/2 by one
-more math.fsum.  Up to _SCALAR_TERMS terms, N times the rows, the series
-is math.fsum of terms from math.sin and math.cos, and numpy stays
-unloaded; past it, error-free extraction (Rump, Ogita & Oishi, 2008)
-over numpy blocks on up to two threads, with the same bits.  Before
-numpy loads, the engine refuses every input it cannot sum.
-dirichlet_sum is one row of it at order 0, and actions' Fourier partial
+float addition, itself correctly rounded.  Up to _SCALAR_TERMS terms, N
+times the rows, the series is math.fsum of terms from math.sin and
+math.cos, and numpy stays unloaded; past it, error-free extraction
+(Rump, Ogita & Oishi, 2008) over numpy blocks on up to two threads, with
+the same bits.  Before numpy loads, the engine refuses every input it
+cannot sum.  dirichlet_sum is one row of it at order 0, and actions' Fourier partial
 sums are its orders 1 and 2.  A sample table evaluates both forms once
 per distinct |x| inside the window, so a symmetric grid pays for half
 its points.
@@ -206,13 +206,14 @@ def _series_row(order: int, N: int, r: float) -> float:
 
 
 def _whole_sums(order: int, xs, rs: list, series: list) -> list:
-    """The whole partial sums of _trig_series from the series s at each x, r = |x|."""
+    """The whole partial sums of _trig_series from the series s at each x, r = |x|:
+    one float addition each, the correctly rounded sum of its two terms."""
     if order == 0:
-        return [math.fsum((1.0, 2.0 * s)) for s in series]
+        return [1.0 + 2.0 * s for s in series]
     if order == 2:
-        return [math.fsum((0.5 * r * r, -2.0 * s)) for r, s in zip(rs, series)]
+        return [0.5 * r * r - 2.0 * s for r, s in zip(rs, series)]
     # Odd: the sum on |x| times the sign of x, which is exact, and 0.0 at x = +-0.
-    return [math.fsum((r, s)) * math.copysign(1.0, x) if x else 0.0 for x, r, s in zip(xs, rs, series)]
+    return [(r + s) * math.copysign(1.0, x) if x else 0.0 for x, r, s in zip(xs, rs, series)]
 
 
 def _trig_series(order: int, N: int, xs) -> list:
@@ -220,8 +221,8 @@ def _trig_series(order: int, N: int, xs) -> list:
 
     Let s be the sum over n = 1 .. N of cos(n*r), sin(n*r)/(n/2) or
     cos(n*r)/n**2 at r = |x|, correctly rounded as math.fsum of its N terms
-    is.  Order 0, 1 or 2 returns math.fsum((1.0, 2.0*s)), the sign of x
-    times math.fsum((r, s)) (0.0 at x = +-0), or math.fsum((x**2/2, -2.0*s)).
+    is.  Order 0, 1 or 2 returns 1.0 + 2.0*s, the sign of x times r + s
+    (0.0 at x = +-0), or x**2/2 - 2.0*s, each one correctly rounded addition.
     First it raises ValueError past SERIES_WORK_CAP terms, at a NaN x (as
     not a number), at order 2 at an x**2/2 past the float range, or at an
     n*r past it, so every term is finite and every n*n exact.  While
@@ -298,7 +299,7 @@ def dirichlet_sum(N: int, x: float) -> float:
     route, and even bit-for-bit, as the engine sums on |x|.  Inside the
     window N may not pass SERIES_WORK_CAP; a NaN x is refused as not a number.
     """
-    _validate_order(N)
+    _validate_order(N, "N", 0)
     if abs(x) >= math.pi:
         return 0.0
     return _trig_series(0, N, [x])[0]
@@ -319,7 +320,7 @@ def dirichlet_compact(N: int, x: float) -> float:
 def _frequency(N: int) -> float:
     """w = N + 1/2, exact for every order N < 2**52; else ValueError, as past
     it w is a neighbouring order's, a swap the limit 2*pi*phi(0) cannot show."""
-    _validate_order(N)
+    _validate_order(N, "N", 0)
     if N >= 1 << 52:
         raise ValueError(f"N must be < 2**52, where N + 1/2 is a float; got an N of {N.bit_length()} bits")
     return N + 0.5
@@ -341,7 +342,11 @@ def _windowed_compact(N: int, x: float) -> float:
 def _uniform_grid(xmin: float, xmax: float, count: int) -> list:
     """The count points xmin + i*step, i < count - 1, and then xmax itself;
     the grid of kernel_samples and of the cli's fourier table.  ValueError
-    unless xmin < xmax (so at a NaN end) and xmax - xmin is finite."""
+    unless count is an int in [2, SAMPLES_CAP], xmin < xmax (so at a NaN
+    end) and xmax - xmin is finite."""
+    _validate_order(count, "count", 2)
+    if count > SAMPLES_CAP:
+        raise ValueError(f"need at most SAMPLES_CAP = {SAMPLES_CAP} sample points, got {count}")
     if not xmin < xmax:
         raise ValueError(f"need xmin < xmax, got [{xmin}, {xmax}]")
     if not math.isfinite(xmax - xmin):
@@ -359,20 +364,19 @@ def kernel_samples(N: int, count: int, xmin: float = -math.pi, xmax: float = mat
     asserted exactly rather than approximately.  Both forms are evaluated
     once per distinct |x| inside the window, the sum form as _trig_series
     of order 0 over them all, the value dirichlet_sum gives at each, so N
-    times the number of those |x| may not pass SERIES_WORK_CAP.  count may
-    not pass SAMPLES_CAP, and must be an int (not a bool).
+    times the number of those |x| may not pass SERIES_WORK_CAP.  The grid
+    (_uniform_grid) takes an int count in [2, SAMPLES_CAP], and its points
+    must be distinct floats, as a table's x are.
     """
-    _validate_order(N)
-    if isinstance(count, bool) or not isinstance(count, int) or count < 2:
-        raise ValueError(f"need an integer number of sample points, at least 2, got {count!r}")
-    if count > SAMPLES_CAP:
-        raise ValueError(f"need at most SAMPLES_CAP = {SAMPLES_CAP} sample points, got {count}")
+    _validate_order(N, "N", 0)
     xs = _uniform_grid(xmin, xmax, count)
     if xmin < -math.pi or xmax > math.pi:
         raise ValueError(f"range [{xmin}, {xmax}] must lie inside [-pi, pi]")
 
     if xmax == -xmin:
         xs = [0.5 * (a - b) for a, b in zip(xs, reversed(xs))]
+    if not all(a < b for a, b in zip(xs, xs[1:])):
+        raise ValueError(f"[{xmin}, {xmax}] holds no {count} distinct floats on a uniform grid")
 
     rs = list(dict.fromkeys(r for r in map(abs, xs) if r < math.pi))
     by_r = {r: (value, _windowed_compact(N, r)) for r, value in zip(rs, _trig_series(0, N, rs))}

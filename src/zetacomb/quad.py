@@ -449,7 +449,7 @@ def sinc_table(n_max: int, tol: float) -> list[QuadResult]:
     [0, (N+1/2)pi].  Returns one QuadResult per N; ValueError if the
     n_max + 1 seed panels pass the budget.
     """
-    _validate_order(n_max)
+    _validate_order(n_max, "n_max", 0)
     _validate_tol(tol)
     if n_max + 1 > DEFAULT_PANEL_BUDGET:
         raise _past_budget(f"n_max = {n_max}")

@@ -31,7 +31,11 @@ its Bernoulli numbers come from tangent numbers, not from the recurrence
 sum_j C(m+1, j) * B_j = 0, which is the ladder's mean matching in disguise.
 
 States are immutable; the ladder and Bernoulli caches are guarded by locks,
-so the module is safe for concurrent use and always deterministic.
+so the module is safe for concurrent use and always deterministic.  An
+order past ORDER_CAP = 400 is refused with a ValueError naming the cap
+before any work: a rung of order n holds n integers of O(n log n) bits,
+so with no cap zeta_even(2**52) would not return, and ladder_states(800)
+takes 20 s or more.
 """
 
 import math
@@ -39,10 +43,11 @@ import threading
 from collections import namedtuple
 from fractions import Fraction
 
-from . import _Record
+from . import _Record, _validate_order
 from .exactalg import PiNumber
 
 __all__ = [
+    "ORDER_CAP",
     "LadderState",
     "ZetaValue",
     "ladder_init",
@@ -54,6 +59,20 @@ __all__ = [
 ]
 
 _ZERO = PiNumber.zero()
+
+# The largest order that ladder_states, zeta_even, bernoulli_number and
+# bernoulli_oracle accept.  ladder_states(ORDER_CAP), which builds every
+# state up to it as Fractions, is the slowest call the cap accepts: 1.8 to
+# 3.2 s in process on 2 vCPUs.  zeta_even and bernoulli_oracle at every
+# even order up to it take about 0.1 s together.
+ORDER_CAP = 400
+
+
+def _validate_capped(value: int, name: str, least: int) -> None:
+    """_validate_order, then refuse a value past ORDER_CAP, naming both."""
+    _validate_order(value, name, least)
+    if value > ORDER_CAP:
+        raise ValueError(f"{name} must be <= ORDER_CAP = {ORDER_CAP}, got {value}")
 
 
 def _pi_multiple(x: PiNumber) -> Fraction:
@@ -206,9 +225,9 @@ def _top_rung(order: int) -> _Rung:
 
 
 def ladder_states(order: int) -> tuple[LadderState, ...]:
-    """States of orders 1..order, built from the cached integer rung; order an int >= 1."""
-    if isinstance(order, bool) or not isinstance(order, int) or order < 1:
-        raise ValueError(f"order must be an integer >= 1, got {order!r}")
+    """States of orders 1..order, built from the cached integer rung; order an
+    int in [1, ORDER_CAP]."""
+    _validate_capped(order, "order", 1)
     rung = _top_rung(order)
     return tuple(LadderState(order=n, coeffs=rung.coeffs(n)) for n in range(1, order + 1))
 
@@ -222,14 +241,16 @@ def _reset_cache() -> None:
 
 
 def _require_even(two_k: int) -> None:
-    if not isinstance(two_k, int) or two_k < 2 or two_k % 2:
-        raise ValueError(f"argument must be an even integer >= 2, got {two_k!r}")
+    _validate_capped(two_k, "two_k", 2)
+    if two_k % 2:
+        raise ValueError(f"two_k must be even, got {two_k}")
 
 
 def zeta_even(two_k: int) -> ZetaValue:
     """Exact zeta(two_k) from the ladder: (-1)**k * (Q_2k(0) - P_2k(0)) / 2.
 
-    P_2k(0) = 0, so this is (-1)**k * q_2k(0) / 2 times pi**2k.
+    P_2k(0) = 0, so this is (-1)**k * q_2k(0) / 2 times pi**2k.  two_k is
+    an even int in [2, ORDER_CAP].
     """
     _require_even(two_k)
     rung = _top_rung(two_k)
@@ -265,10 +286,9 @@ def bernoulli_number(m: int) -> Fraction:
     The tangent numbers T_k come from the derivatives of tan, a route that
     shares no arithmetic with the ladder's mean matching.  Their table is
     kept and, when too short, rebuilt at least twice as long.  m must be an
-    int (not a bool), else ValueError.
+    int (not a bool) in [0, ORDER_CAP], else ValueError.
     """
-    if isinstance(m, bool) or not isinstance(m, int) or m < 0:
-        raise ValueError(f"index must be an integer >= 0, got {m!r}")
+    _validate_capped(m, "m", 0)
     if m < 2:
         return Fraction(1) if m == 0 else Fraction(-1, 2)
     if m % 2:

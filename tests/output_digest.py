@@ -61,6 +61,13 @@ EXTRA = [
     ["fourier", "--order", "1", "--n", "3", "--samples", "3", "--xmin", "2", "--xmax", "1"],
     ["fourier", "--order", "1", "--n", "3", "--samples", "3", "--xmin=-1.7e308", "--xmax", "1.7e308"],
     ["kernel", "--n", "5", "--samples", "3", "--xmin=-1.7e308", "--xmax", "1.7e308"],
+    # one per range, cap or finiteness rule that the library, not the parser, states
+    ["kernel", "--n", "5", "--samples", "1"],
+    ["fourier", "--order", "1", "--n", "10", "--samples", "100001", "--xmin", "0", "--xmax", "1"],
+    ["sinc", "--n-max", "2", "--tol", "inf"],
+    ["comb", "--phi", "gauss", "--radius", "0", "--n", "5"],
+    ["zeta", "--max-k", "201"],
+    ["kernel", "--n", "-1"],
 ]
 
 

@@ -350,7 +350,7 @@ class TestUsageErrors:
             ["sinc"],
             ["sinc", "--n-max", "2", "--tol", "0"],
             ["nonsense"],
-            ["zeta", "--max-k", "201"],  # above ZETA_MAX_K
+            ["zeta", "--max-k", "201"],  # 2K past the ladder's ORDER_CAP
             ["action", "--phi", "gauss", "--center", "nan", "--n-list", "5"],
             ["comb", "--phi", "gauss", "--radius", "inf", "--n", "5"],
             ["fourier", "--order", "1", "--n", "10", "--samples", "3", "--xmin", "0", "--xmax", "inf"],
@@ -383,10 +383,14 @@ class TestUsageErrors:
             # the closed form's floor times ceiling is past the float range
             (["fourier", "--order", "2", "--n", "7", "--samples", "4", "--xmin=-1e300", "--xmax", "1e300"],
              "error"),
-            (["kernel", "--n", "0", "--samples", "100000000"], "--samples"),  # past SAMPLES_CAP at any order
-            (["kernel", "--n", "0", "--samples", str(cli.SAMPLES_CAP + 1)], "--samples"),
-            (["fourier", "--order", "1", "--n", "10", "--samples", str(cli.SAMPLES_CAP + 1),
-              "--xmin", "0", "--xmax", "1"], "--samples"),
+            # past SAMPLES_CAP at any order
+            (["kernel", "--n", "0", "--samples", "100000000"], f"SAMPLES_CAP = {kernels.SAMPLES_CAP}"),
+            (["kernel", "--n", "0", "--samples", str(kernels.SAMPLES_CAP + 1)], f"SAMPLES_CAP = {kernels.SAMPLES_CAP}"),
+            (["fourier", "--order", "1", "--n", "10", "--samples", str(kernels.SAMPLES_CAP + 1),
+              "--xmin", "0", "--xmax", "1"], f"SAMPLES_CAP = {kernels.SAMPLES_CAP}"),
+            (["kernel", "--n", "5", "--samples", "0"], "count must be an integer >= 2, got 0"),
+            # refused before row 1 is built
+            (["zeta", "--max-k", "1000000"], "ORDER_CAP = 400, got 2000000"),
             (["fourier", "--order", "1", "--n", "10000000", "--samples", "100000", "--xmin", "0", "--xmax", "1"],
              "work cap"),
             (["fourier", "--order", "2", "--n", "10000000", "--samples", "7", "--xmin", "0", "--xmax", "1"],
@@ -474,8 +478,7 @@ class TestUsageErrors:
         code, out, err = run_text(capsys, argv)
         assert code == 2
         assert out == ""
-        assert "not an integer: 'abc'" in err
-        assert "invalid" not in err
+        assert "invalid int value: 'abc'" in err
         for name in ("_int", "_pos_int", "_nonneg_int", "_samples_count", "_max_k"):
             assert name not in err
 
@@ -592,11 +595,11 @@ def flag_values(action: argparse.Action):
     """Texts to try for one flag of the real parser, by its kind."""
     if action.choices is not None:
         return st.sampled_from([str(choice) for choice in action.choices] + ["bogus"])
-    if action.type in (cli._finite_float, cli._pos_float):
-        return FLOAT_TEXTS
-    if action.type is cli._n_list:
-        return st.lists(INT_TEXTS, min_size=1, max_size=3).map(",".join)
-    return INT_TEXTS
+    return {
+        int: INT_TEXTS,
+        float: FLOAT_TEXTS,
+        cli._n_list: st.lists(INT_TEXTS, min_size=1, max_size=3).map(",".join),
+    }[action.type]
 
 
 def subcommand_argv():
