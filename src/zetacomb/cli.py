@@ -11,16 +11,20 @@ Output is a single table in text, CSV, or JSON.  Formatting is fixed so
 that identical invocations are byte-identical: floats print via repr
 (shortest round-trip), exact values print as "num/den π^k", CSV is UTF-8
 with LF endings, and JSON is one object {command, params, columns, rows}
-with rows as arrays.  A handler returns only its columns and rows; run()
-takes the params from the parsed options, so none is written twice.
+with rows as arrays.  argparse dispatches: each subparser carries its
+handler and itself through set_defaults.  A handler returns only its
+columns and rows; run() takes the params from the parsed options, so none
+is written twice.
 
 The parser only converts text: int, float, the --n-list list of
 non-negative integers and the fixed choices.  Every other rule on an
 argument, its range, its cap and its finiteness, is the library's, stated
-once where the work is, and a value it refuses exits 2 through run()'s
-ValueError: the sample count and SAMPLES_CAP in kernels._uniform_grid, the
-orders and ORDER_CAP in zeta_ladder, --tol in _validate_tol.  zeta asks
-for row K first, so a K past the cap is refused before any row is built.
+once where the work is: the sample count and SAMPLES_CAP in
+kernels._uniform_grid, the orders and ORDER_CAP in zeta_ladder, --tol in
+_validate_tol.  A value it refuses exits 2 through the subcommand
+parser's own error(), which prints that subcommand's usage synopsis and
+the library's message, as for argparse's own refusals.  zeta asks for
+row K first, so a K past the cap is refused before any row is built.
 
 Each invocation loads only the library modules its subcommand runs:
 this module imports none at module level.  The library names it uses are
@@ -45,9 +49,9 @@ the collector, as tests and perfbench/tracer.py call run() in process.
 Exit codes: 0 success, 2 usage error (argparse's own convention; also an
 argument the library rejects with ValueError or OverflowError, work past a
 cap or budget refused before it starts among them, and an --out path or a
-stdout that cannot be written), 3 numerical failure (a quadrature or mode
-sum that evaluated panels or nodes and cannot meet its tolerance, or an
-oracle mismatch).
+stdout that cannot be written, each reported by the subcommand parser's
+error()), 3 numerical failure (a quadrature or mode sum that evaluated
+panels or nodes and cannot meet its tolerance, or an oracle mismatch).
 """
 
 import argparse
@@ -113,6 +117,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
+    def command(name: str, handler, help: str) -> argparse.ArgumentParser:
+        # The handler runs the subcommand, and a refusal after parsing is
+        # reported by the subcommand's own parser, as argparse's are.
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler, parser=p)
+        return p
+
     def common(p: argparse.ArgumentParser, tol: bool = False) -> None:
         p.add_argument(
             "--format", choices=("csv", "json", "text"), default="text",
@@ -125,14 +136,14 @@ def build_parser() -> argparse.ArgumentParser:
                 help="quadrature tolerance (default: 1e-10)",
             )
 
-    p = sub.add_parser("zeta", help="exact zeta(2k) as rational multiples of pi^2k")
+    p = command("zeta", _cmd_zeta, help="exact zeta(2k) as rational multiples of pi^2k")
     p.add_argument("--max-k", type=int, required=True, metavar="K",
                    help="emit rows for 2k = 2..2K, 2K at most the ladder's order cap")
     p.add_argument("--oracle", action="store_true",
                    help="add the Bernoulli-formula column; values must match")
     common(p)
 
-    p = sub.add_parser("kernel", help="sample the order-N kernel in both forms")
+    p = command("kernel", _cmd_kernel, help="sample the order-N kernel in both forms")
     p.add_argument("--n", type=int, required=True, metavar="N")
     p.add_argument("--samples", type=int, default=2001, metavar="M")
     p.add_argument("--xmin", type=float, default=-math.pi)
@@ -147,17 +158,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--radius", type=float, default=None,
                        help="gauss only: bump radius (default 1)")
 
-    p = sub.add_parser("action", help="kernel action vs 2*pi*phi(0) over a list of N")
+    p = command("action", _cmd_action, help="kernel action vs 2*pi*phi(0) over a list of N")
     phi_args(p)
     p.add_argument("--n-list", type=_n_list, required=True, metavar="N1,N2,...")
     common(p, tol=True)
 
-    p = sub.add_parser("comb", help="partial action vs lattice sum at one N")
+    p = command("comb", _cmd_comb, help="partial action vs lattice sum at one N")
     phi_args(p)
     p.add_argument("--n", type=int, required=True, metavar="N")
     common(p, tol=True)
 
-    p = sub.add_parser("fourier", help="partial sum vs closed form on a grid")
+    p = command("fourier", _cmd_fourier, help="partial sum vs closed form on a grid")
     p.add_argument("--order", type=int, choices=(1, 2), required=True)
     p.add_argument("--n", type=int, required=True, metavar="N")
     p.add_argument("--samples", type=int, required=True, metavar="M")
@@ -165,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xmax", type=float, required=True)
     common(p)
 
-    p = sub.add_parser("sinc", help="truncated sinc integral for N = 0..n_max")
+    p = command("sinc", _cmd_sinc, help="truncated sinc integral for N = 0..n_max")
     p.add_argument("--n-max", type=int, required=True, metavar="N")
     common(p, tol=True)
 
@@ -248,16 +259,6 @@ def _cmd_sinc(args):
     return ["N", "value", "abs_error_vs_pi"], rows
 
 
-_HANDLERS = {
-    "zeta": _cmd_zeta,
-    "kernel": _cmd_kernel,
-    "action": _cmd_action,
-    "comb": _cmd_comb,
-    "fourier": _cmd_fourier,
-    "sinc": _cmd_sinc,
-}
-
-
 def _render(command: str, params: dict, columns: list, rows: list, fmt: str) -> str:
     if fmt == "json":
         import json
@@ -281,48 +282,41 @@ def _render(command: str, params: dict, columns: list, rows: list, fmt: str) -> 
     return "\n".join(lines) + "\n"
 
 
-def _usage_error(parser: argparse.ArgumentParser, exc: Exception) -> int:
-    """Report exc the way argparse reports a bad argument; returns exit code 2."""
-    parser.print_usage(sys.stderr)
-    print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-    return 2
-
-
 def run(argv=None) -> int:
     """Parse argv, dispatch, write the table; returns the exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        columns, rows = _HANDLERS[args.subcommand](args)
+        args = build_parser().parse_args(argv)
+        try:
+            columns, rows = args.handler(args)
+        except (_NumericalFailure, _package.QuadratureError) as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return 3
+        except (ValueError, OverflowError) as exc:
+            args.parser.error(str(exc))  # an argument that parses but that the library rejects
+        # The parsed options in the parser's order, less the output's own, the
+        # dispatch's own and any left unset.
+        params = {
+            key: value for key, value in vars(args).items()
+            if value is not None and key not in ("subcommand", "format", "out", "handler", "parser")
+        }
+        text = _render(args.subcommand, params, columns, rows, args.format)
+        try:
+            if args.out is None:
+                sys.stdout.write(text)
+                sys.stdout.flush()
+            else:
+                with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
+                    handle.write(text)
+        except OSError as exc:
+            if args.out is None:
+                # stdout's unwritten bytes would fail again in the flush at exit: send them to devnull
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                if isinstance(exc, BrokenPipeError):
+                    return 2  # the reader closed the pipe, as `| head` does: no error to report
+            args.parser.error(str(exc))
     except SystemExit as exc:
-        # argparse has already printed the diagnostic and usage synopsis
+        # the parser that refused has printed its usage synopsis and the diagnostic
         return exc.code if isinstance(exc.code, int) else 2
-    except (_NumericalFailure, _package.QuadratureError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, OverflowError) as exc:
-        # an argument that parses but that the library rejects
-        return _usage_error(parser, exc)
-    # The parsed options in the parser's order, less the output's own and any left unset.
-    params = {
-        key: value for key, value in vars(args).items()
-        if value is not None and key not in ("subcommand", "format", "out")
-    }
-    text = _render(args.subcommand, params, columns, rows, args.format)
-    try:
-        if args.out is None:
-            sys.stdout.write(text)
-            sys.stdout.flush()
-        else:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(text)
-    except OSError as exc:
-        if args.out is None:
-            # stdout's unwritten bytes would fail again in the flush at exit: send them to devnull
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            if isinstance(exc, BrokenPipeError):
-                return 2  # the reader closed the pipe, as `| head` does: no error to report
-        return _usage_error(parser, exc)
     return 0
 
 

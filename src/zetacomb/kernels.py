@@ -153,6 +153,10 @@ def _worker_count() -> int:
     return min(2, cpus)
 
 
+# Hand-rolled rather than concurrent.futures.ThreadPoolExecutor, which
+# imports logging and queue: 6-9 ms under `python -X importtime` on top of
+# numpy (Python 3.11, 2 vCPUs), paid by every kernel or fourier op on the
+# numpy route.
 def _map_on_workers(func, jobs: list, workers: int) -> list:
     """[func(job, worker) for job in jobs], shared out over `workers` threads.
 

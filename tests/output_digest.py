@@ -68,6 +68,9 @@ EXTRA = [
     ["comb", "--phi", "gauss", "--radius", "0", "--n", "5"],
     ["zeta", "--max-k", "201"],
     ["kernel", "--n", "-1"],
+    ["action", "--phi", "gauss", "--center", "nan", "--n-list", "5"],
+    # an --out path that cannot be opened
+    ["kernel", "--n", "5", "--out", "/nonexistent/dir/t.csv"],
 ]
 
 

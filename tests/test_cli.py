@@ -330,6 +330,15 @@ class TestSincCommand:
         )
 
 
+def assert_refused_on_usage(err: str, subcommand: str, message: str) -> None:
+    """err is what argparse prints for a refusal: the subcommand's usage
+    synopsis, then its error line, which names the cause."""
+    assert "usage" in err.lower()
+    assert err.startswith(f"usage: zetacomb {subcommand} ")
+    assert f"zetacomb {subcommand}: error: {message}" in err
+    assert "Traceback" not in err
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",
@@ -379,31 +388,36 @@ class TestUsageErrors:
         "argv, message",
         [
             (["fourier", "--order", "1", "--n", "3", "--samples", "3", "--xmin=-1.7e308", "--xmax", "1.7e308"],
-             "span"),  # xmax - xmin overflows to inf
+             "the span of [-1.7e+308, 1.7e+308] is past the float range"),  # xmax - xmin overflows to inf
             # the closed form's floor times ceiling is past the float range
             (["fourier", "--order", "2", "--n", "7", "--samples", "4", "--xmin=-1e300", "--xmax", "1e300"],
-             "error"),
+             "the order-2 closed form at x = -1e+300 is past the float range"),
             # past SAMPLES_CAP at any order
-            (["kernel", "--n", "0", "--samples", "100000000"], f"SAMPLES_CAP = {kernels.SAMPLES_CAP}"),
-            (["kernel", "--n", "0", "--samples", str(kernels.SAMPLES_CAP + 1)], f"SAMPLES_CAP = {kernels.SAMPLES_CAP}"),
+            (["kernel", "--n", "0", "--samples", "100000000"], f"need at most SAMPLES_CAP = {kernels.SAMPLES_CAP}"),
+            (["kernel", "--n", "0", "--samples", str(kernels.SAMPLES_CAP + 1)],
+             f"need at most SAMPLES_CAP = {kernels.SAMPLES_CAP}"),
             (["fourier", "--order", "1", "--n", "10", "--samples", str(kernels.SAMPLES_CAP + 1),
-              "--xmin", "0", "--xmax", "1"], f"SAMPLES_CAP = {kernels.SAMPLES_CAP}"),
+              "--xmin", "0", "--xmax", "1"], f"need at most SAMPLES_CAP = {kernels.SAMPLES_CAP}"),
             (["kernel", "--n", "5", "--samples", "0"], "count must be an integer >= 2, got 0"),
+            (["zeta", "--max-k", "0"], "two_k must be an integer >= 2, got 0"),
             # refused before row 1 is built
-            (["zeta", "--max-k", "1000000"], "ORDER_CAP = 400, got 2000000"),
+            (["zeta", "--max-k", "1000000"], "two_k must be <= ORDER_CAP = 400, got 2000000"),
             (["fourier", "--order", "1", "--n", "10000000", "--samples", "100000", "--xmin", "0", "--xmax", "1"],
-             "work cap"),
+             "order 10000000 at 100000 rows is past the work cap"),
             (["fourier", "--order", "2", "--n", "10000000", "--samples", "7", "--xmin", "0", "--xmax", "1"],
-             "work cap"),
+             "order 10000000 at 7 rows is past the work cap"),
             # closed forms past the float range, refused before ten million
             # terms per point are summed
             (["fourier", "--order", "2", "--n", "10000000", "--samples", "6", "--xmin=-1e300", "--xmax", "1e300"],
-             "closed form at x = -1e+300"),
+             "the order-2 closed form at x = -1e+300"),
             # x**2/2 is finite, but the closed form is inf
             (["fourier", "--order", "2", "--n", "1", "--samples", "2", "--xmin", "1e154", "--xmax", "1.5e154"],
-             "closed form at x = 1.5e+154"),
+             "the order-2 closed form at x = 1.5e+154"),
+            # the first mode sum is refused before phi is sampled
+            (["comb", "--n", "262144"],
+             f"the mode sum at order 262144 needs more than MODE_SAMPLE_CAP = {MODE_SAMPLE_CAP}"),
             # a value, not an option, though it starts with -
-            (["action", "--n-list", "-1,2"], "need non-negative integers, got '-1,2'"),
+            (["action", "--n-list", "-1,2"], "argument --n-list: need non-negative integers, got '-1,2'"),
         ],
     )
     def test_range_and_work_errors_exit_two_at_once(self, capsys, argv, message):
@@ -412,17 +426,14 @@ class TestUsageErrors:
         assert time.perf_counter() - start < 1.0
         assert code == 2
         assert out == ""
-        assert "usage" in err.lower()
-        assert message in err
-        assert "Traceback" not in err
+        assert_refused_on_usage(err, argv[0], message)
 
     def test_unwritable_out_path_exits_two(self, capsys, tmp_path):
         target = tmp_path / "missing" / "zeta.csv"
         code, out, err = run_text(capsys, ["zeta", "--max-k", "1", "--out", str(target)])
         assert code == 2
         assert out == ""
-        assert "usage" in err.lower()
-        assert str(target) in err
+        assert_refused_on_usage(err, "zeta", f"[Errno 2] No such file or directory: {str(target)!r}")
         assert not target.parent.exists()
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -431,8 +442,7 @@ class TestUsageErrors:
         code, out, err = run_text(capsys, ["zeta", "--max-k", "5", "--out", "/dev/full"])
         assert code == 2
         assert out == ""
-        assert "usage" in err.lower()
-        assert "No space left on device" in err
+        assert_refused_on_usage(err, "zeta", "[Errno 28] No space left on device")
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
@@ -446,8 +456,7 @@ class TestUsageErrors:
                 text=True,
             )
         assert result.returncode == 2
-        assert "usage" in result.stderr.lower()
-        assert "Traceback" not in result.stderr
+        assert_refused_on_usage(result.stderr, "zeta", "[Errno 28] No space left on device")
         assert "Exception ignored" not in result.stderr
 
     @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])

@@ -20,7 +20,7 @@ from zetacomb.quad import (
     sinc_table,
     sinc_truncated,
 )
-from zetacomb.testfn import gaussian_bump
+from zetacomb.testfn import gaussian_bump, phi_tilde
 
 TWO_PI = 2 * math.pi
 
@@ -209,6 +209,30 @@ class TestIntegrateAdaptive:
             integrate_adaptive(f, 0.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             integrate_adaptive(f, 0.0, 1.0, 1e-9, osc_freq=-1.0)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 6: the G7/K15 estimate reads 19x below the true error on the unbisected "
+        "seed panel that ends on the bump's support edge",
+    )
+    def test_sigma_route_on_the_half_period_shift_estimate_holds(self):
+        # The kernel action of gauss(0.593, 0.854) at N = 5 through sigma,
+        # on v = u + pi/2.  It takes 12 panels and reports 4.40e-9 for a
+        # true error of 8.29e-8.  The reference is the action over the
+        # support, by mpmath.quad at 30 digits: the integral of
+        # sin(w*x)/sin(x/2) * phi(x), split at 0.
+        reference = 0.833231311634924532943927444917
+        phi = gaussian_bump(0.5929596616230168, 0.8544144718944535)
+        pt = phi_tilde(phi)
+        w = 5.5
+        lo, hi = phi.support
+
+        def f(v):
+            u = v - math.pi / 2
+            return 2.0 * pt(u / w) if u == 0.0 else 2.0 * math.sin(u) / u * pt(u / w)
+
+        r = integrate_adaptive(f, lo * w + math.pi / 2, hi * w + math.pi / 2, 1e-8, osc_freq=1.0)
+        assert abs(r.value - reference) <= r.error_estimate
 
 
 def loop_panel(f, a, b):
