@@ -16,6 +16,7 @@ against floor/ceiling closed forms, and the truncated sinc integral.
 import importlib
 import math
 import sys
+from collections import namedtuple
 
 __version__ = "0.1.0"
 
@@ -61,9 +62,9 @@ __all__ = [name for names in _EXPORTS.values() for name in names]
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 
 
-# The checks, the floor, the error and the record base below are defined
-# here, not in a submodule, so that the submodules reach them without
-# loading each other.
+# The checks, the floor, the stop rule, the error and the records below are
+# defined here, not in a submodule, so that the submodules reach them
+# without loading each other.
 
 
 def _validate_order(value: int, name: str, least: int) -> None:
@@ -88,11 +89,11 @@ def _rounding_floor(mass: float) -> float:
 
 
 class QuadratureError(RuntimeError):
-    """Tolerance not reached after evaluating panels or nodes; message names the cause.
-
-    Carries the best value obtained so that callers can inspect how far
-    off the run ended, rather than losing the work.  A run refused before
-    its first panel raises ValueError instead.  quad re-exports this class, and the cli catches it without loading quad.
+    """Tolerance not reached after evaluating panels or nodes; its message
+    (_stop_message) names the cause.  Carries the best value obtained so
+    that callers can see how far off the run ended.  A run refused before
+    its first panel raises ValueError instead.  quad re-exports this class
+    and QuadResult, and the cli catches it without loading quad.
     """
 
     def __init__(self, value: float, error_estimate: float, panels_used: int, message: str):
@@ -100,6 +101,24 @@ class QuadratureError(RuntimeError):
         self.value = value
         self.error_estimate = error_estimate
         self.panels_used = panels_used
+
+
+def _stop_message(run: str, count: int, units: str, estimate: float, floor: float, tol: float,
+                  past_budget: bool, budget) -> str | None:
+    """The stop rule of quad's panel runs and actions' mode sum, whose estimate
+    is above tol: None while the run may refine on, else the QuadratureError
+    message "<run> tolerance not reached after <count> <units>: <cause>".
+    The causes, in order: a NaN estimate, a rounding floor above tol, and
+    past_budget, a next step past the run's budget, named by budget()."""
+    if math.isnan(estimate):
+        cause = "the estimate is NaN"
+    elif floor > tol:
+        cause = f"the rounding floor {floor:.3e} is above tol = {tol:.3e}"
+    elif past_budget:
+        cause = f"estimate {estimate:.3e}, and {budget()}"
+    else:
+        return None
+    return f"{run} tolerance not reached after {count} {units}: {cause}"
 
 
 class _Record:
@@ -111,6 +130,19 @@ class _Record:
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
+
+
+class QuadResult(_Record, namedtuple("QuadResult", "value error_estimate panels_used")):
+    """An integral's value, its error estimate (never NaN) and its panels (a mode sum's nodes)."""
+
+    __slots__ = ()
+
+    def __new__(cls, value: float, error_estimate: float, panels_used: int):
+        if not error_estimate >= 0:
+            raise ValueError("error_estimate must be >= 0")
+        if panels_used < 1:
+            raise ValueError("panels_used must be >= 1")
+        return super().__new__(cls, value, error_estimate, panels_used)
 
 
 def __getattr__(name):

@@ -37,7 +37,7 @@ the partial sums, so the comb's two routes never load it.
 
 import math
 
-from . import QuadratureError, _rounding_floor, _validate_order, _validate_tol
+from . import QuadResult, QuadratureError, _rounding_floor, _stop_message, _validate_order, _validate_tol
 
 __all__ = [
     "MODE_SAMPLE_CAP",
@@ -116,9 +116,8 @@ def _float_sum(terms: list) -> float:
         return sum(terms)
 
 
-def _mode_trapezoid(phi: "TestFunction", N: int, tol: float) -> tuple[float, float, int]:
-    """(value, error estimate, node count M) of the periodic trapezoid sum.
-
+def _mode_trapezoid(phi: "TestFunction", N: int, tol: float) -> QuadResult:
+    """The periodic trapezoid sum as QuadResult(value, estimate, M), M its node count:
     S_M = (2*pi/M) * sum_j phi_per(x_j)*D_N(x_j) integrates phi_per*D_N
     over one period, which is the mode sum c_0 + 2*sum_{n<=N} Re(c_n).
     M starts at a power of two >= 4N+4 (at M = 2N+1 the sum would collapse
@@ -126,10 +125,9 @@ def _mode_trapezoid(phi: "TestFunction", N: int, tol: float) -> tuple[float, flo
     narrow support, and doubles, reusing the old nodes, until the estimate
     max(|S_M - S_{M/2}|, _rounding_floor((2*pi/M)*sum|terms|)) is within tol.
     Raises ValueError before sampling phi if the first sum would pass
-    MODE_SAMPLE_CAP, and QuadratureError (panels_used = M), its message
-    naming the cause, checked in quad._refine's order: a NaN estimate, the
-    rounding floor above tol, or a next doubling that would pass the cap.
-    Terms math.fsum cannot sum are summed by _float_sum, so they stop it too.
+    MODE_SAMPLE_CAP, and QuadratureError where zetacomb._stop_message stops
+    it, a next doubling past the cap among its causes (_float_sum sums what
+    math.fsum cannot).
     """
     periods = (phi.support[1] - phi.support[0]) / _TWO_PI
     # Samples of phi at M nodes: one per node and period the support spans.
@@ -152,19 +150,15 @@ def _mode_trapezoid(phi: "TestFunction", N: int, tol: float) -> tuple[float, flo
         floor = _rounding_floor(h * _float_sum(list(map(abs, terms))))
         estimate = max(abs(value - coarse), floor)
         if estimate <= tol:
-            return value, estimate, M
-        if math.isnan(estimate):
-            cause = "the estimate is NaN"
-            break
-        if floor > tol:
-            cause = f"the rounding floor {floor:.3e} is above tol = {tol:.3e}"
-            break
-        if 2 * M * samples_per_node > MODE_SAMPLE_CAP:
-            cause = f"estimate {estimate:.3e}, and the next doubling passes MODE_SAMPLE_CAP = {MODE_SAMPLE_CAP} samples of phi"
-            break
+            return QuadResult(value, estimate, M)
+        message = _stop_message(
+            "mode sum", M, "nodes", estimate, floor, tol, 2 * M * samples_per_node > MODE_SAMPLE_CAP,
+            lambda: f"the next doubling passes MODE_SAMPLE_CAP = {MODE_SAMPLE_CAP} samples of phi",
+        )
+        if message:
+            raise QuadratureError(value, estimate, M, message)
         M *= 2
         coarse = value
-    raise QuadratureError(value, estimate, M, f"mode sum tolerance not reached after {M} nodes: {cause}")
 
 
 def delta0_partial_action(phi: "TestFunction", N: int, tol: float) -> float:
@@ -177,7 +171,7 @@ def delta0_partial_action(phi: "TestFunction", N: int, tol: float) -> float:
     """
     _validate_order(N, "N", 0)
     _validate_tol(tol)
-    return _mode_trapezoid(phi, N, tol)[0]
+    return _mode_trapezoid(phi, N, tol).value
 
 
 def delta0_comb_action(phi: "TestFunction") -> float:

@@ -33,9 +33,10 @@ its points.
 
 Every integral of delta_N against a weight f goes through one route,
 _kernel_integral (f = 1 over the window for the normalization, f = phi
-over the clipped support for the action in actions): G7/K15 within 8
-periods of 0 and quad's Filon-Clenshaw-Curtis rule on geometric panels
-beyond, so its work grows like log N, for every N < 2**52.  quad is
+over the clipped support for the action in actions), for every N < 2**52.
+It hands its two integrands to quad, which seeds the run and picks each
+panel's rule: G7/K15 within 8 periods of 0 and the Filon-Clenshaw-Curtis
+rule on geometric panels beyond, so the work grows like log N.  quad is
 imported there, on first use, so a sample table never loads it.
 """
 
@@ -44,7 +45,7 @@ import os
 import threading
 from collections import namedtuple
 
-from . import _Record, _validate_order, _validate_tol
+from . import _Record, _validate_order
 
 __all__ = [
     "EPS_SING",
@@ -235,10 +236,7 @@ def _trig_series(order: int, N: int, xs) -> list:
     are cut into the fewest blocks of at most _BLOCK elements, each a few
     rows by one range of n, every row split into the same column ranges,
     run on up to _worker_count() threads (_map_on_workers) and reduced to
-    exact partials per row, whose math.fsum is the row's s.  Each worker
-    fills its blocks from three buffers of its own, terms, the
-    extraction's scratch and the orders n of one block, and n comes from
-    one shared, read-only index 0, 1, 2, ..., all made once per call.
+    exact partials per row, whose math.fsum is the row's s.
     """
     if N * len(xs) > SERIES_WORK_CAP:
         raise ValueError(
@@ -266,6 +264,13 @@ def _trig_series(order: int, N: int, xs) -> list:
         key=lambda shape: -(-len(rs) // shape[1]) * -(-N // shape[0]),
     )
     size = min(height, len(rs)) * cols  # of the largest block
+    # Each worker fills its blocks from three buffers of its own, terms, the
+    # extraction's scratch and the orders n, made once per call, and n from
+    # one shared, read-only index 0, 1, 2, ...  Arrays per job instead gave
+    # the same bits 25-40 % slower, in process on 2 vCPUs, medians of 7
+    # (order 1, N = 40,000, 110 rows: 39-44 against 51-56 ms; order 2,
+    # N = 250,000, 18 rows: 39-45 against 58-61; order 0, N = 3,000,
+    # 1,000 rows: 24-27 against 32-35).
     buffers = [(np.empty(size), np.empty(size), np.empty(cols)) for _ in range(_worker_count())]
     index = np.arange(cols, dtype=np.float64)
     wave = np.sin if order == 1 else np.cos
@@ -391,53 +396,16 @@ def kernel_samples(N: int, count: int, xmin: float = -math.pi, xmax: float = mat
 def _kernel_integral(N: int, f, lo: float, hi: float, tol: float):
     """Integral of delta_N * f over [lo, hi] inside [-pi, pi]: the one kernel-integral route.
 
-    The integrand is sin(w*x)*g(x) with w = N + 1/2 (_frequency: N < 2**52,
-    else ValueError before any panel runs) and g(x) = f(x)/sin(x/2).  The
-    seed edges are lo, hi, the period lattice k*2*pi/w for |k| <= 8, one
-    period per panel where g is singular, and outward from cut = 8 periods,
-    the first at which w*cut/2 >= quad._FCC_MIN_ALPHA, the geometric
-    +-2*cut, +-4*cut, ...: O(log N) panels, 113 seed edges on [-pi, pi] at
-    N = 2**51.  A panel of half-width h with w*h >= quad._FCC_MIN_ALPHA
-    takes the FCC rule on g; any other takes G7/K15 on the O(1) compact
-    form times f, under one heap, budget and floor rule: quad's _refine,
-    which makes the result, or raises QuadratureError naming its cause.
-    A window inside the cut, every N <= 15 on [-pi, pi], is all G7/K15 and
-    gives integrate_adaptive's bits.
+    quad._sin_integral seeds it and picks each panel's rule, given w = N + 1/2
+    (_frequency: N < 2**52, else ValueError before any panel runs), g(x) =
+    f(x)/sin(x/2) for FCC and the O(1) compact form times f for G7/K15.
+    Every N <= 15 on [-pi, pi] gives integrate_adaptive's bits.
     """
-    from . import quad
+    from .quad import _sin_integral
 
-    w = _frequency(N)
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    _validate_tol(tol)
-    period = 2.0 * math.pi / w
-    cuts = math.ceil(quad._FCC_MIN_ALPHA / math.pi)  # lattice points to the cut
-    cut = cuts * period
-    outward = []
-    x = 2.0 * cut
-    while x < max(-lo, hi):
-        outward.append(x)
-        x *= 2.0
-    edges = [
-        lo,
-        *(-x for x in reversed(outward) if lo < -x < hi),
-        *(k * period for k in range(-cuts, cuts + 1) if lo < k * period < hi),
-        *(x for x in outward if lo < x < hi),
-        hi,
-    ]
-
-    def product(x):
-        return _windowed_compact(N, x) * f(x)
-
-    def g(x):
-        return f(x) / math.sin(0.5 * x)
-
-    def panel(a, b):
-        if w * (0.5 * (b - a)) >= quad._FCC_MIN_ALPHA:
-            return quad._fcc_panel(g, w, a, b)
-        return quad._kronrod_panel(product, a, b)
-
-    return quad._refine(panel, edges, tol)[0]
+    return _sin_integral(
+        _frequency(N), lambda x: f(x) / math.sin(0.5 * x), lambda x: _windowed_compact(N, x) * f(x), lo, hi, tol
+    )
 
 
 def kernel_normalization(N: int, tol: float) -> float:

@@ -13,13 +13,11 @@ error estimate, the worst panel is bisected until the summed estimate
 drops below the requested tolerance, and the final value is a fixed-order
 (left-to-right) exact sum of panel results.  The loop, _refine, takes
 the panel rule as an argument, so one heap, one budget and one floor rule
-serve every rule; it makes every result and every QuadratureError, whose
-message names the cause.  Everything is sequential and order-fixed, so
-identical inputs give bit-identical outputs.  A run fails fast: a seed
-grid past the panel budget is a ValueError before any panel runs, and a
-NaN estimate, or rounding floors of the panels (zetacomb._rounding_floor,
-which the mode sum shares) that add up to more than the tolerance, raise
-QuadratureError at once.
+serve every rule; it makes every result and every QuadratureError.
+Everything is sequential and order-fixed, so identical inputs give
+bit-identical outputs.  A seed grid past the panel budget is a ValueError
+before any panel runs.  The floor rule, the stop rule and QuadResult are
+the package's, shared with actions' mode sum.
 
 Oscillatory integrands are handled by seeding: callers pass the highest
 angular frequency w present, and the initial edges are the points of the
@@ -31,9 +29,9 @@ smooth (QUADPACK's dqc25f): g is interpolated at 25 Chebyshev points and
 the interpolant is integrated against sin(w*x) exactly, through the
 modified Chebyshev moments of exp(i*alpha*t), alpha = w*h for a panel of
 half-width h.  Its cost does not grow with w, but the forward moment
-recurrence is stable only while alpha is at least the degree, 24; a
-caller uses the rule on such panels only (kernels._kernel_integral, where
-the kernel's 1/sin(x/2) goes into g away from 0).
+recurrence is stable only while alpha is at least the degree, 24.
+_sin_integral seeds the kernel integral and picks each panel's rule: FCC
+on such panels, with the kernel's 1/sin(x/2) in g, and G7/K15 elsewhere.
 
 The truncated sinc integrals for N = 0..n_max come from one G7/K15 run
 (the breakpoint idea of QUADPACK's dqagp): the seed panels end on the
@@ -43,19 +41,12 @@ panels and no row integrates again from 0.
 
 import heapq
 import math
-from collections import namedtuple
 from collections.abc import Callable
 from operator import mul
 
-from . import QuadratureError, _Record, _rounding_floor, _validate_order, _validate_tol
+from . import QuadResult, QuadratureError, _rounding_floor, _stop_message, _validate_order, _validate_tol
 
-__all__ = [
-    "QuadResult",
-    "QuadratureError",
-    "integrate_adaptive",
-    "sinc_table",
-    "sinc_truncated",
-]
+__all__ = ["QuadResult", "QuadratureError", "integrate_adaptive", "sinc_table", "sinc_truncated"]
 
 # G7/K15 constants (QUADPACK dqk15).  Positive abscissae only; odd indices
 # are the embedded Gauss nodes, wg[3] weights the midpoint.
@@ -141,19 +132,6 @@ _CHEB12_EVEN, _CHEB12_ODD = _cheb_rows(12)
 )
 
 DEFAULT_PANEL_BUDGET = 1_000_000
-
-
-class QuadResult(_Record, namedtuple("QuadResult", "value error_estimate panels_used")):
-    """An integral's value, its error estimate (never NaN) and the panels it took."""
-
-    __slots__ = ()
-
-    def __new__(cls, value: float, error_estimate: float, panels_used: int):
-        if not error_estimate >= 0:
-            raise ValueError("error_estimate must be >= 0")
-        if panels_used < 1:
-            raise ValueError("panels_used must be >= 1")
-        return super().__new__(cls, value, error_estimate, panels_used)
 
 
 def _kronrod_panel(f: Callable[[float], float], a: float, b: float):
@@ -317,10 +295,8 @@ def _refine(panel: Callable, edges: list, tol: float):
     to right.  Returns the QuadResult and the accepted panels as heap
     entries (-error, sequence number, left, right, value, floor), whose
     sequence numbers fix the pop order whatever the heap's layout.  Else
-    raises QuadratureError with that sum and a message naming the cause: a
-    NaN summed estimate or rounding floors of the panels that alone sum to
-    more than tol (both at once, as no bisection brings them down), or a
-    next bisection that would pass DEFAULT_PANEL_BUDGET (read at call time).
+    raises QuadratureError with that sum where zetacomb._stop_message stops
+    the run on the summed estimate and floors, DEFAULT_PANEL_BUDGET read at call time.
     """
     heap = []
     total_err = 0.0
@@ -334,15 +310,13 @@ def _refine(panel: Callable, edges: list, tol: float):
     panels_used = len(heap)
 
     # Written so that a NaN estimate enters the loop and fails there.
-    cause = None
+    message = None
     while not total_err <= tol:
-        if math.isnan(total_err):
-            cause = "the estimate is NaN"
-        elif total_floor > tol:
-            cause = f"the rounding floors of the panels sum to {total_floor:.3e}, above tol = {tol:.3e}"
-        elif panels_used + 2 > DEFAULT_PANEL_BUDGET:
-            cause = f"estimate {total_err:.3e}, and a bisection passes DEFAULT_PANEL_BUDGET = {DEFAULT_PANEL_BUDGET}"
-        if cause:
+        message = _stop_message(
+            "quadrature", panels_used, "panels", total_err, total_floor, tol, panels_used + 2 > DEFAULT_PANEL_BUDGET,
+            lambda: f"a bisection passes DEFAULT_PANEL_BUDGET = {DEFAULT_PANEL_BUDGET}",
+        )
+        if message:
             break
         neg_err, _, left, right, _, floor = heapq.heappop(heap)
         total_err += neg_err  # neg_err = -err of the popped panel
@@ -357,10 +331,8 @@ def _refine(panel: Callable, edges: list, tol: float):
 
     heap.sort(key=lambda e: e[2])
     value = math.fsum(entry[4] for entry in heap)
-    if cause:
-        raise QuadratureError(
-            value, total_err, panels_used, f"quadrature tolerance not reached after {panels_used} panels: {cause}"
-        )
+    if message:
+        raise QuadratureError(value, total_err, panels_used, message)
     return QuadResult(value, total_err, panels_used), heap
 
 
@@ -385,12 +357,11 @@ def integrate_adaptive(
     every second zero of sin((N+1/2)*x) and its peak at 0.  A w so small
     that 2*pi/w overflows has no such point, and seeds [a, b].  Pass 0 for
     smooth integrands, seeded on an even grid of panels at most 2*pi wide.
-    Every panel is G7/K15.
-    Raises ValueError, before any panel runs, when the seed grid alone
-    would pass the panel budget, and QuadratureError, carrying the best
-    value and estimate, if the budget runs out or tol lies below the
-    rounding floor of the estimate.  kernels._kernel_integral does not
-    come here, so this budget does not bound the kernel's orders.
+    Every panel is G7/K15.  Raises ValueError, before any panel runs, when
+    the seed grid alone would pass the panel budget, and QuadratureError,
+    carrying the best value and estimate, where _refine stops.  The kernel
+    integral runs through _sin_integral instead, so this budget does not
+    bound the kernel's orders.
     """
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
@@ -419,6 +390,38 @@ def integrate_adaptive(
         if len(edges) - 1 > DEFAULT_PANEL_BUDGET:
             raise _past_budget(seeds)
     return _refine(lambda lo, hi: _kronrod_panel(f, lo, hi), edges, tol)[0]
+
+
+def _sin_integral(w: float, g: Callable[[float], float], f: Callable[[float], float],
+                  lo: float, hi: float, tol: float) -> QuadResult:
+    """Integral over [lo, hi] of f(x) = sin(w*x)*g(x), g singular at 0 only and
+    f finite there: the kernel integral's run (kernels._kernel_integral).
+
+    The seed edges are lo, hi, the period lattice k*2*pi/w for |k| <= 8,
+    one period per panel near 0, and outward from cut = 8 periods, the
+    first at which w*cut/2 >= _FCC_MIN_ALPHA, the geometric +-2*cut,
+    +-4*cut, ...: 113 edges on [-pi, pi] at w = 2**51 + 1/2.  A panel of
+    half-width h with w*h >= _FCC_MIN_ALPHA takes FCC on g, any other
+    G7/K15 on f, so a window inside the cut gives integrate_adaptive's bits.
+    """
+    if not lo < hi:
+        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    _validate_tol(tol)
+    period = 2.0 * math.pi / w
+    cuts = math.ceil(_FCC_MIN_ALPHA / math.pi)  # lattice points to the cut
+    inner = [k * period for k in range(-cuts, cuts + 1)]
+    x = 2.0 * (cuts * period)  # twice the cut
+    while x < max(-lo, hi):
+        inner += (-x, x)
+        x *= 2.0
+    edges = [lo, *sorted(x for x in inner if lo < x < hi), hi]
+
+    def panel(a, b):
+        if w * (0.5 * (b - a)) >= _FCC_MIN_ALPHA:
+            return _fcc_panel(g, w, a, b)
+        return _kronrod_panel(f, a, b)
+
+    return _refine(panel, edges, tol)[0]
 
 
 def _sinc(x: float) -> float:

@@ -32,7 +32,7 @@ from zetacomb.actions import (
     fourier_partial_delta2,
 )
 from zetacomb.kernels import SERIES_WORK_CAP, _exact_row_sums, _trig_series, dirichlet_sum
-from zetacomb.quad import QuadratureError, integrate_adaptive
+from zetacomb.quad import QuadResult, QuadratureError, integrate_adaptive
 from zetacomb.testfn import bump_plateau, gaussian_bump, phi_tilde
 
 from test_kernels import fsum_sum_form
@@ -142,7 +142,9 @@ class TestModeTrapezoid:
     def test_matches_per_mode_oracle(self, name, N):
         phi = MODE_PHIS[name]
         tol = 1e-12
-        value, estimate, M = _mode_trapezoid(phi, N, tol)
+        result = _mode_trapezoid(phi, N, tol)
+        assert type(result) is QuadResult
+        value, estimate, M = result
         oracle = adaptive_mode_sum(phi, N)
         assert abs(value - oracle) <= tol
         assert estimate <= tol
@@ -206,7 +208,8 @@ class TestModeTrapezoid:
 
     def test_nan_estimate_stops_at_once(self):
         # phi is NaN on its support, so the first comparison is NaN: the run
-        # stops there, as quad._refine does, and does not double to the cap.
+        # stops there, by the stop rule quad._refine shares, and does not
+        # double to the cap.
         nan_phi = gaussian_bump(0.0, 1.0)._replace(evaluator=lambda x: math.nan)
         start = time.perf_counter()
         with pytest.raises(QuadratureError) as info:
@@ -227,8 +230,8 @@ class TestModeTrapezoid:
     def test_unsummable_terms_are_a_quadrature_error(self, value, N, cause):
         # math.fsum raises at an inf - inf and at a running sum past the
         # float range; the mode sum takes the plain float sum there, NaN or
-        # inf, and refuses as deltaN_action does, naming the cause in
-        # quad._refine's order.
+        # inf, and refuses as deltaN_action does, naming the cause by the
+        # one stop rule, zetacomb._stop_message.
         phi = gaussian_bump(0.0, 1.0)._replace(evaluator=lambda x: value)
         with pytest.raises(QuadratureError) as info:
             delta0_partial_action(phi, N, 1e-10)
@@ -281,23 +284,24 @@ class TestCoefficientDecay:
                 assert m <= fitted / n**k
 
 
-def sigma_route(phi, N, lo, hi, tol):
+def sigma_route(phi, N, lo, hi, tol, shift):
     """The kernel action over [lo, hi] inside the window, computed through sigma.
 
     There D_N(x)*phi(x) = 2*sin(w*x)/x * phi_tilde(x) with w = N + 1/2, and
     u = w*x turns the action into the integral of 2*sin(u)/u * phi_tilde(u/w)
-    over [w*lo, w*hi].  It runs on v = u + pi, so its seed edges v = 2*pi*k
-    fall on u = (2k+1)*pi, off the action's lattice u = 2*pi*k; on v = u the
-    two runs would bisect the same panels.
+    over [w*lo, w*hi].  It runs on v = u + shift, seeded on the lattice
+    v = 2*pi*k.  At shift = pi those edges fall on u = (2k+1)*pi, off the
+    action's lattice u = 2*pi*k; at shift = 0 the two runs would bisect the
+    same panels.
     """
     w = N + 0.5
     pt = phi_tilde(phi)
 
     def f(v):
-        u = v - math.pi
+        u = v - shift
         return 2.0 * pt(u / w) if u == 0.0 else 2.0 * math.sin(u) / u * pt(u / w)
 
-    return integrate_adaptive(f, lo * w + math.pi, hi * w + math.pi, tol, osc_freq=1.0)
+    return integrate_adaptive(f, lo * w + shift, hi * w + shift, tol, osc_freq=1.0)
 
 
 class TestDeltaNAction:
@@ -313,7 +317,7 @@ class TestDeltaNAction:
         lo = max(-math.pi, phi.support[0])
         hi = min(math.pi, phi.support[1])
         action = kernels._kernel_integral(N, phi.evaluator, lo, hi, tol)
-        sigma = sigma_route(phi, N, lo, hi, tol)
+        sigma = sigma_route(phi, N, lo, hi, tol, math.pi)
         assert abs(action.value - sigma.value) <= action.error_estimate + sigma.error_estimate
 
     @settings(max_examples=60)

@@ -565,7 +565,7 @@ class TestNumericalFailure:
     def test_quadrature_fails_fast(self, capsys, argv):
         err = fails_fast(capsys, argv)
         if "1e-300" in argv:
-            assert re.search(r"the rounding floors of the panels sum to \S+, above tol = 1\.000e-300\n$", err)
+            assert re.search(r"the rounding floor \S+ is above tol = 1\.000e-300\n$", err)
 
     def test_exit_code_three(self, capsys):
         code, out, err = run_text(capsys, ["sinc", "--n-max", "0", "--tol", "1e-300"])

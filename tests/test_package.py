@@ -66,3 +66,21 @@ ABOVE = math.nextafter(GUARD, math.inf)
 def test_rounding_floor_applies_only_above_the_guard(mass, floor):
     assert zetacomb._rounding_floor(mass) == floor
     assert (floor > 0) == (mass > GUARD)
+
+
+def test_stop_message_checks_nan_then_floor_then_budget():
+    # The budget phrase is built only when the budget is the cause.
+    built = []
+
+    def stop(estimate, floor, past_budget):
+        return zetacomb._stop_message(
+            "run", 3, "steps", estimate, floor, 1e-10, past_budget, lambda: built.append(1) or "the budget"
+        )
+
+    prefix = "run tolerance not reached after 3 steps: "
+    assert stop(math.nan, 1.0, True) == prefix + "the estimate is NaN"
+    assert stop(1.0, 2e-10, True) == prefix + "the rounding floor 2.000e-10 is above tol = 1.000e-10"
+    assert built == []
+    assert stop(1.0, 0.0, True) == prefix + "estimate 1.000e+00, and the budget"
+    assert stop(1.0, 1e-10, False) is None
+    assert built == [1]

@@ -20,7 +20,9 @@ from zetacomb.quad import (
     sinc_table,
     sinc_truncated,
 )
-from zetacomb.testfn import gaussian_bump, phi_tilde
+from zetacomb.testfn import gaussian_bump
+
+from test_actions import sigma_route
 
 TWO_PI = 2 * math.pi
 
@@ -128,14 +130,15 @@ class TestIntegrateAdaptive:
         assert time.perf_counter() - start < 1.0
         assert info.value.panels_used == 1
         assert abs(info.value.value - TWO_PI) <= 1e-12
-        assert "after 1 panels: the rounding floors of the panels sum to 6.9" in str(info.value)
-        assert str(info.value).endswith("above tol = 1.000e-300")
+        assert "after 1 panels: the rounding floor 6.9" in str(info.value)
+        assert str(info.value).endswith(" is above tol = 1.000e-300")
 
     def test_nan_integrand_fails_at_once(self):
         with pytest.raises(QuadratureError) as info:
             integrate_adaptive(lambda x: math.nan, 0.0, 1.0, 1e-10)
         assert info.value.panels_used == 1
         assert math.isnan(info.value.error_estimate)
+        assert str(info.value).endswith("after 1 panels: the estimate is NaN")
 
     @pytest.mark.parametrize(
         "g, b, panels",
@@ -153,6 +156,7 @@ class TestIntegrateAdaptive:
             integrate_adaptive(f, 0.0, b, 1e-10)
         assert info.value.panels_used == panels
         assert math.isnan(info.value.error_estimate)
+        assert str(info.value).endswith(f"after {panels} panels: the estimate is NaN")
 
     def test_seed_grid_past_budget_is_not_attempted(self, monkeypatch):
         calls = []
@@ -223,15 +227,7 @@ class TestIntegrateAdaptive:
         # sin(w*x)/sin(x/2) * phi(x), split at 0.
         reference = 0.833231311634924532943927444917
         phi = gaussian_bump(0.5929596616230168, 0.8544144718944535)
-        pt = phi_tilde(phi)
-        w = 5.5
-        lo, hi = phi.support
-
-        def f(v):
-            u = v - math.pi / 2
-            return 2.0 * pt(u / w) if u == 0.0 else 2.0 * math.sin(u) / u * pt(u / w)
-
-        r = integrate_adaptive(f, lo * w + math.pi / 2, hi * w + math.pi / 2, 1e-8, osc_freq=1.0)
+        r = sigma_route(phi, 5, *phi.support, 1e-8, math.pi / 2)
         assert abs(r.value - reference) <= r.error_estimate
 
 
@@ -593,7 +589,7 @@ class TestSincTable:
         assert abs(info.value.value - sinc_references(3)[3]) <= 1e-12
         # so are the floors; the tolerance is the caller's
         assert str(info.value).endswith(
-            f"the rounding floors of the panels sum to {info.value.error_estimate:.3e}, above tol = 1.000e-300"
+            f"the rounding floor {info.value.error_estimate:.3e} is above tol = 1.000e-300"
         )
 
     def test_seed_grid_past_budget_is_not_attempted(self, monkeypatch):
